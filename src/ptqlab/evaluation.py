@@ -1,33 +1,25 @@
-"""Task scoring, single-unit latency timing, and the experiment grid.
+"""Task scoring, single-unit latency timing, and the experiment grid's plan.
 
 One grid cell = (model, method, bits-or-plan). Every cell is scored on the
-same task suite, timed under the same latency protocol, and cached under a
-hash of everything that determines its result, so finished grids re-run
-with zero model forwards.
+same task suite and timed under the same latency protocol;
+:func:`ptqlab.pipeline.stage_eval` builds, runs and caches the cells that
+:func:`plan_grid` lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import time
-import traceback
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import tasks
-from .allocator import SplitRatios, assign_precision
 from .errors import ContractError, ParameterError
-from .gptq import GptqConfig, gptq_quantize_model
 from .model import (MASK_ID, MODE_AR, MODE_DIFFUSION, ModelCheckpoint, forward_logits,
                     generate_ar, generate_diffusion)
 from .numerics import make_rng
-from .quant import memory_footprint, rtn_quantize_model, uniform_plan
-from .sensitivity import SensitivityConfig, compute_sensitivities, rank_sensitivities
-from .trainer import TrainConfig, calibration_batches
 
 GRID_BITS = (2, 3, 4, 8)
 CSV_FIELDS = ["model", "mode", "method", "bits_or_plan", "task", "score",
@@ -204,175 +196,24 @@ class GridConfig:
     bits: tuple = GRID_BITS
     hawq_splits: tuple = ((16, 8), (8, 4))  # 50/50 two-level splits
     hawq_ratio: float = 0.5
-    # optional extra rows mixing three tiers, e.g. ((1/3, 1/3, 1/3),);
-    # charts how 16/8/4 mixes behave without asserting any outcome
-    hawq_three_way: tuple = ()
     rank_mode: str = "raw"
     n_calibration_batches: int = 8
 
     def to_dict(self) -> dict:
         return {"bits": list(self.bits), "hawq_splits": [list(s) for s in self.hawq_splits],
-                "hawq_ratio": self.hawq_ratio,
-                "hawq_three_way": [list(r) for r in self.hawq_three_way],
-                "rank_mode": self.rank_mode,
+                "hawq_ratio": self.hawq_ratio, "rank_mode": self.rank_mode,
                 "n_calibration_batches": self.n_calibration_batches}
 
 
-def _config_hash(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _ckpt_fingerprint(ckpt: ModelCheckpoint) -> str:
-    return hashlib.sha256(ckpt.to_bytes()).hexdigest()[:16]
-
-
-@dataclass
-class _Cell:
-    model_name: str
-    ckpt: ModelCheckpoint
-    method: str
-    bits_or_plan: str
-    build: object  # () -> (quantized ckpt, raw_bits, eff_bits)
-
-
-def hawq_plans(ckpt: ModelCheckpoint, batches, grid: GridConfig,
-               sens_cfg: SensitivityConfig) -> dict:
-    """Mixed-precision plans from this checkpoint's own sensitivities."""
-    records = compute_sensitivities(ckpt, batches, sens_cfg)
-    ranked = rank_sensitivities(records, grid.rank_mode)
-    plans = {}
-    for hi, lo in grid.hawq_splits:
-        ratios = SplitRatios(grid.hawq_ratio, 1.0 - grid.hawq_ratio, 0.0)
-        plan = assign_precision(ranked, ratios, levels=(hi, lo, lo))
-        plans[f"hawq-{hi}/{lo}"] = plan
-    for p16, p8, p4 in grid.hawq_three_way:
-        plan = assign_precision(ranked, SplitRatios(p16, p8, p4))
-        plans[f"hawq-16/8/4-{p16:.2f}/{p8:.2f}/{p4:.2f}"] = plan
-    return plans
-
-
-class _LazyHawqPlans:
-    """Defers the sensitivity run until a hawq cell actually builds, so a
-    fully cached grid performs no model forwards."""
-
-    def __init__(self, ckpt, batches, grid, sens_cfg):
-        self._args = (ckpt, batches, grid, sens_cfg)
-        self._plans = None
-
-    def get(self, label: str):
-        if self._plans is None:
-            self._plans = hawq_plans(*self._args)
-        return self._plans[label]
-
-
-def _grid_cells(model_name: str, ckpt: ModelCheckpoint, batches,
-                grid: GridConfig, sens_cfg: SensitivityConfig) -> list:
-    cells = [
-        _Cell(model_name, ckpt, "baseline", "16bit",
-              lambda c=ckpt: (c, 16.0, 16.0)),
-    ]
-    for b in grid.bits:
-        def build_rtn(b=b, c=ckpt):
-            plan = uniform_plan(c, b)
-            raw, eff, _ = memory_footprint(plan, c)
-            return rtn_quantize_model(c, plan), raw, eff
-
-        def build_gptq(b=b, c=ckpt):
-            plan = uniform_plan(c, b)
-            raw, eff, _ = memory_footprint(plan, c)
-            quantized, _ = gptq_quantize_model(c, batches, GptqConfig(bits=b))
-            return quantized, raw, eff
-
-        cells.append(_Cell(model_name, ckpt, "rtn", f"{b}bit", build_rtn))
-        cells.append(_Cell(model_name, ckpt, "gptq", f"{b}bit", build_gptq))
-
-    lazy = _LazyHawqPlans(ckpt, batches, grid, sens_cfg)
-    for label in hawq_labels(grid):
-        def build_hawq(label=label, c=ckpt):
-            plan = lazy.get(label)
-            raw, eff, _ = memory_footprint(plan, c)
-            return rtn_quantize_model(c, plan), raw, eff
-
-        cells.append(_Cell(model_name, ckpt, "hawq", label, build_hawq))
-    return cells
-
-
-def hawq_labels(grid: GridConfig) -> list:
-    labels = [f"hawq-{hi}/{lo}" for hi, lo in grid.hawq_splits]
-    labels += [f"hawq-16/8/4-{p16:.2f}/{p8:.2f}/{p4:.2f}"
-               for p16, p8, p4 in grid.hawq_three_way]
-    return labels
-
-
 def plan_grid(grid: GridConfig = GridConfig()) -> list:
-    """(model, method, bits_or_plan) rows the grid will run, without running."""
+    """(model, method, bits_or_plan) rows of the grid, in the order it runs them."""
     rows = []
-    for name in ("toy-ar", "toy-diffusion"):
+    for mode in (MODE_AR, MODE_DIFFUSION):
+        name = f"toy-{mode}"
         rows.append((name, "baseline", "16bit"))
         for b in grid.bits:
             rows.append((name, "rtn", f"{b}bit"))
             rows.append((name, "gptq", f"{b}bit"))
-        for label in hawq_labels(grid):
-            rows.append((name, "hawq", label))
+        for hi, lo in grid.hawq_splits:
+            rows.append((name, "hawq", f"hawq-{hi}/{lo}"))
     return rows
-
-
-def run_experiment_grid(ar_ckpt: ModelCheckpoint, diff_ckpt: ModelCheckpoint,
-                        suite: TaskSuite, latency: LatencyConfig,
-                        grid: GridConfig = GridConfig(),
-                        sens_cfg: SensitivityConfig | None = None,
-                        cache_dir=None, seed: int = 0) -> list:
-    """One EvalResult per grid cell; failed cells are recorded, not fatal."""
-    sens_cfg = sens_cfg or SensitivityConfig(seed=seed)
-    results = []
-    for model_name, ckpt in (("toy-ar", ar_ckpt), ("toy-diffusion", diff_ckpt)):
-        train_cfg = TrainConfig(**ckpt.meta["train_config"])
-        batches = calibration_batches(train_cfg, grid.n_calibration_batches)
-        unit = UNIT_AR_TOKEN if ckpt.config.mode == MODE_AR else UNIT_DIFFUSION_STEP
-        cell_latency = dataclasses.replace(latency, unit_of_work=unit)
-        fingerprint = _ckpt_fingerprint(ckpt)
-        for cell in _grid_cells(model_name, ckpt, batches, grid, sens_cfg):
-            payload = {"model": model_name, "ckpt": fingerprint, "method": cell.method,
-                       "bits_or_plan": cell.bits_or_plan, "suite": suite.to_dict(),
-                       "latency": cell_latency.to_dict(), "grid": grid.to_dict(),
-                       "sens": sens_cfg.to_dict(), "seed": seed}
-            config_hash = _config_hash(payload)
-            cached = _cache_load(cache_dir, config_hash)
-            if cached is not None:
-                results.append(cached)
-                continue
-            try:
-                quantized, raw_bits, eff_bits = cell.build()
-                scores = evaluate_tasks(quantized, suite)
-                lat = measure_latency(quantized, cell_latency)
-                result = EvalResult(model_name, ckpt.config.mode, cell.method,
-                                    cell.bits_or_plan, scores, lat.mean_ms, lat.std_ms,
-                                    raw_bits, eff_bits, seed, config_hash,
-                                    timer_warning=lat.timer_warning)
-            except Exception as exc:  # record the failed row, keep the grid going
-                result = EvalResult(model_name, ckpt.config.mode, cell.method,
-                                    cell.bits_or_plan, {}, float("nan"), float("nan"),
-                                    float("nan"), float("nan"), seed, config_hash,
-                                    status="failed",
-                                    error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=3)}")
-            _cache_store(cache_dir, config_hash, result)
-            results.append(result)
-    return results
-
-
-def _cache_load(cache_dir, config_hash: str):
-    if cache_dir is None:
-        return None
-    path = Path(cache_dir) / f"{config_hash}.json"
-    if not path.exists():
-        return None
-    return EvalResult.from_dict(json.loads(path.read_text()))
-
-
-def _cache_store(cache_dir, config_hash: str, result: EvalResult) -> None:
-    if cache_dir is None:
-        return
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    (path / f"{config_hash}.json").write_text(json.dumps(result.to_dict(), sort_keys=True))

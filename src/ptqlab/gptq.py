@@ -23,7 +23,7 @@ from .model.config import MODE_DIFFUSION, Batch
 from .model.network import forward_logits
 from .numerics import cholesky_upper_of_inverse
 from .quant import (DEFAULT_GROUP_SIZE, QUANT_BITS, GroupQuantSpec, QuantizedWeight,
-                    quantize_weight, round_half_away_from_zero)
+                    dequantize, group_scales, round_half_away_from_zero)
 
 ORDER_ASCENDING = "ascending"
 ORDER_BY_DIAG_DESC = "by_diag_desc"
@@ -31,7 +31,7 @@ ORDER_BY_DIAG_DESC = "by_diag_desc"
 
 @dataclass(frozen=True)
 class GptqConfig:
-    bits: int
+    bits: int = 4  # callers that sweep widths replace it per call
     group_size: int = DEFAULT_GROUP_SIZE
     damping: float = 0.01  # fraction of mean(diag H)
     column_order: str = ORDER_ASCENDING
@@ -45,6 +45,7 @@ class GptqConfig:
             raise ParameterError("damping fraction must be > 0")
         if self.column_order not in (ORDER_ASCENDING, ORDER_BY_DIAG_DESC):
             raise ParameterError(f"unknown column order {self.column_order!r}")
+        self.spec()  # validates group_size
 
     def spec(self) -> GroupQuantSpec:
         return GroupQuantSpec(self.bits, self.group_size)
@@ -148,9 +149,7 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqCo
         g = group_of[j]
         if not seen_group[g]:
             # scales from the current (compensated) weights of this group
-            block = wp[:, col_in_group[g]]
-            peak = np.max(np.abs(block), axis=1)
-            scales[:, g] = np.where(peak > 0, peak / qmax, 1.0)
+            scales[:, g] = group_scales(wp[:, col_in_group[g]], qmax)
             seen_group[g] = True
         s = scales[:, g]
         codes = np.clip(round_half_away_from_zero(wp[:, j] / s), -qmax, qmax).astype(np.int16)
@@ -217,8 +216,6 @@ def gptq_quantize_model(ckpt: ModelCheckpoint, batches, cfg: GptqConfig, paths=N
 
 
 def _deq32(qw: QuantizedWeight) -> np.ndarray:
-    from .quant import dequantize
-
     return dequantize(qw).astype(np.float32)
 
 
@@ -231,11 +228,3 @@ def _report_row(path: str, cfg: GptqConfig, recon_error: float, qw: QuantizedWei
         "scale_mean": float(qw.scales.mean()),
         "scale_max": float(qw.scales.max()),
     }
-
-
-def rtn_reference_layer(weight: np.ndarray, spec: GroupQuantSpec):
-    """RTN counterpart used in paired comparisons against GPTQ."""
-    qw = quantize_weight(weight, spec)
-    from .quant import dequantize
-
-    return qw, dequantize(qw)

@@ -10,12 +10,6 @@ from .network import forward_logits, init_params, prediction_targets
 from .network import loss_and_grads as _loss_and_grads
 
 
-def forward(ckpt: ModelCheckpoint, batch: Batch, dtype=np.float32):
-    """Logits over the batch's token grid as given (no mask corruption)."""
-    logits, _ = forward_logits(ckpt.params, ckpt.config, batch.token_ids, dtype=dtype)
-    return logits
-
-
 def loss_and_grads(params_or_ckpt, config_or_batch, batch=None, dtype=np.float32,
                    want_grads=True):
     """Loss (and grads) for either (params, config, batch) or (ckpt, batch)."""
@@ -30,6 +24,6 @@ def loss_and_grads(params_or_ckpt, config_or_batch, batch=None, dtype=np.float32
 __all__ = [
     "BOS_ID", "MASK_ID", "PAD_ID", "VOCAB_SIZE", "MODE_AR", "MODE_DIFFUSION",
     "Batch", "ModelConfig", "ModelCheckpoint", "new_checkpoint",
-    "forward", "forward_logits", "init_params", "loss_and_grads",
+    "forward_logits", "init_params", "loss_and_grads",
     "prediction_targets", "generate_ar", "generate_diffusion",
 ]

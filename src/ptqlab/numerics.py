@@ -26,30 +26,6 @@ def make_rng(seed: int) -> Rng:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def assert_finite(x: np.ndarray, what: str = "array") -> None:
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"non-finite values in {what}")
-
-
-def matmul(a: np.ndarray, b: np.ndarray, out_dtype=None) -> np.ndarray:
-    """Matrix product with float64 accumulation.
-
-    Inputs are promoted to float64 before the product so every inner sum is
-    accumulated at 64-bit precision regardless of storage dtype; the result
-    is cast to ``out_dtype`` (default: the promoted dtype of the operands).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} vs {b.shape}")
-    out = np.matmul(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
-    if out_dtype is None:
-        out_dtype = np.result_type(a.dtype, b.dtype)
-    return out.astype(out_dtype, copy=False)
-
-
 def cholesky_invert_spd(h: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive-definite matrix via Cholesky.
 

@@ -10,20 +10,23 @@ cell, which is what makes ``reproduce`` idempotent.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
 import os
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .allocator import SplitRatios, assign_precision, ratios_for_budget
 from .errors import ContractError, ParameterError
-from .evaluation import GridConfig, LatencyConfig, TaskSuite, measure_latency
+from .evaluation import (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP, EvalResult, GridConfig,
+                         LatencyConfig, TaskSuite, evaluate_tasks, measure_latency, plan_grid)
 from .gptq import GptqConfig, gptq_quantize_model
 from .model import MODE_AR, MODE_DIFFUSION, ModelCheckpoint
-from .quant import QuantPlan, rtn_quantize_model, uniform_plan
+from .quant import QuantPlan, memory_footprint, rtn_quantize_model, uniform_plan
 from .reporting import emit
 from .sensitivity import (SensitivityConfig, compute_sensitivities, load_report,
                           rank_sensitivities, save_report)
@@ -31,6 +34,20 @@ from .trainer import TrainConfig, calibration_batches, train
 
 ENV_WORKSPACE = "PTQLAB_WORKSPACE"
 MODELS = (MODE_AR, MODE_DIFFUSION)
+LATENCY_UNIT = {MODE_AR: UNIT_AR_TOKEN, MODE_DIFFUSION: UNIT_DIFFUSION_STEP}
+
+# Config sections built from a dataclass, with the fields the file may not
+# set: seeds come from the top-level seed, and GPTQ widths from the grid or
+# from `quantize --bits`.
+SECTIONS = {
+    "train": (TrainConfig, ("seed",)),
+    "suite": (TaskSuite, ()),
+    "latency": (LatencyConfig, ()),
+    "sensitivity": (SensitivityConfig, ("seed",)),
+    "grid": (GridConfig, ()),
+    "gptq": (GptqConfig, ("bits", "sequential", "max_retries")),
+}
+ASSIGN_KEYS = ("ratios", "levels")
 
 
 @dataclass
@@ -42,51 +59,43 @@ class PipelineConfig:
     latency: LatencyConfig = field(default_factory=LatencyConfig)
     sensitivity: SensitivityConfig = field(default_factory=SensitivityConfig)
     grid: GridConfig = field(default_factory=GridConfig)
-    gptq_group_size: int = 128
-    gptq_damping: float = 0.01
-    gptq_column_order: str = "ascending"
+    gptq: GptqConfig = field(default_factory=GptqConfig)
     assign_ratios: tuple = (0.5, 0.5, 0.0)
     assign_levels: tuple = (16, 8, 4)
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {"workspace", "seed", "train", "suite", "latency", "sensitivity",
-                 "grid", "gptq", "assign"}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ParameterError("config must be a JSON object")
+        unknown = set(doc) - {"workspace", "seed", "assign", *SECTIONS}
         if unknown:
             raise ParameterError(f"unknown config sections: {sorted(unknown)}")
         if "workspace" not in doc:
             raise ParameterError("config needs a 'workspace' entry")
-        seed = int(doc.get("seed", 0))
-        train_cfg = TrainConfig(seed=seed, **doc.get("train", {}))
-        suite = TaskSuite(**doc.get("suite", {}))
-        latency = LatencyConfig(**doc.get("latency", {}))
-        sens = SensitivityConfig(seed=seed, **doc.get("sensitivity", {}))
-        grid_doc = dict(doc.get("grid", {}))
-        if "bits" in grid_doc:
-            grid_doc["bits"] = tuple(grid_doc["bits"])
-        if "hawq_splits" in grid_doc:
-            grid_doc["hawq_splits"] = tuple(tuple(s) for s in grid_doc["hawq_splits"])
-        grid = GridConfig(**grid_doc)
-        gptq_doc = doc.get("gptq", {})
-        assign_doc = doc.get("assign", {})
-        cfg = cls(workspace=doc["workspace"], seed=seed, train=train_cfg, suite=suite,
-                  latency=latency, sensitivity=sens, grid=grid,
-                  gptq_group_size=int(gptq_doc.get("group_size", 128)),
-                  gptq_damping=float(gptq_doc.get("damping", 0.01)),
-                  gptq_column_order=str(gptq_doc.get("column_order", "ascending")),
-                  assign_ratios=tuple(assign_doc.get("ratios", (0.5, 0.5, 0.0))),
-                  assign_levels=tuple(assign_doc.get("levels", (16, 8, 4))))
-        SplitRatios(*cfg.assign_ratios)  # validate eagerly
-        if cfg.gptq_column_order not in ("ascending", "by_diag_desc"):
-            raise ParameterError(f"unknown gptq column_order {cfg.gptq_column_order!r}")
-        if cfg.gptq_damping <= 0:
-            raise ParameterError("gptq damping must be > 0")
+        try:  # a value of the wrong type fails inside the dataclasses
+            seed = int(doc.get("seed", 0))
+            sections = {}
+            for name, (section_cls, fixed) in SECTIONS.items():
+                keys = [f.name for f in dataclasses.fields(section_cls) if f.name not in fixed]
+                values = _section(doc, name, keys)
+                if "seed" in fixed:
+                    values["seed"] = seed
+                sections[name] = section_cls(**values)
+            assign = _section(doc, "assign", ASSIGN_KEYS)
+            cfg = cls(workspace=doc["workspace"], seed=seed, **sections,
+                      assign_ratios=assign.get("ratios", (0.5, 0.5, 0.0)),
+                      assign_levels=assign.get("levels", (16, 8, 4)))
+            SplitRatios(*cfg.assign_ratios)  # validate eagerly
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed config value: {exc}") from exc
         return cfg
 
     # -- scope hashes -------------------------------------------------------
@@ -98,13 +107,29 @@ class PipelineConfig:
     def sensitivity_hash(self, mode: str) -> str:
         return _hash({"parent": self.train_hash(mode), "sens": self.sensitivity.to_dict()})
 
-    def plan_hash(self, mode: str) -> str:
+    def plan_hash(self, mode: str, ratios, levels) -> str:
         return _hash({"parent": self.sensitivity_hash(mode),
-                      "ratios": list(self.assign_ratios), "levels": list(self.assign_levels)})
+                      "ratios": list(ratios), "levels": list(levels)})
 
 
 def _hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _section(doc: dict, name: str, keys) -> dict:
+    """A config section's entries, lists as tuples; unknown keys are an error."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ParameterError(f"config section {name!r} must be an object")
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ParameterError(f"unknown keys in config section {name!r}: {sorted(unknown)}; "
+                             f"known: {sorted(keys)}")
+    return {k: _frozen(v) for k, v in section.items()}
+
+
+def _frozen(value):
+    return tuple(_frozen(v) for v in value) if isinstance(value, list) else value
 
 
 class Workspace:
@@ -164,20 +189,24 @@ def stage_train(ws: Workspace, force: bool = False) -> dict:
     return out
 
 
-def stage_sensitivity(ws: Workspace, mode: str, force: bool = False) -> dict:
-    ckpt = ws.require_checkpoint(mode, force)
+def _calibration(ckpt: ModelCheckpoint, n_batches: int) -> list:
+    return calibration_batches(TrainConfig(**ckpt.meta["train_config"]), n_batches)
+
+
+def stage_sensitivity(ws: Workspace, mode: str, force: bool = False,
+                      ckpt: ModelCheckpoint | None = None) -> dict:
+    """Score every module of ``mode``'s checkpoint (``ckpt`` when already loaded)."""
+    if ckpt is None:
+        ckpt = ws.require_checkpoint(mode, force)
     cfg = ws.cfg
-    batches = calibration_batches(TrainConfig(**ckpt.meta["train_config"]),
-                                  cfg.sensitivity.n_batches)
-    records = compute_sensitivities(ckpt, batches, cfg.sensitivity)
+    records = compute_sensitivities(ckpt, _calibration(ckpt, cfg.sensitivity.n_batches),
+                                    cfg.sensitivity)
     json_path = ws.path("sensitivity", f"{mode}.json")
     csv_path = ws.path("sensitivity", f"{mode}.csv")
-    save_report(records, cfg.sensitivity, json_path, csv_path)
-    doc = json.loads(json_path.read_text())
-    doc["config_hash"] = cfg.sensitivity_hash(mode)
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    config_hash = cfg.sensitivity_hash(mode)
+    save_report(records, cfg.sensitivity, json_path, csv_path, config_hash)
     return {"report": str(json_path), "csv": str(csv_path),
-            "n_records": len(records), "config_hash": doc["config_hash"]}
+            "n_records": len(records), "config_hash": config_hash}
 
 
 def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
@@ -202,48 +231,49 @@ def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
     else:
         split = SplitRatios(*(ratios or cfg.assign_ratios))
         achieved = None
-    plan = assign_precision(ranked, split, group_size=cfg.gptq_group_size, levels=levels)
+    plan = assign_precision(ranked, split, group_size=cfg.gptq.group_size, levels=levels)
     label = "-".join(str(b) for b in dict.fromkeys(levels))
     plan_path = ws.path("plans", f"{mode}_split_{label}.json")
-    plan.save(plan_path)
-    doc = json.loads(plan_path.read_text())
-    doc["config_hash"] = cfg.plan_hash(mode)
-    plan_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    out = {"plan": str(plan_path), "ratios": list(split.as_tuple()),
-           "config_hash": cfg.plan_hash(mode)}
+    config_hash = cfg.plan_hash(mode, split.as_tuple(), levels)
+    plan.save(plan_path, config_hash)
+    out = {"plan": str(plan_path), "ratios": list(split.as_tuple()), "config_hash": config_hash}
     if achieved is not None:
         out["achieved_avg_bits"] = achieved
     return out
 
 
+def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, bits: int | None = None,
+             plan: QuantPlan | None = None, batches=None) -> tuple:
+    """(quantized checkpoint, plan, GPTQ per-layer rows); writes nothing.
+
+    RTN applies ``plan``, or a uniform ``bits`` plan. GPTQ is uniform: it
+    takes ``bits`` and its calibration ``batches`` (drawn here if not given),
+    with every other setting from ``cfg.gptq``.
+    """
+    if plan is None:
+        if bits is None:
+            raise ParameterError("quantize needs --bits or --plan")
+        plan = uniform_plan(ckpt, bits, group_size=cfg.gptq.group_size)
+    if method == "rtn":
+        return rtn_quantize_model(ckpt, plan), plan, []
+    if method != "gptq":
+        raise ParameterError(f"unknown method {method!r} (rtn or gptq)")
+    if bits is None:
+        raise ParameterError("gptq quantization is uniform; pass --bits")
+    if batches is None:
+        batches = _calibration(ckpt, cfg.grid.n_calibration_batches)
+    quantized, rows = gptq_quantize_model(ckpt, batches,
+                                          dataclasses.replace(cfg.gptq, bits=bits))
+    return quantized, plan, rows
+
+
 def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = None,
                    plan_path=None, force: bool = False) -> dict:
-    import csv as _csv
-
     ckpt = ws.require_checkpoint(mode, force)
-    if plan_path is not None:
-        plan = QuantPlan.load(plan_path)
-        label = Path(plan_path).stem
-    elif bits is not None:
-        plan = uniform_plan(ckpt, bits, group_size=ws.cfg.gptq_group_size)
-        label = f"{bits}bit"
-    else:
-        raise ParameterError("quantize needs --bits or --plan")
+    plan = QuantPlan.load(plan_path) if plan_path is not None else None
+    label = Path(plan_path).stem if plan_path is not None else f"{bits}bit"
+    quantized, plan, report_rows = quantize(ws.cfg, ckpt, method, bits, plan)
     out_path = ws.path("quantized", f"{mode}_{method}_{label}.ckpt")
-    report_rows = []
-    if method == "rtn":
-        quantized = rtn_quantize_model(ckpt, plan)
-    elif method == "gptq":
-        if bits is None:
-            raise ParameterError("gptq quantization is uniform; pass --bits")
-        train_cfg = TrainConfig(**ckpt.meta["train_config"])
-        batches = calibration_batches(train_cfg, ws.cfg.grid.n_calibration_batches)
-        quantized, report_rows = gptq_quantize_model(
-            ckpt, batches, GptqConfig(bits=bits, group_size=ws.cfg.gptq_group_size,
-                                      damping=ws.cfg.gptq_damping,
-                                      column_order=ws.cfg.gptq_column_order))
-    else:
-        raise ParameterError(f"unknown method {method!r} (rtn or gptq)")
     quantized.save(out_path)
     plan_sidecar = ws.path("quantized", f"{mode}_{method}_{label}.plan.json")
     plan.save(plan_sidecar)
@@ -251,7 +281,7 @@ def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = Non
     if report_rows:
         report_path = ws.path("quantized", f"{mode}_{method}_{label}.layers.csv")
         with open(report_path, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=list(report_rows[0]))
+            writer = csv.DictWriter(fh, fieldnames=list(report_rows[0]))
             writer.writeheader()
             writer.writerows(report_rows)
         result["layer_report"] = str(report_path)
@@ -260,7 +290,7 @@ def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = Non
 
 def stage_bench(ws: Workspace, mode: str, force: bool = False) -> dict:
     ckpt = ws.require_checkpoint(mode, force)
-    unit = "ar_token" if mode == MODE_AR else "diffusion_step"
+    unit = LATENCY_UNIT[mode]
     cfg = dataclasses.replace(ws.cfg.latency, unit_of_work=unit)
     with _bench_lock(ws):
         res = measure_latency(ckpt, cfg)
@@ -297,16 +327,88 @@ class _bench_lock:
 
 
 def stage_eval(ws: Workspace, force: bool = False) -> dict:
-    from .evaluation import run_experiment_grid
+    """One EvalResult per :func:`plan_grid` cell, each cached under a hash of
+    everything that decides it; failed cells are recorded, never cached.
 
-    ar = ws.require_checkpoint(MODE_AR, force)
-    diff = ws.require_checkpoint(MODE_DIFFUSION, force)
+    Cells are built by the CLI's steps: :func:`quantize` for RTN and GPTQ,
+    :func:`stage_sensitivity` then :func:`stage_assign` for the HAWQ plans.
+    Calibration batches and sensitivities are computed only when a cell
+    needing them misses the cache, so a finished grid re-runs with no model
+    forward.
+    """
+    cfg = ws.cfg
+    ckpts = {mode: ws.require_checkpoint(mode, force) for mode in MODELS}
+    fingerprints = {mode: hashlib.sha256(c.to_bytes()).hexdigest()[:16]
+                    for mode, c in ckpts.items()}
+    batches, scored = {}, set()  # per mode: GPTQ calibration, sensitivity report written
+
+    def build(mode, method, label):
+        ckpt = ckpts[mode]
+        if method == "baseline":
+            return ckpt, 16.0, 16.0
+        if method == "hawq":
+            if mode not in scored:
+                stage_sensitivity(ws, mode, force, ckpt)
+                scored.add(mode)
+            hi, lo = (int(b) for b in label.removeprefix("hawq-").split("/"))
+            split = (cfg.grid.hawq_ratio, 1.0 - cfg.grid.hawq_ratio, 0.0)
+            written = stage_assign(ws, mode, split, (hi, lo, lo), force=force)
+            quantized, plan, _ = quantize(cfg, ckpt, "rtn", plan=QuantPlan.load(written["plan"]))
+        else:
+            if method == "gptq" and mode not in batches:
+                batches[mode] = _calibration(ckpt, cfg.grid.n_calibration_batches)
+            quantized, plan, _ = quantize(cfg, ckpt, method, int(label.removesuffix("bit")),
+                                          batches=batches.get(mode))
+        raw_bits, eff_bits, _ = memory_footprint(plan, ckpt)
+        return quantized, raw_bits, eff_bits
+
+    results = []
     with _bench_lock(ws):
-        results = run_experiment_grid(ar, diff, ws.cfg.suite, ws.cfg.latency,
-                                      grid=ws.cfg.grid, sens_cfg=ws.cfg.sensitivity,
-                                      cache_dir=ws.path("cache"), seed=ws.cfg.seed)
+        for name, method, label in plan_grid(cfg.grid):
+            mode = name.removeprefix("toy-")
+            latency = dataclasses.replace(cfg.latency, unit_of_work=LATENCY_UNIT[mode])
+            config_hash = _hash({
+                "model": name, "ckpt": fingerprints[mode], "method": method,
+                "bits_or_plan": label, "suite": cfg.suite.to_dict(),
+                "latency": latency.to_dict(), "grid": cfg.grid.to_dict(),
+                "sens": cfg.sensitivity.to_dict(), "gptq": dataclasses.asdict(cfg.gptq),
+                "seed": cfg.seed})
+            result = _cache_load(ws, config_hash)
+            if result is None:
+                try:
+                    quantized, raw_bits, eff_bits = build(mode, method, label)
+                    scores = evaluate_tasks(quantized, cfg.suite)
+                    lat = measure_latency(quantized, latency)
+                    result = EvalResult(name, mode, method, label, scores, lat.mean_ms,
+                                        lat.std_ms, raw_bits, eff_bits, cfg.seed, config_hash,
+                                        timer_warning=lat.timer_warning)
+                except Exception as exc:  # record the failed row, keep the grid going
+                    nan = float("nan")
+                    result = EvalResult(name, mode, method, label, {}, nan, nan, nan, nan,
+                                        cfg.seed, config_hash, status="failed",
+                                        error=f"{type(exc).__name__}: {exc}\n"
+                                              f"{traceback.format_exc(limit=3)}")
+                else:
+                    _cache_store(ws, config_hash, result)
+            results.append(result)
     failed = [r for r in results if r.status != "ok"]
     return {"results": results, "n_cells": len(results), "n_failed": len(failed)}
+
+
+def _cache_load(ws: Workspace, config_hash: str) -> EvalResult | None:
+    """The cached cell, or None on a miss; an unreadable entry is a miss."""
+    try:
+        return EvalResult.from_dict(json.loads((ws.root / "cache" / f"{config_hash}.json")
+                                               .read_text()))
+    except (FileNotFoundError, ValueError, TypeError):
+        return None
+
+
+def _cache_store(ws: Workspace, config_hash: str, result: EvalResult) -> None:
+    path = ws.path("cache", f"{config_hash}.json")
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps(result.to_dict(), sort_keys=True))
+    os.replace(tmp, path)  # atomic: a crash never leaves a truncated entry
 
 
 def stage_report(ws: Workspace, results=None) -> dict:

@@ -63,18 +63,23 @@ def round_half_away_from_zero(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def quantize_group(values: np.ndarray, bits: int):
-    """(scale, codes) for one group vector; scale=1 convention for all zeros."""
-    if bits not in QUANT_BITS:
-        raise ParameterError(f"quantize_group needs bits in {QUANT_BITS}, got {bits}")
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise NumericError("non-finite values in quantization group")
-    qmax = 2 ** (bits - 1) - 1
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
-    scale = peak / qmax if peak > 0 else 1.0
-    codes = np.clip(round_half_away_from_zero(values / scale), -qmax, qmax).astype(np.int16)
-    return scale, codes
+def group_scales(blocks: np.ndarray, qmax: int) -> np.ndarray:
+    """Scale per group of the last axis: peak |w| / qmax, 1 for an all-zero group."""
+    peak = np.max(np.abs(blocks), axis=-1)
+    return np.where(peak > 0, peak / qmax, 1.0)
+
+
+def _grouped(x: np.ndarray, group_size: int) -> np.ndarray:
+    """(rows, n_groups, group_size) copy of a 2-D array, the last group zero-padded."""
+    d_out, d_in = x.shape
+    n_groups = math.ceil(d_in / group_size)
+    return np.pad(x, ((0, 0), (0, n_groups * group_size - d_in))).reshape(
+        d_out, n_groups, group_size)
+
+
+def _ungrouped(blocks: np.ndarray, d_in: int) -> np.ndarray:
+    """Inverse of :func:`_grouped`: the first ``d_in`` columns, C-contiguous."""
+    return np.ascontiguousarray(blocks.reshape(blocks.shape[0], -1)[:, :d_in])
 
 
 def quantize_weight(weight: np.ndarray, spec: GroupQuantSpec) -> QuantizedWeight:
@@ -87,35 +92,19 @@ def quantize_weight(weight: np.ndarray, spec: GroupQuantSpec) -> QuantizedWeight
     w = weight.astype(np.float64)
     if not np.all(np.isfinite(w)):
         raise NumericError("non-finite values in weight")
-    d_out, d_in = w.shape
-    n_groups = math.ceil(d_in / spec.group_size)
-    scales = np.empty((d_out, n_groups), dtype=np.float64)
-    codes = np.empty((d_out, d_in), dtype=np.int16)
-    qmax = spec.qmax
-    for g in range(n_groups):
-        lo = g * spec.group_size
-        hi = min(lo + spec.group_size, d_in)
-        block = w[:, lo:hi]
-        peak = np.max(np.abs(block), axis=1)
-        s = np.where(peak > 0, peak / qmax, 1.0)
-        codes[:, lo:hi] = np.clip(round_half_away_from_zero(block / s[:, None]),
-                                  -qmax, qmax).astype(np.int16)
-        scales[:, g] = s
-    return QuantizedWeight(weight.shape, spec, scales, codes)
+    blocks = _grouped(w, spec.group_size)  # zero padding leaves every peak unchanged
+    scales = group_scales(blocks, spec.qmax)
+    codes = np.clip(round_half_away_from_zero(blocks / scales[..., None]),
+                    -spec.qmax, spec.qmax).astype(np.int16)
+    return QuantizedWeight(weight.shape, spec, scales, _ungrouped(codes, w.shape[1]))
 
 
 def dequantize(qw: QuantizedWeight) -> np.ndarray:
     """code * scale per element; exact passthrough when bits == 16."""
     if qw.spec.passthrough:
         return qw.values.copy()
-    d_out, d_in = qw.shape
-    out = np.empty((d_out, d_in), dtype=np.float64)
-    gs = qw.spec.group_size
-    for g in range(qw.scales.shape[1]):
-        lo = g * gs
-        hi = min(lo + gs, d_in)
-        out[:, lo:hi] = qw.codes[:, lo:hi].astype(np.float64) * qw.scales[:, g][:, None]
-    return out
+    blocks = _grouped(qw.codes, qw.spec.group_size).astype(np.float64)
+    return _ungrouped(blocks * qw.scales[..., None], qw.shape[1])
 
 
 @dataclass
@@ -129,13 +118,7 @@ class QuantPlan:
     def paths(self) -> list:
         return sorted(self.specs)
 
-    def label(self) -> str:
-        bits = sorted({s.bits for s in self.specs.values()}, reverse=True)
-        if len(bits) == 1:
-            return f"{bits[0]}bit"
-        return "hawq-" + "/".join(str(b) for b in bits)
-
-    def save(self, path) -> None:
+    def save(self, path, config_hash: str | None = None) -> None:
         sizes = {s.group_size for s in self.specs.values()}
         if len(sizes) > 1:
             raise ParameterError("plan file format requires a single group_size")
@@ -147,6 +130,8 @@ class QuantPlan:
         }
         if self.ratios is not None:
             doc["ratios"] = list(self.ratios)
+        if config_hash is not None:
+            doc["config_hash"] = config_hash
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     @classmethod

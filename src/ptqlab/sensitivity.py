@@ -167,21 +167,6 @@ def default_eps(oracle: ModuleGradientOracle, eps_scale: float) -> float:
     return eps_scale * (1.0 + oracle.max_abs_weight())
 
 
-def hvp_finite_diff(ckpt: ModelCheckpoint, batch, path: str, v: np.ndarray,
-                    eps: float | None = None, eps_scale: float = 1e-3) -> np.ndarray:
-    """HVP of the loss restricted to one module; forward difference of grads."""
-    batches = batch if isinstance(batch, (list, tuple)) else [batch]
-    oracle = ModuleGradientOracle(ckpt, batches, [path])
-    shape = ckpt.params[path].shape
-    v = np.asarray(v, dtype=np.float64)
-    if v.size != oracle.n_params:
-        raise ParameterError(f"direction has {v.size} entries, module has {oracle.n_params}")
-    if eps is None:
-        eps = default_eps(oracle, eps_scale)
-    hv = finite_diff_hvp(oracle.gradient, v.ravel(), eps)
-    return hv.reshape(shape)
-
-
 def _module_seed(seed: int, name: str) -> int:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return (int.from_bytes(digest[:8], "little") ^ (seed * 0x9E3779B97F4A7C15)) % (2**63)
@@ -235,8 +220,11 @@ def rank_sensitivities(records, mode: str = RANK_RAW) -> list:
     return sorted(records, key=key)
 
 
-def save_report(records, cfg: SensitivityConfig, json_path, csv_path=None) -> None:
+def save_report(records, cfg: SensitivityConfig, json_path, csv_path=None,
+                config_hash: str | None = None) -> None:
     doc = {"config": cfg.to_dict(), "records": [r.to_dict() for r in records]}
+    if config_hash is not None:
+        doc["config_hash"] = config_hash
     Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if csv_path:
         with open(csv_path, "w", newline="") as fh:

@@ -151,18 +151,3 @@ def train(cfg: TrainConfig) -> ModelCheckpoint:
                 writer.writerow([step, f"{loss:.6f}"])
     return ckpt
 
-
-def make_paired_checkpoints(cfg: TrainConfig):
-    """(ar, diffusion) checkpoints sharing seed, data order, and architecture."""
-    ar = train(dataclasses.replace(cfg, mode=MODE_AR,
-                                   log_path=_mode_log(cfg.log_path, "ar")))
-    diff = train(dataclasses.replace(cfg, mode=MODE_DIFFUSION,
-                                     log_path=_mode_log(cfg.log_path, "diffusion")))
-    return ar, diff
-
-
-def _mode_log(log_path, mode):
-    if not log_path:
-        return None
-    p = Path(log_path)
-    return str(p.with_name(f"{p.stem}_{mode}{p.suffix}"))

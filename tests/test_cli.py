@@ -39,6 +39,22 @@ class TestCliContracts:
         assert err["error"] == "ParameterError"
         assert err["stage"] == "train"
 
+    @pytest.mark.parametrize("section, key", [("train", "stepz"), ("gptq", "groupsize")])
+    def test_unknown_config_key_error(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path, **{section: {**MICRO.get(section, {}), key: 32}})
+        assert main(["train", "-c", cfg]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert section in err["message"] and key in err["message"]
+        assert not (tmp_path / "ws" / "checkpoints").exists()
+
+    @pytest.mark.parametrize("override", [{"seed": "abc"}, {"train": {"steps": "3"}},
+                                          {"assign": {"ratios": 5}}])
+    def test_malformed_config_value_error(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, **override)
+        assert main(["train", "-c", cfg]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
     def test_missing_prerequisite_names_producer(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 1
@@ -92,6 +108,17 @@ class TestPipelineStages:
         out = json.loads(capsys.readouterr().out)
         assert out["timed_runs"] == 3 and out["warmup_runs"] == 1
         assert out["mean_ms"] > 0
+
+    def test_assign_three_tier_ratios(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        capsys.readouterr()
+        assert main(["assign", "-c", cfg, "--model", "ar", "--ratios", "0.34,0.33,0.33"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["plan"].endswith("ar_split_16-8-4.json")
+        bits = sorted(s.bits for s in QuantPlan.load(out["plan"]).specs.values())
+        assert bits == [4, 4, 8, 8, 16, 16]
 
     def test_assign_rejects_stale_sensitivity(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,20 +1,22 @@
 import dataclasses
+import json
+import shutil
 
 import pytest
 
 import ptqlab.evaluation as ev
+import ptqlab.gptq as gptq_mod
 from ptqlab.errors import ContractError, ParameterError
-from ptqlab.evaluation import (GridConfig, LatencyConfig, TaskSuite, evaluate_tasks,
-                               measure_latency, plan_grid, run_experiment_grid)
+from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure_latency,
+                               plan_grid)
 from ptqlab.model import ModelConfig, new_checkpoint
-from ptqlab.sensitivity import SensitivityConfig
+from ptqlab.pipeline import ENV_WORKSPACE, PipelineConfig, Workspace, stage_eval, stage_train
+from ptqlab.quant import QuantPlan, memory_footprint
 from ptqlab.trainer import TrainConfig, train
 
 SMALL = dict(d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq_len=32)
 TINY_SUITE = TaskSuite(n_eval_prompts=4, diffusion_steps=4)
 TINY_LATENCY = LatencyConfig(warmup_runs=2, timed_runs=5, seq_len=32)
-TINY_SENS = SensitivityConfig(rho=0.5, n_power_iters=1, n_batches=1)
-TINY_GRID = GridConfig(n_calibration_batches=2)
 
 
 @pytest.fixture(scope="module")
@@ -87,35 +89,95 @@ class TestLatency:
             pytest.fail("bigger model never measured slower in 3 attempts")
 
 
+GRID_DOC = {
+    "seed": 0,
+    "train": dict(steps=2, **SMALL),
+    "suite": {"n_eval_prompts": 4, "diffusion_steps": 4},
+    "latency": {"warmup_runs": 2, "timed_runs": 5, "seq_len": 32},
+    "sensitivity": {"rho": 0.5, "n_power_iters": 1, "n_batches": 1},
+    "grid": {"n_calibration_batches": 2},
+}
+
+
+def workspace(root, **overrides) -> Workspace:
+    return Workspace(PipelineConfig.from_dict({**GRID_DOC, "workspace": str(root), **overrides}))
+
+
+@pytest.fixture(autouse=True)
+def no_workspace_override(monkeypatch):
+    monkeypatch.delenv(ENV_WORKSPACE, raising=False)
+
+
+@pytest.fixture(scope="module")
+def cold(tmp_path_factory):
+    """A trained pair and one cold grid over it, with the grid's results."""
+    ws = workspace(tmp_path_factory.mktemp("grid") / "ws")
+    stage_train(ws)
+    return ws, stage_eval(ws)["results"]
+
+
+@pytest.fixture
+def failing_3bit_gptq(monkeypatch):
+    """Makes every 3-bit GPTQ layer raise; returns the real layer function."""
+    real = gptq_mod.gptq_quantize_layer
+
+    def flaky(weight, calib, cfg):
+        if cfg.bits == 3:
+            raise ContractError("injected failure")
+        return real(weight, calib, cfg)
+
+    monkeypatch.setattr(gptq_mod, "gptq_quantize_layer", flaky)
+    return real
+
+
+def copy_of(ws, tmp_path, **overrides) -> Workspace:
+    shutil.copytree(ws.root, tmp_path / "ws")
+    return workspace(tmp_path / "ws", **overrides)
+
+
+def cache_listing(ws) -> dict:
+    return {p.name: p.stat().st_mtime_ns for p in (ws.root / "cache").glob("*.json")}
+
+
+def by_key(results) -> dict:
+    return {(r.model, r.method, r.bits_or_plan): r for r in results}
+
+
 class TestGrid:
     def test_plan_has_22_rows(self):
         rows = plan_grid()
         assert len(rows) == 22
 
-    def test_three_way_mix_extends_plan(self):
-        grid = GridConfig(hawq_three_way=((1 / 3, 1 / 3, 1 / 3),))
-        rows = plan_grid(grid)
-        assert len(rows) == 24
-        assert ("toy-ar", "hawq", "hawq-16/8/4-0.33/0.33/0.33") in rows
-
-    def test_grid_rows_baseline_and_cache(self, pair, tmp_path):
-        ar, diff = pair
-        cache = tmp_path / "cache"
-        results = run_experiment_grid(ar, diff, TINY_SUITE, TINY_LATENCY,
-                                      grid=TINY_GRID, sens_cfg=TINY_SENS,
-                                      cache_dir=cache, seed=0)
+    def test_grid_rows_baseline_and_cache(self, cold, tmp_path):
+        ws, results = cold
         assert len(results) == 22
         assert all(r.status == "ok" for r in results)
-        by_key = {(r.model, r.method, r.bits_or_plan): r for r in results}
-        base_ar = by_key[("toy-ar", "baseline", "16bit")]
-        assert base_ar.scores == evaluate_tasks(ar, TINY_SUITE)
+        assert [(r.model, r.method, r.bits_or_plan) for r in results] == plan_grid(ws.cfg.grid)
+        rows = by_key(results)
+        base_ar = rows[("toy-ar", "baseline", "16bit")]
+        assert base_ar.scores == evaluate_tasks(ws.require_checkpoint("ar"), ws.cfg.suite)
         assert base_ar.raw_bits == 16.0 and base_ar.eff_bits == 16.0
         hawq_rows = [r for r in results if r.method == "hawq"]
         assert {r.bits_or_plan for r in hawq_rows} == {"hawq-16/8", "hawq-8/4"}
         for r in hawq_rows:
             assert 4.0 <= r.raw_bits <= 16.0
 
-        # completed grid re-runs from cache with zero model forwards
+        # the grid leaves the sensitivity reports and the plans its hawq cells used
+        for mode in ("ar", "diffusion"):
+            assert (ws.root / "sensitivity" / f"{mode}.json").exists()
+            assert (ws.root / "sensitivity" / f"{mode}.csv").exists()
+            ckpt = ws.require_checkpoint(mode)
+            for label, split in (("hawq-16/8", "16-8"), ("hawq-8/4", "8-4")):
+                plan = QuantPlan.load(ws.root / "plans" / f"{mode}_split_{split}.json")
+                raw, eff, _ = memory_footprint(plan, ckpt)
+                row = rows[(f"toy-{mode}", "hawq", label)]
+                assert (row.raw_bits, row.eff_bits) == (raw, eff)
+
+        # a completed grid re-runs from cache with zero model forwards and
+        # rewrites none of its files
+        again_ws = copy_of(ws, tmp_path)
+        files = {p: p.stat().st_mtime_ns for p in again_ws.root.rglob("*.*")}
+
         def bomb(*args, **kwargs):
             raise AssertionError("model forward during cached re-run")
 
@@ -125,29 +187,54 @@ class TestGrid:
         try:
             ev.forward_logits = bomb
             network_mod.forward_logits = bomb
-            again = run_experiment_grid(ar, diff, TINY_SUITE, TINY_LATENCY,
-                                        grid=TINY_GRID, sens_cfg=TINY_SENS,
-                                        cache_dir=cache, seed=0)
+            again = stage_eval(again_ws)["results"]
         finally:
             ev.forward_logits = original
             network_mod.forward_logits = original
         assert [r.to_dict() for r in again] == [r.to_dict() for r in results]
+        assert {p: p.stat().st_mtime_ns for p in files} == files
 
-    def test_failed_cell_recorded_grid_continues(self, pair, tmp_path, monkeypatch):
-        ar, diff = pair
-
-        real = ev.gptq_quantize_model
-
-        def flaky(ckpt, batches, cfg, **kwargs):
-            if cfg.bits == 3:
-                raise ContractError("injected failure")
-            return real(ckpt, batches, cfg, **kwargs)
-
-        monkeypatch.setattr(ev, "gptq_quantize_model", flaky)
-        results = run_experiment_grid(ar, diff, TINY_SUITE, TINY_LATENCY,
-                                      grid=TINY_GRID, sens_cfg=TINY_SENS,
-                                      cache_dir=None, seed=0)
+    def test_failed_cell_recorded_grid_continues(self, cold, tmp_path, failing_3bit_gptq):
+        ws = copy_of(cold[0], tmp_path)
+        shutil.rmtree(ws.root / "cache")
+        results = stage_eval(ws)["results"]
         assert len(results) == 22
         failed = [r for r in results if r.status == "failed"]
         assert {(r.method, r.bits_or_plan) for r in failed} == {("gptq", "3bit")}
         assert all("injected failure" in r.error for r in failed)
+
+    def test_failed_cell_is_not_cached(self, cold, tmp_path, monkeypatch, failing_3bit_gptq):
+        ws = copy_of(cold[0], tmp_path)
+        shutil.rmtree(ws.root / "cache")
+        assert stage_eval(ws)["n_failed"] == 2
+        stored = cache_listing(ws)
+        assert len(stored) == 20
+        monkeypatch.setattr(gptq_mod, "gptq_quantize_layer", failing_3bit_gptq)
+        evaled = stage_eval(ws)
+        assert evaled["n_failed"] == 0
+        listing = cache_listing(ws)
+        assert len(listing) == 22 and all(listing[k] == v for k, v in stored.items())
+        rebuilt = by_key(evaled["results"])[("toy-ar", "gptq", "3bit")]
+        assert rebuilt.scores == by_key(cold[1])[("toy-ar", "gptq", "3bit")].scores
+
+    def test_unreadable_cache_entry_is_a_miss(self, cold, tmp_path):
+        ws = copy_of(cold[0], tmp_path)
+        cell = by_key(cold[1])[("toy-ar", "rtn", "4bit")]
+        entry = ws.root / "cache" / f"{cell.config_hash}.json"
+        entry.write_text(entry.read_text()[:20])  # a write cut short
+        again = stage_eval(ws)["results"]
+        assert by_key(again)[("toy-ar", "rtn", "4bit")].scores == cell.scores
+        assert json.loads(entry.read_text())["config_hash"] == cell.config_hash
+
+    def test_gptq_group_size_rebuilds_cells(self, cold, tmp_path):
+        ws = copy_of(cold[0], tmp_path, gptq={"group_size": 32})
+        before = by_key(cold[1])
+        after = by_key(stage_eval(ws)["results"])
+        assert all(r.status == "ok" for r in after.values())
+        for key, row in after.items():
+            if key[1] in ("rtn", "gptq", "hawq"):
+                assert row.config_hash != before[key].config_hash, key
+        assert after[("toy-ar", "rtn", "4bit")].eff_bits == 4 + 16 / 32
+        assert after[("toy-diffusion", "gptq", "4bit")].eff_bits == 4 + 16 / 32
+        plan = json.loads((ws.root / "plans" / "ar_split_16-8.json").read_text())
+        assert plan["group_size"] == 32

@@ -4,62 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ptqlab.errors import NotPositiveDefiniteError, ParameterError, ShapeError
+from ptqlab.errors import NotPositiveDefiniteError, ParameterError
 from ptqlab.numerics import (cholesky_invert_spd, finite_diff_grad_check, make_rng,
-                             matmul, sample_sparse_direction)
-
-
-def naive_matmul(a, b):
-    """Triple-loop float64 reference, ascending inner index."""
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += float(a[i, t]) * float(b[t, j])
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_annihilating_product(self):
-        a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        b = np.array([[0.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(matmul(a, b), np.zeros((2, 2)))
-
-    def test_matches_naive_oracle(self):
-        rng = make_rng(42)
-        a = rng.standard_normal((8, 8))
-        b = rng.standard_normal((8, 8))
-        got = matmul(a, b)
-        want = naive_matmul(a, b)
-        rel = np.abs(got - want) / (np.abs(want) + 1e-300)
-        assert rel.max() <= 1e-12
-
-    def test_bilinear_on_random_inputs(self):
-        rng = make_rng(7)
-        a, b, c = (rng.standard_normal((5, 5)) for _ in range(3))
-        lhs = matmul(a, b + 2.0 * c)
-        want = naive_matmul(a, b) + 2.0 * naive_matmul(a, c)
-        assert np.allclose(lhs, want, rtol=1e-12, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_float32_inputs_accumulate_in_float64(self):
-        rng = make_rng(3)
-        a = rng.standard_normal((6, 300)).astype(np.float32)
-        b = rng.standard_normal((300, 6)).astype(np.float32)
-        want = naive_matmul(a, b)
-        got = matmul(a, b, out_dtype=np.float64)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+                             sample_sparse_direction)
 
 
 class TestCholeskyInvert:

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
-from ptqlab.errors import CoverageError, NumericError, ParameterError
+from ptqlab.errors import CoverageError, NumericError
 from ptqlab.model import ModelConfig, new_checkpoint
 from ptqlab.numerics import make_rng
 from ptqlab.quant import (GroupQuantSpec, QuantPlan, dequantize, memory_footprint,
-                          quantize_group, quantize_weight, rtn_quantize_model,
-                          uniform_plan)
+                          quantize_weight, rtn_quantize_model, uniform_plan)
+
+
+def quantize_row(values, bits):
+    """(scale, codes) of a one-row weight that fits in one group."""
+    qw = quantize_weight(np.asarray([values], dtype=np.float64), GroupQuantSpec(bits))
+    assert qw.scales.shape == (1, 1)
+    return qw.scales[0, 0], qw.codes[0]
 
 
 class TestQuantizeGroup:
     def test_reference_example_bits2(self):
-        scale, codes = quantize_group(np.array([1.0, -2.0, 0.5, 0.25]), bits=2)
+        scale, codes = quantize_row([1.0, -2.0, 0.5, 0.25], bits=2)
         assert scale == 2.0
         assert codes.tolist() == [1, -1, 0, 0]
         deq = codes.astype(np.float64) * scale
@@ -19,22 +25,42 @@ class TestQuantizeGroup:
 
     def test_all_zero_convention(self):
         for bits in (2, 3, 4, 8):
-            scale, codes = quantize_group(np.zeros(5), bits)
+            scale, codes = quantize_row(np.zeros(5), bits)
             assert scale == 1.0
             assert not codes.any()
 
     def test_bits8_error_bound(self):
         vals = np.array([0.3, -0.7])
-        scale, codes = quantize_group(vals, bits=8)
+        scale, codes = quantize_row(vals, bits=8)
         assert scale == pytest.approx(0.7 / 127)
         deq = codes.astype(np.float64) * scale
         assert np.abs(vals - deq).max() <= scale / 2
 
     def test_rejects_16_and_nonfinite(self):
-        with pytest.raises(ParameterError):
-            quantize_group(np.array([1.0]), bits=16)
+        # 16 bits never reaches the rounding path: no scales, no codes
+        qw = quantize_weight(np.array([[1.0]]), GroupQuantSpec(16))
+        assert qw.scales is None and qw.codes is None
         with pytest.raises(NumericError):
-            quantize_group(np.array([1.0, np.nan]), bits=4)
+            quantize_row([1.0, np.nan], bits=4)
+
+    def test_ragged_groups_match_a_per_group_loop(self):
+        w = make_rng(11).standard_normal((3, 200))
+        w[1, 128:] = 0.0  # an all-zero ragged group
+        spec = GroupQuantSpec(4, group_size=128)
+        qw = quantize_weight(w, spec)
+        assert qw.scales.shape == (3, 2) and qw.codes.shape == (3, 200)
+        deq = dequantize(qw)
+        for g, (lo, hi) in enumerate(((0, 128), (128, 200))):
+            block = w[:, lo:hi]
+            peak = np.max(np.abs(block), axis=1)
+            scale = np.where(peak > 0, peak / spec.qmax, 1.0)
+            codes = np.clip(np.sign(block / scale[:, None])
+                            * np.floor(np.abs(block / scale[:, None]) + 0.5),
+                            -spec.qmax, spec.qmax).astype(np.int16)
+            assert np.array_equal(qw.scales[:, g], scale)
+            assert np.array_equal(qw.codes[:, lo:hi], codes)
+            assert np.array_equal(deq[:, lo:hi], codes.astype(np.float64) * scale[:, None])
+        assert qw.scales[1, 1] == 1.0
 
 
 class TestWeightProperties:

@@ -5,8 +5,8 @@ from scipy import stats
 from ptqlab.errors import ParameterError
 from ptqlab.model import Batch, ModelConfig, new_checkpoint
 from ptqlab.numerics import make_rng, sample_sparse_direction
-from ptqlab.sensitivity import (SensitivityConfig, SensitivityRecord,
-                                compute_sensitivities, finite_diff_hvp, hvp_finite_diff,
+from ptqlab.sensitivity import (ModuleGradientOracle, SensitivityConfig, SensitivityRecord,
+                                compute_sensitivities, default_eps, finite_diff_hvp,
                                 load_report, power_iteration,
                                 power_iteration_sensitivity, rank_sensitivities,
                                 save_report)
@@ -146,8 +146,10 @@ class TestModelHvp:
         batches = tiny_batches()
         path = "blocks.0.attn.q.weight"
         v = sample_sparse_direction(make_rng(7), ckpt.params[path].size, 1.0)
-        hv_pos = hvp_finite_diff(ckpt, batches, path, v)
-        hv_neg = hvp_finite_diff(ckpt, batches, path, -v)
+        oracle = ModuleGradientOracle(ckpt, batches, [path])
+        eps = default_eps(oracle, 1e-3)
+        hv_pos = finite_diff_hvp(oracle.gradient, v, eps)
+        hv_neg = finite_diff_hvp(oracle.gradient, -v, eps)
         denom = np.abs(hv_pos).max() + 1e-12
         assert np.abs(hv_pos + hv_neg).max() / denom <= 1e-4
 

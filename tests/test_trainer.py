@@ -8,7 +8,7 @@ from ptqlab.errors import DivergenceError, NumericError, ParameterError
 from ptqlab.model import MODE_AR, MODE_DIFFUSION
 from ptqlab.numerics import make_rng
 from ptqlab.tasks import corpus_hash, load_corpus
-from ptqlab.trainer import TrainConfig, make_paired_checkpoints, train
+from ptqlab.trainer import TrainConfig, train
 
 SMALL = dict(d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq_len=32)
 
@@ -73,8 +73,8 @@ class TestTraining:
 
 class TestPairing:
     def test_paired_checkpoints_differ_only_in_mode(self):
-        cfg = TrainConfig(steps=20, seed=7, **SMALL)
-        ar, diff = make_paired_checkpoints(cfg)
+        ar = train(TrainConfig(mode=MODE_AR, steps=20, seed=7, **SMALL))
+        diff = train(TrainConfig(mode=MODE_DIFFUSION, steps=20, seed=7, **SMALL))
         assert ar.config.mode == MODE_AR
         assert diff.config.mode == MODE_DIFFUSION
         assert ar.config.to_dict() | {"mode": "x"} == diff.config.to_dict() | {"mode": "x"}
