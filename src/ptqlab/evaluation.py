@@ -8,7 +8,6 @@ same task suite and timed under the same latency protocol;
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
@@ -43,10 +42,6 @@ class TaskSuite:
         if unknown:
             raise ParameterError(f"unknown tasks: {unknown}")
 
-    def to_dict(self) -> dict:
-        return {"tasks": list(self.tasks), "n_eval_prompts": self.n_eval_prompts,
-                "seed": self.seed, "diffusion_steps": self.diffusion_steps}
-
 
 @dataclass(frozen=True)
 class LatencyConfig:
@@ -62,9 +57,6 @@ class LatencyConfig:
             raise ParameterError("timed_runs must be >= 2")
         if self.unit_of_work not in (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP):
             raise ParameterError(f"unknown unit_of_work {self.unit_of_work!r}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -95,13 +87,6 @@ class EvalResult:
 
     def mean_score(self) -> float:
         return float(np.mean(list(self.scores.values()))) if self.scores else float("nan")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalResult":
-        return cls(**d)
 
 
 def _task_seed(seed: int, task: str) -> int:
@@ -198,11 +183,6 @@ class GridConfig:
     hawq_ratio: float = 0.5
     rank_mode: str = "raw"
     n_calibration_batches: int = 8
-
-    def to_dict(self) -> dict:
-        return {"bits": list(self.bits), "hawq_splits": [list(s) for s in self.hawq_splits],
-                "hawq_ratio": self.hawq_ratio, "rank_mode": self.rank_mode,
-                "n_calibration_batches": self.n_calibration_batches}
 
 
 def plan_grid(grid: GridConfig = GridConfig()) -> list:

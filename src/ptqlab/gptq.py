@@ -27,6 +27,7 @@ from .quant import (DEFAULT_GROUP_SIZE, QUANT_BITS, GroupQuantSpec, QuantizedWei
 
 ORDER_ASCENDING = "ascending"
 ORDER_BY_DIAG_DESC = "by_diag_desc"
+MAX_RETRIES = 3  # damping escalations (x10 each) before a layer fails
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,6 @@ class GptqConfig:
     group_size: int = DEFAULT_GROUP_SIZE
     damping: float = 0.01  # fraction of mean(diag H)
     column_order: str = ORDER_ASCENDING
-    sequential: bool = True  # calibrate each layer behind the quantized prefix
-    max_retries: int = 3
 
     def __post_init__(self):
         if self.bits not in QUANT_BITS:
@@ -97,16 +96,16 @@ def collect_calibration(ckpt: ModelCheckpoint, batches, paths=None) -> dict:
     return calibs
 
 
-def _damped_inverse_factor(h: np.ndarray, damping: float, max_retries: int):
+def _damped_inverse_factor(h: np.ndarray, damping: float):
     """Upper Cholesky factor of inv(H + delta I), escalating delta on failure."""
     delta = damping * float(np.mean(np.diag(h)))
     if delta <= 0:
         delta = damping
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         try:
             return cholesky_upper_of_inverse(h + delta * np.eye(h.shape[0]))
         except NotPositiveDefiniteError:
-            if attempt == max_retries:
+            if attempt == MAX_RETRIES:
                 raise
             delta *= 10.0
     raise AssertionError("unreachable")
@@ -133,7 +132,7 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqCo
     wp = w_orig[:, perm].copy()
     hp = h[perm][:, perm]
 
-    upper = _damped_inverse_factor(hp, cfg.damping, cfg.max_retries)
+    upper = _damped_inverse_factor(hp, cfg.damping)
     qmax = cfg.spec().qmax
     gs = cfg.group_size
     n_groups = math.ceil(d_in / gs)
@@ -170,44 +169,26 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqCo
 
 def _stage_key(path: str):
     # q/k/v share inputs and do not affect each other's inputs
-    parts = path.split(".")
-    if parts[0] == "blocks":
-        block = int(parts[1])
-        stage = {"q": 0, "k": 0, "v": 0, "o": 1, "fc_in": 2, "fc_out": 3}[parts[-2]]
-        return (block, stage)
-    return (10**9, 0)  # head
+    parts = path.split(".")  # blocks.<i>.<attn|mlp>.<layer>.weight
+    return (int(parts[1]), {"q": 0, "k": 0, "v": 0, "o": 1, "fc_in": 2, "fc_out": 3}[parts[-2]])
 
 
-def gptq_quantize_model(ckpt: ModelCheckpoint, batches, cfg: GptqConfig, paths=None):
+def gptq_quantize_model(ckpt: ModelCheckpoint, batches, cfg: GptqConfig):
     """Quantize layers in forward order; returns (checkpoint, per-layer report).
 
-    With ``cfg.sequential`` each stage's calibration inputs come from the
-    already-quantized prefix of the model, so downstream layers see the
-    activation distribution they will face at inference time.
+    Each stage's calibration inputs come from the already-quantized prefix
+    of the model, so downstream layers see the activation distribution they
+    will face at inference time.
     """
-    if paths is None:
-        paths = ckpt.quantizable_paths()
-    unsupported = [p for p in paths if p == "embed.tok"]
-    if unsupported:
-        raise ParameterError("GPTQ operates on projection layers; quantize the "
-                             "token embedding with an RTN plan instead")
+    stages: dict = {}
+    for p in ckpt.quantizable_paths():
+        stages.setdefault(_stage_key(p), []).append(p)
     out = ckpt.copy()
     report = []
-    if cfg.sequential:
-        stages: dict = {}
-        for p in paths:
-            stages.setdefault(_stage_key(p), []).append(p)
-        for key in sorted(stages):
-            stage_paths = stages[key]
-            calibs = collect_calibration(out, batches, stage_paths)
-            for p in stage_paths:
-                qw, err = gptq_quantize_layer(out.params[p], calibs[p], cfg)
-                out.params[p] = _deq32(qw)
-                report.append(_report_row(p, cfg, err, qw))
-    else:
-        calibs = collect_calibration(ckpt, batches, paths)
-        for p in paths:
-            qw, err = gptq_quantize_layer(ckpt.params[p], calibs[p], cfg)
+    for key in sorted(stages):
+        calibs = collect_calibration(out, batches, stages[key])
+        for p in stages[key]:
+            qw, err = gptq_quantize_layer(out.params[p], calibs[p], cfg)
             out.params[p] = _deq32(qw)
             report.append(_report_row(p, cfg, err, qw))
     out.meta = dict(out.meta)

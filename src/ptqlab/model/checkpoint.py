@@ -16,20 +16,21 @@ round trip is bit-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError, ShapeError
+from ..errors import ContractError, ParameterError, ShapeError
 from .config import ModelConfig
 from .network import init_params
 
 MAGIC = b"TOYCKPT1"
 
 # Parameter-path suffixes of the projection weights every quantization plan
-# covers by default; embedding and output head are opt-in.
+# covers; a plan may also cover the embedding paths.
 LINEAR_WEIGHT_SUFFIXES = (
     ".attn.q.weight", ".attn.k.weight", ".attn.v.weight", ".attn.o.weight",
     ".mlp.fc_in.weight", ".mlp.fc_out.weight",
@@ -46,17 +47,14 @@ class ModelCheckpoint:
     def copy(self) -> "ModelCheckpoint":
         return ModelCheckpoint(self.config, {k: v.copy() for k, v in self.params.items()}, dict(self.meta))
 
-    def quantizable_paths(self, include_embeddings: bool = False) -> list:
-        """2-D weights eligible for quantization, in forward order.
+    def quantizable_paths(self) -> list:
+        """The attention and feed-forward projection weights, in forward order.
 
-        The default covers the attention and feed-forward projections; with
-        ``include_embeddings`` the token embedding and output head join the
-        list. Norm gains/biases and the positional table never quantize.
+        Norm gains/biases and the positional table never quantize; the token
+        embedding and output head only through a hand-written plan.
         """
-        paths = [p for p in self.params if p.endswith(LINEAR_WEIGHT_SUFFIXES)]
-        paths.sort(key=_forward_order_key)
-        if include_embeddings:
-            paths = ["embed.tok"] + paths + ["head.weight"]
+        paths = sorted((p for p in self.params if p.endswith(LINEAR_WEIGHT_SUFFIXES)),
+                       key=_forward_order_key)
         for p in paths:
             if self.params[p].ndim != 2:
                 raise ShapeError(f"quantizable path {p} is not a 2-D weight")
@@ -69,7 +67,7 @@ class ModelCheckpoint:
         Path(path).write_bytes(self.to_bytes())
 
     def to_bytes(self) -> bytes:
-        header = json.dumps({"config": self.config.to_dict(), "meta": self.meta},
+        header = json.dumps({"config": asdict(self.config), "meta": self.meta},
                             sort_keys=True, separators=(",", ":")).encode("utf-8")
         out = [MAGIC, struct.pack("<I", len(header)), header,
                struct.pack("<I", len(self.params))]
@@ -89,29 +87,44 @@ class ModelCheckpoint:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ModelCheckpoint":
+        """Inverse of :meth:`to_bytes`; a truncated or malformed blob is a ContractError."""
         if blob[:8] != MAGIC:
             raise ContractError("not a checkpoint file (bad magic)")
         off = 8
-        (hlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        header = json.loads(blob[off:off + hlen].decode("utf-8"))
-        off += hlen
-        (count,) = struct.unpack_from("<I", blob, off)
-        off += 4
+
+        def take(n: int) -> bytes:
+            nonlocal off
+            if off + n > len(blob):
+                raise ContractError(f"checkpoint truncated: {len(blob)} bytes, "
+                                    f"the layout needs at least {off + n}")
+            off += n
+            return blob[off - n:off]
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+        (hlen,) = unpack("<I")
+        try:
+            header = json.loads(take(hlen).decode("utf-8"))
+            config = ModelConfig(**header["config"])
+            meta = header.get("meta", {})
+        except (ValueError, KeyError, TypeError, AttributeError, ParameterError) as exc:
+            raise ContractError(f"malformed checkpoint header: {exc}") from exc
+        (count,) = unpack("<I")
         params = {}
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + nlen].decode("utf-8")
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            size = int(np.prod(shape)) * 4
-            params[name] = np.frombuffer(blob[off:off + size], dtype="<f4").reshape(shape).copy()
-            off += size
-        return cls(ModelConfig.from_dict(header["config"]), params, header.get("meta", {}))
+            (nlen,) = unpack("<H")
+            try:
+                name = take(nlen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ContractError(f"malformed checkpoint tensor name: {exc}") from exc
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}I")
+            params[name] = np.frombuffer(take(4 * math.prod(shape)),
+                                         dtype="<f4").reshape(shape).copy()
+        if off != len(blob):
+            raise ContractError(f"checkpoint has {len(blob) - off} bytes after its last tensor")
+        return cls(config, params, meta)
 
 
 def _forward_order_key(path: str):

@@ -48,21 +48,6 @@ class ModelConfig:
     def causal(self) -> bool:
         return self.mode == MODE_AR
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "max_seq_len": self.max_seq_len,
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 @dataclass
 class Batch:

@@ -37,15 +37,16 @@ MODELS = (MODE_AR, MODE_DIFFUSION)
 LATENCY_UNIT = {MODE_AR: UNIT_AR_TOKEN, MODE_DIFFUSION: UNIT_DIFFUSION_STEP}
 
 # Config sections built from a dataclass, with the fields the file may not
-# set: seeds come from the top-level seed, and GPTQ widths from the grid or
-# from `quantize --bits`.
+# set because the pipeline sets them: seeds come from the top-level seed, the
+# training mode, log path and latency unit from the model at hand, and GPTQ
+# widths from the grid or from `quantize --bits`.
 SECTIONS = {
-    "train": (TrainConfig, ("seed",)),
+    "train": (TrainConfig, ("seed", "mode", "log_path")),
     "suite": (TaskSuite, ()),
-    "latency": (LatencyConfig, ()),
+    "latency": (LatencyConfig, ("unit_of_work",)),
     "sensitivity": (SensitivityConfig, ("seed",)),
     "grid": (GridConfig, ()),
-    "gptq": (GptqConfig, ("bits", "sequential", "max_retries")),
+    "gptq": (GptqConfig, ("bits",)),
 }
 ASSIGN_KEYS = ("ratios", "levels")
 
@@ -102,10 +103,11 @@ class PipelineConfig:
 
     def train_hash(self, mode: str) -> str:
         cfg = dataclasses.replace(self.train, mode=mode, log_path=None)
-        return _hash({"train": cfg.to_dict(), "seed": self.seed})
+        return _hash({"train": dataclasses.asdict(cfg), "seed": self.seed})
 
     def sensitivity_hash(self, mode: str) -> str:
-        return _hash({"parent": self.train_hash(mode), "sens": self.sensitivity.to_dict()})
+        return _hash({"parent": self.train_hash(mode),
+                      "sens": dataclasses.asdict(self.sensitivity)})
 
     def plan_hash(self, mode: str, ratios, levels) -> str:
         return _hash({"parent": self.sensitivity_hash(mode),
@@ -114,6 +116,24 @@ class PipelineConfig:
 
 def _hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _latency(cfg: PipelineConfig, mode: str) -> LatencyConfig:
+    """The latency protocol with ``mode``'s unit of work."""
+    return dataclasses.replace(cfg.latency, unit_of_work=LATENCY_UNIT[mode])
+
+
+def cell_hash(cfg: PipelineConfig, cell: tuple, fingerprint: str) -> str:
+    """Cache key of one :func:`plan_grid` cell (model, method, bits_or_plan).
+
+    It hashes the cell and the run seed, the fingerprint of the cell's
+    checkpoint, and every config section but ``train``, which the
+    fingerprint already covers; the latency section carries the cell's unit.
+    """
+    latency = _latency(cfg, cell[0].removeprefix("toy-"))
+    sections = {name: dataclasses.asdict(latency if name == "latency" else getattr(cfg, name))
+                for name in SECTIONS if name != "train"}
+    return _hash({"cell": [*cell, cfg.seed], "ckpt": fingerprint, **sections})
 
 
 def _section(doc: dict, name: str, keys) -> dict:
@@ -216,12 +236,11 @@ def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
     if not json_path.exists():
         raise ContractError(f"missing sensitivity report {json_path}; "
                             f"run `ptqlab sensitivity --model {mode}` first")
-    doc = json.loads(json_path.read_text())
+    records, got = load_report(json_path)
     want = cfg.sensitivity_hash(mode)
-    if doc.get("config_hash") != want and not force:
-        raise ContractError(f"sensitivity report hash {doc.get('config_hash')} does not match "
-                            f"current config {want}; re-run `ptqlab sensitivity` or pass --force")
-    records, _ = load_report(json_path)
+    if got != want and not force:
+        raise ContractError(f"sensitivity report hash {got} does not match current config "
+                            f"{want}; re-run `ptqlab sensitivity` or pass --force")
     ranked = rank_sensitivities(records, cfg.grid.rank_mode)
     levels = tuple(levels or cfg.assign_levels)
     if budget is not None:
@@ -290,17 +309,22 @@ def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = Non
 
 def stage_bench(ws: Workspace, mode: str, force: bool = False) -> dict:
     ckpt = ws.require_checkpoint(mode, force)
-    unit = LATENCY_UNIT[mode]
-    cfg = dataclasses.replace(ws.cfg.latency, unit_of_work=unit)
+    cfg = _latency(ws.cfg, mode)
     with _bench_lock(ws):
         res = measure_latency(ckpt, cfg)
-    return {"mode": mode, "unit_of_work": unit, "mean_ms": res.mean_ms,
+    return {"mode": mode, "unit_of_work": cfg.unit_of_work, "mean_ms": res.mean_ms,
             "std_ms": res.std_ms, "warmup_runs": res.warmup_runs,
             "timed_runs": res.timed_runs, "timer_warning": res.timer_warning}
 
 
 class _bench_lock:
-    """File lock so only one latency benchmark runs in a workspace at a time."""
+    """File lock so only one latency benchmark runs in a workspace at a time.
+
+    The lock file holds its owner's pid, and a lock whose owner has exited
+    is taken over. Two processes that find the same stale lock at once may
+    both take it; the lock only keeps timing runs apart, so that costs
+    latency noise, never data.
+    """
 
     def __init__(self, ws: Workspace, timeout_s: float = 600.0):
         self.path = ws.path("bench.lock")
@@ -311,19 +335,32 @@ class _bench_lock:
         while True:
             try:
                 fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode())
-                os.close(fd)
-                return self
             except FileExistsError:
+                if _owner_exited(self.path):
+                    self.path.unlink(missing_ok=True)
+                    continue
                 if time.monotonic() > deadline:
                     raise ContractError(f"benchmark lock {self.path} is held; remove it if stale")
                 time.sleep(0.05)
+                continue
+            os.write(fd, str(os.getpid()).encode())
+            os.close(fd)
+            return self
 
     def __exit__(self, *exc):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
+
+
+def _owner_exited(lock: Path) -> bool:
+    """True when the lock file names a pid that is no longer running."""
+    try:
+        pid = int(lock.read_text())
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass  # released meanwhile, pid not written yet, or another user's process
+    return False
 
 
 def stage_eval(ws: Workspace, force: bool = False) -> dict:
@@ -366,19 +403,13 @@ def stage_eval(ws: Workspace, force: bool = False) -> dict:
     with _bench_lock(ws):
         for name, method, label in plan_grid(cfg.grid):
             mode = name.removeprefix("toy-")
-            latency = dataclasses.replace(cfg.latency, unit_of_work=LATENCY_UNIT[mode])
-            config_hash = _hash({
-                "model": name, "ckpt": fingerprints[mode], "method": method,
-                "bits_or_plan": label, "suite": cfg.suite.to_dict(),
-                "latency": latency.to_dict(), "grid": cfg.grid.to_dict(),
-                "sens": cfg.sensitivity.to_dict(), "gptq": dataclasses.asdict(cfg.gptq),
-                "seed": cfg.seed})
+            config_hash = cell_hash(cfg, (name, method, label), fingerprints[mode])
             result = _cache_load(ws, config_hash)
             if result is None:
                 try:
                     quantized, raw_bits, eff_bits = build(mode, method, label)
                     scores = evaluate_tasks(quantized, cfg.suite)
-                    lat = measure_latency(quantized, latency)
+                    lat = measure_latency(quantized, _latency(cfg, mode))
                     result = EvalResult(name, mode, method, label, scores, lat.mean_ms,
                                         lat.std_ms, raw_bits, eff_bits, cfg.seed, config_hash,
                                         timer_warning=lat.timer_warning)
@@ -398,8 +429,7 @@ def stage_eval(ws: Workspace, force: bool = False) -> dict:
 def _cache_load(ws: Workspace, config_hash: str) -> EvalResult | None:
     """The cached cell, or None on a miss; an unreadable entry is a miss."""
     try:
-        return EvalResult.from_dict(json.loads((ws.root / "cache" / f"{config_hash}.json")
-                                               .read_text()))
+        return EvalResult(**json.loads((ws.root / "cache" / f"{config_hash}.json").read_text()))
     except (FileNotFoundError, ValueError, TypeError):
         return None
 
@@ -407,7 +437,7 @@ def _cache_load(ws: Workspace, config_hash: str) -> EvalResult | None:
 def _cache_store(ws: Workspace, config_hash: str, result: EvalResult) -> None:
     path = ws.path("cache", f"{config_hash}.json")
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(result.to_dict(), sort_keys=True))
+    tmp.write_text(json.dumps(dataclasses.asdict(result), sort_keys=True))
     os.replace(tmp, path)  # atomic: a crash never leaves a truncated entry
 
 

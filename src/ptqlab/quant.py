@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, NumericError, ParameterError
-from .model.checkpoint import ModelCheckpoint
+from .model.checkpoint import EMBEDDING_PATHS, ModelCheckpoint
 
 SUPPORTED_BITS = (2, 3, 4, 8, 16)
 QUANT_BITS = (2, 3, 4, 8)  # widths that actually round
@@ -143,17 +143,16 @@ class QuantPlan:
         return cls(specs, doc.get("provenance", PROVENANCE_MANUAL), ratios)
 
 
-def uniform_plan(ckpt: ModelCheckpoint, bits: int, group_size: int = DEFAULT_GROUP_SIZE,
-                 include_embeddings: bool = False) -> QuantPlan:
+def uniform_plan(ckpt: ModelCheckpoint, bits: int,
+                 group_size: int = DEFAULT_GROUP_SIZE) -> QuantPlan:
     spec = GroupQuantSpec(bits, group_size)
-    paths = ckpt.quantizable_paths(include_embeddings=include_embeddings)
-    return QuantPlan({p: spec for p in paths}, PROVENANCE_UNIFORM)
+    return QuantPlan({p: spec for p in ckpt.quantizable_paths()}, PROVENANCE_UNIFORM)
 
 
 def check_coverage(ckpt: ModelCheckpoint, plan: QuantPlan) -> None:
-    """Plan must cover every default-quantizable path; extras must exist."""
-    allowed = set(ckpt.quantizable_paths(include_embeddings=True))
-    required = set(ckpt.quantizable_paths(include_embeddings=False))
+    """Plan must cover every quantizable path; it may add the embedding paths."""
+    required = set(ckpt.quantizable_paths())
+    allowed = required | set(EMBEDDING_PATHS)
     have = set(plan.specs)
     missing = sorted(required - have)
     unknown = sorted(have - allowed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +206,7 @@ def results_from_csv_text(text: str) -> list:
 
 
 def results_to_jsonl(results) -> str:
-    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in
+    lines = [json.dumps(asdict(r), sort_keys=True) for r in
              sorted(results, key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))]
     return "\n".join(lines) + "\n"
 
@@ -322,40 +322,36 @@ def pareto_chart(results) -> str:
 # Emission
 
 
-def emit(results, out_dir, formats=("csv", "json", "markdown", "svg")) -> dict:
+def emit(results, out_dir) -> dict:
     """Write the report artifacts; returns {name: path}. Deterministic bytes."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
-    if "csv" in formats:
-        path = out_dir / "results.csv"
-        path.write_text(results_to_csv_text(results))
-        written["results.csv"] = path
-    if "json" in formats:
-        points = points_from_results(results)
-        frontier, dominated = pareto_frontier(points) if points else ([], [])
-        doc = {
-            "results": [r.to_dict() for r in
-                        sorted(results, key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))],
-            "pareto": {"frontier": [p.label for p in frontier],
-                       "dominated": [p.label for p in dominated]},
-            "trends": trend_notes(results),
-        }
-        path = out_dir / "report.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written["report.json"] = path
-        jsonl = out_dir / "results.jsonl"
-        jsonl.write_text(results_to_jsonl(results))
-        written["results.jsonl"] = jsonl
-    if "markdown" in formats:
-        path = out_dir / "table.md"
-        path.write_text(render_markdown(build_degradation_table(results)))
-        written["table.md"] = path
-    if "svg" in formats:
-        lat = out_dir / "latency.svg"
-        lat.write_text(latency_chart(results))
-        written["latency.svg"] = lat
-        par = out_dir / "pareto.svg"
-        par.write_text(pareto_chart(results))
-        written["pareto.svg"] = par
+    path = out_dir / "results.csv"
+    path.write_text(results_to_csv_text(results))
+    written["results.csv"] = path
+    points = points_from_results(results)
+    frontier, dominated = pareto_frontier(points) if points else ([], [])
+    doc = {
+        "results": [asdict(r) for r in
+                    sorted(results, key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))],
+        "pareto": {"frontier": [p.label for p in frontier],
+                   "dominated": [p.label for p in dominated]},
+        "trends": trend_notes(results),
+    }
+    path = out_dir / "report.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    written["report.json"] = path
+    jsonl = out_dir / "results.jsonl"
+    jsonl.write_text(results_to_jsonl(results))
+    written["results.jsonl"] = jsonl
+    path = out_dir / "table.md"
+    path.write_text(render_markdown(build_degradation_table(results)))
+    written["table.md"] = path
+    lat = out_dir / "latency.svg"
+    lat.write_text(latency_chart(results))
+    written["latency.svg"] = lat
+    par = out_dir / "pareto.svg"
+    par.write_text(pareto_chart(results))
+    written["pareto.svg"] = par
     return written

@@ -13,10 +13,9 @@ checkpoint is never mutated.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,6 @@ class SensitivityConfig:
     n_power_iters: int = 5
     eps_scale: float = 1e-3  # eps = eps_scale * (1 + max|W|)
     n_batches: int = 8
-    granularity: str = "per_module"  # or "per_block"
     seed: int = 0
 
     def __post_init__(self):
@@ -47,11 +45,6 @@ class SensitivityConfig:
             raise ParameterError("n_power_iters must be >= 1")
         if self.eps_scale <= 0:
             raise ParameterError("eps_scale must be > 0")
-        if self.granularity not in ("per_module", "per_block"):
-            raise ParameterError(f"unknown granularity {self.granularity!r}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -119,48 +112,37 @@ def power_iteration(grad_fn, n_params: int, rng, rho: float, n_iters: int, eps: 
 
 
 class ModuleGradientOracle:
-    """Averaged gradient of the loss w.r.t. one module group, in float64.
+    """Averaged gradient of the loss w.r.t. one module's weight, in float64.
 
-    Works on a private float64 copy of the parameters; perturbations are
+    Works on a private float64 copy of the parameters; a perturbation is
     applied and restored around each gradient call, so the source
     checkpoint's bytes never change.
     """
 
-    def __init__(self, ckpt: ModelCheckpoint, batches, paths):
+    def __init__(self, ckpt: ModelCheckpoint, batches, path: str):
         if not batches:
             raise ParameterError("need at least one calibration batch")
         self.config = ckpt.config
         self.batches = list(batches)
-        self.paths = list(paths)
+        self.path = path
         self.params = {k: v.astype(np.float64) for k, v in ckpt.params.items()}
-        self.sizes = [self.params[p].size for p in self.paths]
-        self.n_params = int(sum(self.sizes))
-
-    def _apply(self, delta: np.ndarray | None):
-        if delta is None:
-            return None
-        saved = {}
-        off = 0
-        for path, size in zip(self.paths, self.sizes):
-            saved[path] = self.params[path]
-            self.params[path] = saved[path] + delta[off:off + size].reshape(saved[path].shape)
-            off += size
-        return saved
+        self.n_params = int(self.params[path].size)
 
     def gradient(self, delta: np.ndarray | None = None) -> np.ndarray:
-        saved = self._apply(delta)
+        weight = self.params[self.path]
+        if delta is not None:
+            self.params[self.path] = weight + delta.reshape(weight.shape)
         try:
             acc = np.zeros(self.n_params, dtype=np.float64)
             for batch in self.batches:
                 _, grads = loss_and_grads(self.params, self.config, batch, dtype=np.float64)
-                acc += np.concatenate([grads[p].ravel() for p in self.paths])
+                acc += grads[self.path].ravel()
         finally:
-            if saved is not None:
-                self.params.update(saved)
+            self.params[self.path] = weight
         return acc / len(self.batches)
 
     def max_abs_weight(self) -> float:
-        return max(float(np.max(np.abs(self.params[p]))) for p in self.paths)
+        return float(np.max(np.abs(self.params[self.path])))
 
 
 def default_eps(oracle: ModuleGradientOracle, eps_scale: float) -> float:
@@ -172,39 +154,21 @@ def _module_seed(seed: int, name: str) -> int:
     return (int.from_bytes(digest[:8], "little") ^ (seed * 0x9E3779B97F4A7C15)) % (2**63)
 
 
-def power_iteration_sensitivity(ckpt: ModelCheckpoint, batches, path,
+def power_iteration_sensitivity(ckpt: ModelCheckpoint, batches, path: str,
                                 cfg: SensitivityConfig) -> SensitivityRecord:
-    """Score one module (or module group) on a fixed calibration sub-sample."""
-    paths = [path] if isinstance(path, str) else list(path)
-    name = paths[0] if len(paths) == 1 else _block_name(paths)
-    oracle = ModuleGradientOracle(ckpt, batches[:cfg.n_batches], paths)
+    """Score one module on a fixed calibration sub-sample."""
+    oracle = ModuleGradientOracle(ckpt, batches[:cfg.n_batches], path)
     eps = default_eps(oracle, cfg.eps_scale)
-    rng = make_rng(_module_seed(cfg.seed, name))
+    rng = make_rng(_module_seed(cfg.seed, path))
     lam, iters, converged = power_iteration(
         oracle.gradient, oracle.n_params, rng, cfg.rho, cfg.n_power_iters, eps)
-    return SensitivityRecord(name, lam, oracle.n_params, iters, converged)
+    return SensitivityRecord(path, lam, oracle.n_params, iters, converged)
 
 
-def _block_name(paths) -> str:
-    parts = paths[0].split(".")
-    return ".".join(parts[:2]) if parts[0] == "blocks" else parts[0]
-
-
-def score_groups(ckpt: ModelCheckpoint, cfg: SensitivityConfig, include_embeddings=False):
-    """Path groups to score under the configured granularity, forward order."""
-    module_paths = ckpt.quantizable_paths(include_embeddings=include_embeddings)
-    if cfg.granularity == "per_module":
-        return [[p] for p in module_paths]
-    groups: dict = {}
-    for p in module_paths:
-        groups.setdefault(_block_name([p]), []).append(p)
-    return list(groups.values())
-
-
-def compute_sensitivities(ckpt: ModelCheckpoint, batches, cfg: SensitivityConfig,
-                          include_embeddings: bool = False) -> list:
-    return [power_iteration_sensitivity(ckpt, batches, group, cfg)
-            for group in score_groups(ckpt, cfg, include_embeddings)]
+def compute_sensitivities(ckpt: ModelCheckpoint, batches, cfg: SensitivityConfig) -> list:
+    """One record per quantizable module, in forward order."""
+    return [power_iteration_sensitivity(ckpt, batches, path, cfg)
+            for path in ckpt.quantizable_paths()]
 
 
 def rank_sensitivities(records, mode: str = RANK_RAW) -> list:
@@ -222,7 +186,7 @@ def rank_sensitivities(records, mode: str = RANK_RAW) -> list:
 
 def save_report(records, cfg: SensitivityConfig, json_path, csv_path=None,
                 config_hash: str | None = None) -> None:
-    doc = {"config": cfg.to_dict(), "records": [r.to_dict() for r in records]}
+    doc = {"config": asdict(cfg), "records": [r.to_dict() for r in records]}
     if config_hash is not None:
         doc["config_hash"] = config_hash
     Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -237,7 +201,7 @@ def save_report(records, cfg: SensitivityConfig, json_path, csv_path=None,
                                 r.iters_used, int(r.converged)])
 
 
-def load_report(json_path):
+def load_report(json_path) -> tuple:
+    """(records, the config_hash the report was written with, or None)."""
     doc = json.loads(Path(json_path).read_text())
-    cfg = SensitivityConfig(**doc["config"])
-    return [SensitivityRecord.from_dict(d) for d in doc["records"]], cfg
+    return [SensitivityRecord.from_dict(d) for d in doc["records"]], doc.get("config_hash")

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +51,6 @@ class TrainConfig:
         return ModelConfig(d_model=self.d_model, n_layers=self.n_layers,
                            n_heads=self.n_heads, d_ff=self.d_ff,
                            max_seq_len=self.max_seq_len, mode=self.mode)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 class AdamState:
@@ -137,7 +133,7 @@ def train(cfg: TrainConfig) -> ModelCheckpoint:
         "steps": cfg.steps,
         "mode": cfg.mode,
         "corpus_hash": tasks.corpus_hash(corpus),
-        "train_config": cfg.to_dict(),
+        "train_config": asdict(cfg),
         "heldout_loss_init": init_loss,
         "heldout_loss_final": final_loss,
     })

@@ -1,10 +1,18 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ptqlab.cli import main
+from ptqlab.errors import ContractError
+from ptqlab.pipeline import PipelineConfig, Workspace, _bench_lock
 from ptqlab.quant import QuantPlan
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MICRO = {
     "seed": 0,
@@ -39,7 +47,10 @@ class TestCliContracts:
         assert err["error"] == "ParameterError"
         assert err["stage"] == "train"
 
-    @pytest.mark.parametrize("section, key", [("train", "stepz"), ("gptq", "groupsize")])
+    # unknown keys, and fields the pipeline sets itself
+    @pytest.mark.parametrize("section, key", [
+        ("train", "stepz"), ("gptq", "groupsize"), ("sensitivity", "granularity"),
+        ("train", "mode"), ("train", "log_path"), ("latency", "unit_of_work")])
     def test_unknown_config_key_error(self, tmp_path, capsys, section, key):
         cfg = write_config(tmp_path, **{section: {**MICRO.get(section, {}), key: 32}})
         assert main(["train", "-c", cfg]) == 1
@@ -60,6 +71,12 @@ class TestCliContracts:
         assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "ptqlab train" in err["message"]
+
+    def test_readme_config_reference_loads_as_the_defaults(self):
+        block = README.read_text().split("### Config reference")[1]
+        block = block.split("```jsonc\n")[1].split("```")[0]
+        doc = json.loads(re.sub(r"//[^\n]*", "", block))
+        assert PipelineConfig.from_dict(doc) == PipelineConfig(workspace=doc["workspace"])
 
     def test_dry_run_plans_22_cells(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -147,3 +164,42 @@ class TestPipelineStages:
         assert main(["reproduce", "-c", cfg]) == 0
         capsys.readouterr()
         assert (ws / "report" / "results.csv").read_bytes() == results_csv
+
+    def test_truncated_checkpoint_is_retrained(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        ckpt = tmp_path / "ws" / "checkpoints" / "ar.ckpt"
+        good = ckpt.read_bytes()
+        ckpt.write_bytes(good[:len(good) // 2])
+        capsys.readouterr()
+        assert main(["eval", "-c", cfg]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError" and "truncated" in err["message"]
+        assert main(["train", "-c", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ar"]["reused"] is False and out["diffusion"]["reused"] is True
+        assert ckpt.read_bytes() == good
+
+
+class TestBenchLock:
+    def workspace(self, tmp_path):
+        return Workspace(PipelineConfig.from_dict({"workspace": str(tmp_path / "ws")}))
+
+    def test_lock_of_an_exited_process_is_taken_over(self, tmp_path):
+        ws = self.workspace(tmp_path)
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        exited.wait()
+        lock = ws.path("bench.lock")
+        lock.write_text(str(exited.pid))
+        with _bench_lock(ws, timeout_s=1):
+            assert lock.read_text() == str(os.getpid())
+        assert not lock.exists()
+
+    def test_lock_of_a_running_process_is_kept(self, tmp_path):
+        ws = self.workspace(tmp_path)
+        lock = ws.path("bench.lock")
+        lock.write_text(str(os.getpid()))
+        with pytest.raises(ContractError):
+            with _bench_lock(ws, timeout_s=0.2):
+                pass
+        assert lock.read_text() == str(os.getpid())

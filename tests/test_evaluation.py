@@ -10,7 +10,8 @@ from ptqlab.errors import ContractError, ParameterError
 from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure_latency,
                                plan_grid)
 from ptqlab.model import ModelConfig, new_checkpoint
-from ptqlab.pipeline import ENV_WORKSPACE, PipelineConfig, Workspace, stage_eval, stage_train
+from ptqlab.pipeline import (ENV_WORKSPACE, SECTIONS, PipelineConfig, Workspace, cell_hash,
+                             stage_eval, stage_train)
 from ptqlab.quant import QuantPlan, memory_footprint
 from ptqlab.trainer import TrainConfig, train
 
@@ -143,7 +144,39 @@ def by_key(results) -> dict:
     return {(r.model, r.method, r.bits_or_plan): r for r in results}
 
 
+# One changed value for each field of each section a cell's hash covers.
+# latency.unit_of_work is left out: the pipeline sets it from the cell's model.
+FLIPS = {
+    "suite": {"tasks": ("copy",), "n_eval_prompts": 7, "seed": 1, "diffusion_steps": 3},
+    "latency": {"warmup_runs": 3, "timed_runs": 7, "seq_len": 16},
+    "sensitivity": {"rho": 0.2, "n_power_iters": 2, "eps_scale": 1e-2, "n_batches": 2,
+                    "seed": 1},
+    "grid": {"bits": (4,), "hawq_splits": ((16, 4),), "hawq_ratio": 0.25,
+             "rank_mode": "normalized", "n_calibration_batches": 2},
+    "gptq": {"bits": 3, "group_size": 64, "damping": 0.1, "column_order": "by_diag_desc"},
+}
+
+
 class TestGrid:
+    def test_cell_hash_covers_every_field(self):
+        cfg = PipelineConfig(workspace="ws")
+        cell = ("toy-ar", "rtn", "4bit")
+        key = cell_hash(cfg, cell, "fingerprint")
+        assert set(FLIPS) == set(SECTIONS) - {"train"}  # the fingerprint covers train
+        for section, flips in FLIPS.items():
+            value = getattr(cfg, section)
+            fields = {f.name for f in dataclasses.fields(value)} - {"unit_of_work"}
+            assert set(flips) == fields, section
+            for name, flipped in flips.items():
+                changed = dataclasses.replace(
+                    cfg, **{section: dataclasses.replace(value, **{name: flipped})})
+                assert cell_hash(changed, cell, "fingerprint") != key, (section, name)
+        unit = dataclasses.replace(cfg.latency, unit_of_work="diffusion_step")
+        assert cell_hash(dataclasses.replace(cfg, latency=unit), cell, "fingerprint") == key
+        assert cell_hash(dataclasses.replace(cfg, seed=1), cell, "fingerprint") != key
+        assert cell_hash(cfg, cell, "other fingerprint") != key
+        assert cell_hash(cfg, ("toy-ar", "gptq", "4bit"), "fingerprint") != key
+
     def test_plan_has_22_rows(self):
         rows = plan_grid()
         assert len(rows) == 22
@@ -191,7 +224,7 @@ class TestGrid:
         finally:
             ev.forward_logits = original
             network_mod.forward_logits = original
-        assert [r.to_dict() for r in again] == [r.to_dict() for r in results]
+        assert again == results
         assert {p: p.stat().st_mtime_ns for p in files} == files
 
     def test_failed_cell_recorded_grid_continues(self, cold, tmp_path, failing_3bit_gptq):

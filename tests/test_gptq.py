@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptqlab.errors import NotPositiveDefiniteError, ParameterError
-from ptqlab.gptq import (GptqConfig, LayerCalibration, collect_calibration,
+from ptqlab.gptq import (MAX_RETRIES, GptqConfig, LayerCalibration, collect_calibration,
                          gptq_quantize_layer, gptq_quantize_model)
 from ptqlab.model import Batch, ModelConfig, new_checkpoint
 from ptqlab.numerics import make_rng
@@ -129,13 +129,18 @@ class TestLayerQuantization:
             assert np.allclose(dequantize(again), deq, atol=1e-12)
 
     def test_damping_retries_then_hard_error(self):
-        # indefinite "hessian" forces escalation; generous retries succeed
+        # [[0, a], [a, 0]] has a zero diagonal, so damping starts at 0.01 and
+        # H + delta I is positive definite only once delta > a; each retry
+        # multiplies delta by 10
+        def indefinite(a):
+            return LayerCalibration("l", np.array([[0.0, a], [a, 0.0]]), n_samples=4)
+
         w = np.array([[0.5, -0.2]])
-        bad = LayerCalibration("l", np.array([[0.0, 0.5], [0.5, 0.0]]), n_samples=4)
-        qw, _ = gptq_quantize_layer(w, bad, GptqConfig(bits=3, max_retries=3))
+        assert MAX_RETRIES == 3
+        qw, _ = gptq_quantize_layer(w, indefinite(5.0), GptqConfig(bits=3))  # delta 10: last try
         assert qw.codes.shape == (1, 2)
         with pytest.raises(NotPositiveDefiniteError):
-            gptq_quantize_layer(w, bad, GptqConfig(bits=3, max_retries=1))
+            gptq_quantize_layer(w, indefinite(50.0), GptqConfig(bits=3))
 
     def test_config_rejects_16_bits(self):
         with pytest.raises(ParameterError):
@@ -174,18 +179,18 @@ class TestModelQuantization:
 
     def test_sequential_differs_from_isolated(self):
         ckpt, batches = self.make_setup()
-        seq, _ = gptq_quantize_model(ckpt, batches, GptqConfig(bits=2, sequential=True))
-        iso, _ = gptq_quantize_model(ckpt, batches, GptqConfig(bits=2, sequential=False))
-        # first stage sees identical calibration, later stages see the
-        # quantized prefix only in sequential mode
-        assert any(not np.array_equal(seq.params[p], iso.params[p])
-                   for p in ckpt.quantizable_paths())
-
-    def test_embedding_path_rejected(self):
-        ckpt, batches = self.make_setup()
-        with pytest.raises(ParameterError):
-            gptq_quantize_model(ckpt, batches, GptqConfig(bits=4),
-                                paths=["embed.tok"])
+        cfg = GptqConfig(bits=2)
+        seq, _ = gptq_quantize_model(ckpt, batches, cfg)
+        # reference: every layer calibrated on the unquantized model
+        calibs = collect_calibration(ckpt, batches)
+        paths = ckpt.quantizable_paths()
+        iso = {p: dequantize(gptq_quantize_layer(ckpt.params[p], calibs[p], cfg)[0])
+               .astype(np.float32) for p in paths}
+        # the first stage (q/k/v) sees the same calibration either way, later
+        # stages see the quantized prefix only in sequential calibration
+        assert paths[:3] == [f"blocks.0.attn.{x}.weight" for x in "qkv"]
+        assert all(np.array_equal(seq.params[p], iso[p]) for p in paths[:3])
+        assert any(not np.array_equal(seq.params[p], iso[p]) for p in paths[3:])
 
     def test_gptq4_at_least_rtn4_minus_one_point_over_seeds(self):
         # paired end-task comparison across three training seeds

@@ -239,8 +239,17 @@ class TestCheckpointIO:
             "blocks.0.attn.q.weight", "blocks.0.attn.k.weight", "blocks.0.attn.v.weight",
             "blocks.0.attn.o.weight", "blocks.0.mlp.fc_in.weight", "blocks.0.mlp.fc_out.weight",
         ]
-        flagged = ckpt.quantizable_paths(include_embeddings=True)
-        assert flagged[0] == "embed.tok" and flagged[-1] == "head.weight"
+
+    def test_truncated_or_padded_blob_is_contract_error(self):
+        blob = tiny_ckpt().to_bytes()
+        header_end = 12 + int.from_bytes(blob[8:12], "little")
+        # inside the header length, the header, the tensor count, a name, a tensor
+        for cut in (10, 40, header_end + 2, header_end + 6, len(blob) - 1):
+            with pytest.raises(ContractError):
+                ModelCheckpoint.from_bytes(blob[:cut])
+        with pytest.raises(ContractError):
+            ModelCheckpoint.from_bytes(blob + b"\x00")
+        assert ModelCheckpoint.from_bytes(blob).to_bytes() == blob
 
 
 class TestBatchValidation:

@@ -148,12 +148,16 @@ class TestModelQuantization:
         for path in set(ckpt.params) - set(plan.specs):
             assert np.array_equal(out.params[path], ckpt.params[path])
 
-    def test_embeddings_skipped_by_default_included_by_flag(self):
+    def test_embeddings_skipped_by_default_allowed_in_a_written_plan(self):
         ckpt = small_ckpt()
-        assert "embed.tok" not in uniform_plan(ckpt, 4).specs
-        flagged = uniform_plan(ckpt, 4, include_embeddings=True)
-        assert {"embed.tok", "head.weight"} <= set(flagged.specs)
-        out = rtn_quantize_model(ckpt, flagged)
+        plan = uniform_plan(ckpt, 4)
+        assert not {"embed.tok", "head.weight"} & set(plan.specs)
+        plan.specs["head.weight"] = GroupQuantSpec(8)
+        out = rtn_quantize_model(ckpt, plan)
+        assert not np.array_equal(out.params["head.weight"], ckpt.params["head.weight"])
+        assert np.array_equal(out.params["embed.tok"], ckpt.params["embed.tok"])
+        plan.specs["embed.tok"] = GroupQuantSpec(8)
+        out = rtn_quantize_model(ckpt, plan)
         assert not np.array_equal(out.params["embed.tok"], ckpt.params["embed.tok"])
 
     def test_coverage_error_lists_missing(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -146,7 +148,7 @@ class TestModelHvp:
         batches = tiny_batches()
         path = "blocks.0.attn.q.weight"
         v = sample_sparse_direction(make_rng(7), ckpt.params[path].size, 1.0)
-        oracle = ModuleGradientOracle(ckpt, batches, [path])
+        oracle = ModuleGradientOracle(ckpt, batches, path)
         eps = default_eps(oracle, 1e-3)
         hv_pos = finite_diff_hvp(oracle.gradient, v, eps)
         hv_neg = finite_diff_hvp(oracle.gradient, -v, eps)
@@ -175,14 +177,6 @@ class TestModelHvp:
         records = compute_sensitivities(ckpt, tiny_batches(), cfg)
         assert [r.path for r in records] == ckpt.quantizable_paths()
         assert all(r.lam >= 0 and r.n_params == ckpt.n_params(r.path) for r in records)
-
-    def test_per_block_granularity(self):
-        ckpt = tiny_ckpt()
-        cfg = SensitivityConfig(rho=0.25, n_power_iters=1, n_batches=1,
-                                granularity="per_block")
-        records = compute_sensitivities(ckpt, tiny_batches(1), cfg)
-        assert [r.path for r in records] == ["blocks.0"]
-        assert records[0].n_params == sum(ckpt.n_params(p) for p in ckpt.quantizable_paths())
 
 
 class TestRanking:
@@ -224,8 +218,9 @@ class TestReportIO:
                    SensitivityRecord("head.weight", 0.25, 2072, 3, False)]
         jp = tmp_path / "sens.json"
         cp = tmp_path / "sens.csv"
-        save_report(records, cfg, jp, cp)
-        loaded, loaded_cfg = load_report(jp)
-        assert loaded_cfg == cfg
+        save_report(records, cfg, jp, cp, config_hash="abc123")
+        loaded, config_hash = load_report(jp)
+        assert config_hash == "abc123"
+        assert SensitivityConfig(**json.loads(jp.read_text())["config"]) == cfg
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
         assert cp.read_text().count("\n") == 3  # header + 2 rows

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ class TestPairing:
         diff = train(TrainConfig(mode=MODE_DIFFUSION, steps=20, seed=7, **SMALL))
         assert ar.config.mode == MODE_AR
         assert diff.config.mode == MODE_DIFFUSION
-        assert ar.config.to_dict() | {"mode": "x"} == diff.config.to_dict() | {"mode": "x"}
+        assert dataclasses.replace(ar.config, mode=MODE_DIFFUSION) == diff.config
         assert ar.meta["corpus_hash"] == diff.meta["corpus_hash"] == corpus_hash(load_corpus())
 
     def test_same_clean_data_stream(self):
