@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ContractError, ParameterError, ShapeError
+from ..files import write_atomic
 from .config import ModelConfig
 from .network import init_params
 
@@ -64,7 +65,7 @@ class ModelCheckpoint:
         return int(self.params[path].size)
 
     def save(self, path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        write_atomic(path, self.to_bytes())
 
     def to_bytes(self) -> bytes:
         header = json.dumps({"config": asdict(self.config), "meta": self.meta},

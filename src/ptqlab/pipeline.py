@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import time
@@ -24,6 +25,7 @@ from .allocator import SplitRatios, assign_precision, ratios_for_budget
 from .errors import ContractError, ParameterError
 from .evaluation import (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP, EvalResult, GridConfig,
                          LatencyConfig, TaskSuite, evaluate_tasks, measure_latency, plan_grid)
+from .files import write_atomic
 from .gptq import GptqConfig, gptq_quantize_model
 from .model import MODE_AR, MODE_DIFFUSION, ModelCheckpoint
 from .quant import QuantPlan, memory_footprint, rtn_quantize_model, uniform_plan
@@ -64,6 +66,11 @@ class PipelineConfig:
     assign_ratios: tuple = (0.5, 0.5, 0.0)
     assign_levels: tuple = (16, 8, 4)
 
+    def __post_init__(self):
+        # the run seed is the one owner of the section seeds
+        self.train = dataclasses.replace(self.train, seed=self.seed)
+        self.sensitivity = dataclasses.replace(self.sensitivity, seed=self.seed)
+
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         try:
@@ -86,10 +93,7 @@ class PipelineConfig:
             sections = {}
             for name, (section_cls, fixed) in SECTIONS.items():
                 keys = [f.name for f in dataclasses.fields(section_cls) if f.name not in fixed]
-                values = _section(doc, name, keys)
-                if "seed" in fixed:
-                    values["seed"] = seed
-                sections[name] = section_cls(**values)
+                sections[name] = section_cls(**_section(doc, name, keys))
             assign = _section(doc, "assign", ASSIGN_KEYS)
             cfg = cls(workspace=doc["workspace"], seed=seed, **sections,
                       assign_ratios=assign.get("ratios", (0.5, 0.5, 0.0)),
@@ -130,10 +134,15 @@ def cell_hash(cfg: PipelineConfig, cell: tuple, fingerprint: str) -> str:
     checkpoint, and every config section but ``train``, which the
     fingerprint already covers; the latency section carries the cell's unit.
     """
-    latency = _latency(cfg, cell[0].removeprefix("toy-"))
+    return _cell_hasher(cfg, cell[0].removeprefix("toy-"), fingerprint)(cell)
+
+
+def _cell_hasher(cfg: PipelineConfig, mode: str, fingerprint: str):
+    """:func:`cell_hash` for the cells of one model, its sections serialized once."""
+    latency = _latency(cfg, mode)
     sections = {name: dataclasses.asdict(latency if name == "latency" else getattr(cfg, name))
                 for name in SECTIONS if name != "train"}
-    return _hash({"cell": [*cell, cfg.seed], "ckpt": fingerprint, **sections})
+    return lambda cell: _hash({"cell": [*cell, cfg.seed], "ckpt": fingerprint, **sections})
 
 
 def _section(doc: dict, name: str, keys) -> dict:
@@ -199,7 +208,7 @@ def stage_train(ws: Workspace, force: bool = False) -> dict:
                 continue
             except ContractError:
                 pass  # stale hash: retrain
-        cfg = dataclasses.replace(ws.cfg.train, mode=mode, seed=ws.cfg.seed,
+        cfg = dataclasses.replace(ws.cfg.train, mode=mode,
                                   log_path=str(ws.path("logs", f"train_{mode}.csv")))
         ckpt = train(cfg)
         ckpt.meta["pipeline_train_hash"] = want
@@ -299,10 +308,11 @@ def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = Non
     result = {"checkpoint": str(out_path), "plan": str(plan_sidecar)}
     if report_rows:
         report_path = ws.path("quantized", f"{mode}_{method}_{label}.layers.csv")
-        with open(report_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(report_rows[0]))
-            writer.writeheader()
-            writer.writerows(report_rows)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(report_rows[0]))
+        writer.writeheader()
+        writer.writerows(report_rows)
+        write_atomic(report_path, buf.getvalue())
         result["layer_report"] = str(report_path)
     return result
 
@@ -375,8 +385,11 @@ def stage_eval(ws: Workspace, force: bool = False) -> dict:
     """
     cfg = ws.cfg
     ckpts = {mode: ws.require_checkpoint(mode, force) for mode in MODELS}
-    fingerprints = {mode: hashlib.sha256(c.to_bytes()).hexdigest()[:16]
-                    for mode, c in ckpts.items()}
+    # the checkpoint file holds ckpt.to_bytes(), so its sha256 is the same
+    # fingerprint without serializing the model again
+    keys = {mode: _cell_hasher(cfg, mode, hashlib.sha256(
+                ws.checkpoint_path(mode).read_bytes()).hexdigest()[:16])
+            for mode in MODELS}
     batches, scored = {}, set()  # per mode: GPTQ calibration, sensitivity report written
 
     def build(mode, method, label):
@@ -403,7 +416,7 @@ def stage_eval(ws: Workspace, force: bool = False) -> dict:
     with _bench_lock(ws):
         for name, method, label in plan_grid(cfg.grid):
             mode = name.removeprefix("toy-")
-            config_hash = cell_hash(cfg, (name, method, label), fingerprints[mode])
+            config_hash = keys[mode]((name, method, label))
             result = _cache_load(ws, config_hash)
             if result is None:
                 try:
@@ -435,10 +448,8 @@ def _cache_load(ws: Workspace, config_hash: str) -> EvalResult | None:
 
 
 def _cache_store(ws: Workspace, config_hash: str, result: EvalResult) -> None:
-    path = ws.path("cache", f"{config_hash}.json")
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(dataclasses.asdict(result), sort_keys=True))
-    os.replace(tmp, path)  # atomic: a crash never leaves a truncated entry
+    write_atomic(ws.path("cache", f"{config_hash}.json"),
+                 json.dumps(dataclasses.asdict(result), sort_keys=True))
 
 
 def stage_report(ws: Workspace, results=None) -> dict:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, NumericError, ParameterError
+from .files import write_atomic
 from .model.checkpoint import EMBEDDING_PATHS, ModelCheckpoint
 
 SUPPORTED_BITS = (2, 3, 4, 8, 16)
@@ -132,7 +133,7 @@ class QuantPlan:
             doc["ratios"] = list(self.ratios)
         if config_hash is not None:
             doc["config_hash"] = config_hash
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "QuantPlan":

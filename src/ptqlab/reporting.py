@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from .evaluation import CSV_FIELDS, EvalResult
+from .files import write_atomic
 
 FMT = "{:.3f}"
 
@@ -170,7 +171,7 @@ def trend_notes(results) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSONL round trip
+# CSV
 
 
 def results_to_csv_text(results) -> str:
@@ -185,30 +186,6 @@ def results_to_csv_text(results) -> str:
                              fmt(r.scores[task]), fmt(r.lat_mean_ms), fmt(r.lat_std_ms),
                              fmt(r.raw_bits), fmt(r.eff_bits), r.seed, r.config_hash])
     return buf.getvalue()
-
-
-def results_from_csv_text(text: str) -> list:
-    rows = list(csv.DictReader(io.StringIO(text)))
-    grouped: dict = {}
-    for row in rows:
-        grouped.setdefault(row["config_hash"], []).append(row)
-    results = []
-    for config_hash, group in grouped.items():
-        first = group[0]
-        scores = {g["task"]: float(g["score"]) for g in group}
-        results.append(EvalResult(first["model"], first["mode"], first["method"],
-                                  first["bits_or_plan"], scores,
-                                  float(first["lat_mean_ms"]), float(first["lat_std_ms"]),
-                                  float(first["raw_bits"]), float(first["eff_bits"]),
-                                  int(first["seed"]), config_hash))
-    results.sort(key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))
-    return results
-
-
-def results_to_jsonl(results) -> str:
-    lines = [json.dumps(asdict(r), sort_keys=True) for r in
-             sorted(results, key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +279,9 @@ def latency_chart(results) -> str:
                       "Latency vs precision")
 
 
-def pareto_chart(results) -> str:
-    points = points_from_results(results)
-    frontier, _ = pareto_frontier(points)
+def pareto_chart(results, frontier) -> str:
+    """Score vs effective bits per model+method, with ``frontier`` (from
+    :func:`pareto_frontier`) as its own series."""
     series: dict = {}
     labeled = []
     for r in results:
@@ -323,35 +300,33 @@ def pareto_chart(results) -> str:
 
 
 def emit(results, out_dir) -> dict:
-    """Write the report artifacts; returns {name: path}. Deterministic bytes."""
+    """Write the report artifacts; returns {name: path}. Deterministic bytes.
+
+    Each file is written atomically, and a file that already holds its bytes
+    is not rewritten.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
-    path = out_dir / "results.csv"
-    path.write_text(results_to_csv_text(results))
-    written["results.csv"] = path
+
+    def put(name, text):
+        written[name] = out_dir / name
+        write_atomic(written[name], text)
+
+    put("results.csv", results_to_csv_text(results))
     points = points_from_results(results)
     frontier, dominated = pareto_frontier(points) if points else ([], [])
+    rows = [asdict(r) for r in
+            sorted(results, key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))]
     doc = {
-        "results": [asdict(r) for r in
-                    sorted(results, key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))],
+        "results": rows,
         "pareto": {"frontier": [p.label for p in frontier],
                    "dominated": [p.label for p in dominated]},
         "trends": trend_notes(results),
     }
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    written["report.json"] = path
-    jsonl = out_dir / "results.jsonl"
-    jsonl.write_text(results_to_jsonl(results))
-    written["results.jsonl"] = jsonl
-    path = out_dir / "table.md"
-    path.write_text(render_markdown(build_degradation_table(results)))
-    written["table.md"] = path
-    lat = out_dir / "latency.svg"
-    lat.write_text(latency_chart(results))
-    written["latency.svg"] = lat
-    par = out_dir / "pareto.svg"
-    par.write_text(pareto_chart(results))
-    written["pareto.svg"] = par
+    put("report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    put("results.jsonl", "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n")
+    put("table.md", render_markdown(build_degradation_table(results)))
+    put("latency.svg", latency_chart(results))
+    put("pareto.svg", pareto_chart(results, frontier))
     return written

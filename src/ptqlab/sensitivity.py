@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ParameterError
+from .files import write_atomic
 from .model import ModelCheckpoint, loss_and_grads
 from .numerics import make_rng, sample_sparse_direction
 
@@ -189,16 +191,17 @@ def save_report(records, cfg: SensitivityConfig, json_path, csv_path=None,
     doc = {"config": asdict(cfg), "records": [r.to_dict() for r in records]}
     if config_hash is not None:
         doc["config_hash"] = config_hash
-    Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_atomic(json_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "lambda", "n_params", "sensitivity_raw",
-                            "sensitivity_normalized", "iters_used", "converged"])
-            for r in records:
-                writer.writerow([r.path, f"{r.lam:.6g}", r.n_params,
-                                f"{r.sensitivity_raw:.6g}", f"{r.sensitivity_normalized:.6g}",
-                                r.iters_used, int(r.converged)])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["path", "lambda", "n_params", "sensitivity_raw",
+                        "sensitivity_normalized", "iters_used", "converged"])
+        for r in records:
+            writer.writerow([r.path, f"{r.lam:.6g}", r.n_params,
+                            f"{r.sensitivity_raw:.6g}", f"{r.sensitivity_normalized:.6g}",
+                            r.iters_used, int(r.converged)])
+        write_atomic(csv_path, buf.getvalue())
 
 
 def load_report(json_path) -> tuple:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from . import tasks
 from .errors import DivergenceError, NumericError, ParameterError
+from .files import write_atomic
 from .model import Batch, ModelCheckpoint, ModelConfig, loss_and_grads, new_checkpoint
 from .model.config import MODE_AR, MODE_DIFFUSION
 from .numerics import make_rng
@@ -140,10 +142,10 @@ def train(cfg: TrainConfig) -> ModelCheckpoint:
     if cfg.log_path:
         path = Path(cfg.log_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "loss"])
-            for step, loss in curve:
-                writer.writerow([step, f"{loss:.6f}"])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["step", "loss"])
+        writer.writerows((step, f"{loss:.6f}") for step, loss in curve)
+        write_atomic(path, buf.getvalue())
     return ckpt
 

@@ -78,6 +78,14 @@ class TestCliContracts:
         doc = json.loads(re.sub(r"//[^\n]*", "", block))
         assert PipelineConfig.from_dict(doc) == PipelineConfig(workspace=doc["workspace"])
 
+    def test_run_seed_sets_the_section_seeds(self):
+        direct = PipelineConfig(workspace="w", seed=5)
+        loaded = PipelineConfig.from_dict({"workspace": "w", "seed": 5})
+        assert direct.train.seed == direct.sensitivity.seed == 5
+        assert direct == loaded
+        assert direct.train_hash("ar") == loaded.train_hash("ar")
+        assert direct.sensitivity_hash("ar") == loaded.sensitivity_hash("ar")
+
     def test_dry_run_plans_22_cells(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["reproduce", "-c", cfg, "--dry-run"]) == 0

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import os
 import shutil
 
 import pytest
@@ -11,7 +13,7 @@ from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure
                                plan_grid)
 from ptqlab.model import ModelConfig, new_checkpoint
 from ptqlab.pipeline import (ENV_WORKSPACE, SECTIONS, PipelineConfig, Workspace, cell_hash,
-                             stage_eval, stage_train)
+                             reproduce, stage_eval, stage_train)
 from ptqlab.quant import QuantPlan, memory_footprint
 from ptqlab.trainer import TrainConfig, train
 
@@ -144,13 +146,13 @@ def by_key(results) -> dict:
     return {(r.model, r.method, r.bits_or_plan): r for r in results}
 
 
-# One changed value for each field of each section a cell's hash covers.
-# latency.unit_of_work is left out: the pipeline sets it from the cell's model.
+# One changed value for each field of each section a cell's hash covers,
+# except the fields the pipeline sets from the cell's model and the run seed.
+SET_BY_PIPELINE = {"latency": {"unit_of_work"}, "sensitivity": {"seed"}}
 FLIPS = {
     "suite": {"tasks": ("copy",), "n_eval_prompts": 7, "seed": 1, "diffusion_steps": 3},
     "latency": {"warmup_runs": 3, "timed_runs": 7, "seq_len": 16},
-    "sensitivity": {"rho": 0.2, "n_power_iters": 2, "eps_scale": 1e-2, "n_batches": 2,
-                    "seed": 1},
+    "sensitivity": {"rho": 0.2, "n_power_iters": 2, "eps_scale": 1e-2, "n_batches": 2},
     "grid": {"bits": (4,), "hawq_splits": ((16, 4),), "hawq_ratio": 0.25,
              "rank_mode": "normalized", "n_calibration_batches": 2},
     "gptq": {"bits": 3, "group_size": 64, "damping": 0.1, "column_order": "by_diag_desc"},
@@ -165,7 +167,8 @@ class TestGrid:
         assert set(FLIPS) == set(SECTIONS) - {"train"}  # the fingerprint covers train
         for section, flips in FLIPS.items():
             value = getattr(cfg, section)
-            fields = {f.name for f in dataclasses.fields(value)} - {"unit_of_work"}
+            fields = {f.name for f in dataclasses.fields(value)}
+            fields -= SET_BY_PIPELINE.get(section, set())
             assert set(flips) == fields, section
             for name, flipped in flips.items():
                 changed = dataclasses.replace(
@@ -226,6 +229,28 @@ class TestGrid:
             network_mod.forward_logits = original
         assert again == results
         assert {p: p.stat().st_mtime_ns for p in files} == files
+
+    def test_cache_keys_hash_the_serialized_checkpoint(self, cold):
+        ws, results = cold
+        fingerprints = {mode: hashlib.sha256(ws.require_checkpoint(mode).to_bytes())
+                        .hexdigest()[:16] for mode in ("ar", "diffusion")}
+        for r in results:
+            key = cell_hash(ws.cfg, (r.model, r.method, r.bits_or_plan), fingerprints[r.mode])
+            assert r.config_hash == key
+            assert (ws.root / "cache" / f"{key}.json").exists()
+
+    def test_cached_reproduce_changes_no_file(self, cold, tmp_path):
+        ws = copy_of(cold[0], tmp_path)
+        reproduce(ws)  # writes report/
+        files = sorted(p for p in ws.root.rglob("*") if p.is_file())
+        assert ws.root / "report" / "results.csv" in files
+        for p in files:
+            os.utime(p, ns=(10**18, 10**18))  # a rewrite in the same clock tick still shows
+        before = {p: p.read_bytes() for p in files}
+        reproduce(ws)
+        assert sorted(p for p in ws.root.rglob("*") if p.is_file()) == files
+        for p in files:
+            assert (p.read_bytes(), p.stat().st_mtime_ns) == (before[p], 10**18), p
 
     def test_failed_cell_recorded_grid_continues(self, cold, tmp_path, failing_3bit_gptq):
         ws = copy_of(cold[0], tmp_path)

@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ from ptqlab.numerics import make_rng
 from ptqlab.reporting import (ParetoPoint, build_degradation_table, emit,
                               latency_chart, pareto_chart, pareto_frontier,
                               points_from_results, render_markdown,
-                              results_from_csv_text, results_to_csv_text, trend_notes)
+                              results_to_csv_text, trend_notes)
 
 GOLDEN = Path(__file__).parent / "golden" / "table.md"
 
@@ -110,18 +112,26 @@ class TestDegradationTable:
 class TestCsvRoundTrip:
     def test_lossless_round_trip(self):
         results = table1_fixture()
-        text = results_to_csv_text(results)
-        parsed = results_from_csv_text(text)
-        assert results_to_csv_text(parsed) == text
+        cells = {(r.model, r.bits_or_plan, task): (r, score)
+                 for r in results for task, score in r.scores.items()}
+        for row in csv.DictReader(io.StringIO(results_to_csv_text(results))):
+            r, score = cells.pop((row["model"], row["bits_or_plan"], row["task"]))
+            assert (row["mode"], row["method"], int(row["seed"]), row["config_hash"]) == \
+                (r.mode, r.method, r.seed, r.config_hash)
+            for column, value in (("score", score), ("lat_mean_ms", r.lat_mean_ms),
+                                  ("lat_std_ms", r.lat_std_ms), ("raw_bits", r.raw_bits),
+                                  ("eff_bits", r.eff_bits)):
+                assert float(row[column]) == round(value, 3), column
+        assert not cells  # one row per (cell, task)
 
     def test_paper_latency_values_survive(self):
         r = fixture_result("toy-ar", "ar", "baseline", "16bit", {"copy": 0.5}, 16.0,
                            lat=26.843, lat_std=0.305)
         text = results_to_csv_text([r])
         assert "26.843" in text and "0.305" in text
-        back = results_from_csv_text(text)[0]
-        assert back.lat_mean_ms == 26.843
-        assert back.lat_std_ms == 0.305
+        (row,) = csv.DictReader(io.StringIO(text))
+        assert float(row["lat_mean_ms"]) == 26.843
+        assert float(row["lat_std_ms"]) == 0.305
 
 
 class TestTrendNotes:
@@ -162,6 +172,7 @@ class TestEmission:
                                       {"copy": 0.47, "reverse": 0.43}, 12.0))
         results.append(fixture_result("toy-ar", "ar", "hawq", "hawq-16/8",
                                       {"copy": 0.65, "reverse": 0.6}, 12.0))
-        svg = pareto_chart(results)
+        frontier, _ = pareto_frontier(points_from_results(results))
+        svg = pareto_chart(results, frontier)
         assert "toy-diffusion hawq-16/8" in svg
         assert "pareto frontier" in svg
