@@ -38,9 +38,4 @@ class CoverageError(PtqLabError):
 
 
 class DivergenceError(PtqLabError):
-    """Training loss became non-finite; carries the last finite checkpoint."""
-
-    def __init__(self, message: str, last_good=None, step: int = -1):
-        super().__init__(message)
-        self.last_good = last_good
-        self.step = step
+    """Training loss became non-finite; the message names the step."""

@@ -38,6 +38,8 @@ class TaskSuite:
     def __post_init__(self):
         if not self.tasks:
             raise ContractError("task suite is empty")
+        if self.n_eval_prompts < 1:
+            raise ParameterError(f"n_eval_prompts must be >= 1, got {self.n_eval_prompts}")
         unknown = [t for t in self.tasks if t not in tasks.ALL_TASKS]
         if unknown:
             raise ParameterError(f"unknown tasks: {unknown}")
@@ -110,7 +112,7 @@ def _exact_match_score(ckpt: ModelCheckpoint, task: str, suite: TaskSuite) -> fl
 def _heldout_accuracy(ckpt: ModelCheckpoint, suite: TaskSuite) -> float:
     """Teacher-forced argmax accuracy over held-out answer regions."""
     rng = make_rng(_task_seed(suite.seed, "heldout_token_accuracy"))
-    rows, _ = tasks.sample_task_rows(rng, max(suite.n_eval_prompts, 1))
+    rows = tasks.sample_task_rows(rng, suite.n_eval_prompts)
     answer_cols = np.arange(tasks.TASK_ROW_LEN - tasks.PAYLOAD_LEN, tasks.TASK_ROW_LEN)
     if ckpt.config.mode == MODE_AR:
         logits, _ = forward_logits(ckpt.params, ckpt.config, rows)

@@ -76,12 +76,10 @@ def calibration_inputs(ckpt: ModelCheckpoint, batch: Batch) -> np.ndarray:
     return batch.token_ids
 
 
-def collect_calibration(ckpt: ModelCheckpoint, batches, paths=None) -> dict:
-    """Accumulate per-layer Hessians over the calibration batches."""
+def collect_calibration(ckpt: ModelCheckpoint, batches, paths) -> dict:
+    """Accumulate the Hessians of the layers at ``paths`` over the calibration batches."""
     if not batches:
         raise ContractError("no calibration batches")
-    if paths is None:
-        paths = ckpt.quantizable_paths()
     calibs = {p: LayerCalibration(p, np.zeros((ckpt.params[p].shape[1],) * 2)) for p in paths}
     total_tokens = 0
     for batch in batches:

@@ -135,7 +135,5 @@ def _forward_order_key(path: str):
     return (block, stage)
 
 
-def new_checkpoint(config: ModelConfig, seed: int, meta: dict | None = None) -> ModelCheckpoint:
-    meta = dict(meta or {})
-    meta.setdefault("seed", int(seed))
-    return ModelCheckpoint(config, init_params(config, seed), meta)
+def new_checkpoint(config: ModelConfig, seed: int) -> ModelCheckpoint:
+    return ModelCheckpoint(config, init_params(config, seed), {"seed": int(seed)})

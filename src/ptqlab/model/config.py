@@ -74,11 +74,3 @@ class Batch:
             raise ContractError("loss_mask shape must match token_ids")
         if self.token_ids.min(initial=0) < 0 or self.token_ids.max(initial=0) >= VOCAB_SIZE:
             raise ContractError("token ids out of vocabulary range")
-
-    @property
-    def n_rows(self) -> int:
-        return self.token_ids.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.token_ids.shape[1]

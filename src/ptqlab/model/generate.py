@@ -12,7 +12,7 @@ from .config import MASK_ID, MODE_AR, MODE_DIFFUSION, PAD_ID
 from .network import forward_logits
 
 
-def generate_ar(ckpt: ModelCheckpoint, prompt, max_new: int, dtype=np.float32) -> list:
+def generate_ar(ckpt: ModelCheckpoint, prompt, max_new: int) -> list:
     """Greedy next-token decoding; stops early if PAD is emitted."""
     if ckpt.config.mode != MODE_AR:
         raise ContractError(f"generate_ar requires an AR checkpoint, got mode={ckpt.config.mode!r}")
@@ -20,7 +20,7 @@ def generate_ar(ckpt: ModelCheckpoint, prompt, max_new: int, dtype=np.float32) -
     if len(tokens) + max_new > ckpt.config.max_seq_len:
         raise ShapeError(f"prompt + max_new = {len(tokens) + max_new} exceeds max_seq_len")
     for _ in range(max_new):
-        logits, _ = forward_logits(ckpt.params, ckpt.config, np.array([tokens]), dtype=dtype)
+        logits, _ = forward_logits(ckpt.params, ckpt.config, np.array([tokens]))
         nxt = int(np.argmax(logits[0, -1]))
         if nxt == PAD_ID:
             break
@@ -28,8 +28,7 @@ def generate_ar(ckpt: ModelCheckpoint, prompt, max_new: int, dtype=np.float32) -
     return tokens
 
 
-def generate_diffusion(ckpt: ModelCheckpoint, prompt, target_len: int, steps: int,
-                       dtype=np.float32, history: list | None = None) -> list:
+def generate_diffusion(ckpt: ModelCheckpoint, prompt, target_len: int, steps: int) -> list:
     """Iterative denoising of a fully masked completion region.
 
     Each step runs one full-sequence forward and commits the
@@ -52,7 +51,7 @@ def generate_diffusion(ckpt: ModelCheckpoint, prompt, target_len: int, steps: in
         if masked.size == 0:
             break
         k = math.ceil(masked.size / steps_left)
-        logits, _ = forward_logits(ckpt.params, ckpt.config, seq, dtype=dtype)
+        logits, _ = forward_logits(ckpt.params, ckpt.config, seq)
         picked = logits[0, masked].astype(np.float64)
         shifted = picked - picked.max(axis=-1, keepdims=True)
         probs = np.exp(shifted)
@@ -63,6 +62,4 @@ def generate_diffusion(ckpt: ModelCheckpoint, prompt, target_len: int, steps: in
         commit = order[:k]
         seq[0, masked[commit]] = best_tok[commit]
         steps_left -= 1
-        if history is not None:
-            history.append(int(np.sum(seq[0, start:] == MASK_ID)))
     return [int(t) for t in seq[0]]

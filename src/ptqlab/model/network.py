@@ -60,8 +60,8 @@ def forward_logits(params: dict, config: ModelConfig, input_ids: np.ndarray,
 
     Returns ``(logits, tape)``; the tape carries every cache needed by
     :func:`backward_from_logits`. When ``capture`` is a dict, the 2-D inputs
-    of each projection are appended under the projection's parameter path
-    (used by the GPTQ calibration pass).
+    of each attention and feed-forward projection are appended under the
+    projection's parameter path (used by the GPTQ calibration pass).
     """
     input_ids = np.asarray(input_ids, dtype=np.int64)
     if input_ids.ndim != 2:
@@ -118,7 +118,6 @@ def forward_logits(params: dict, config: ModelConfig, input_ids: np.ndarray,
 
     xf, lnf_cache = layers.layer_norm_fwd(x, p("final_ln.gain"), p("final_ln.bias"))
     xf2d = xf.reshape(b * s, config.d_model)
-    record("head.weight", xf2d)
     logits2d, head_cache = layers.linear_fwd(xf2d, p("head.weight"), None)
     tape["final_ln"] = lnf_cache
     tape["head"] = head_cache

@@ -1,4 +1,4 @@
-"""Dense linear algebra, deterministic RNG, and gradient-check utilities.
+"""Dense linear algebra and deterministic RNG.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, NumericError, ParameterError, ShapeError
+from .errors import NotPositiveDefiniteError, ParameterError, ShapeError
 
 Rng = np.random.Generator
 
@@ -77,32 +77,3 @@ def sample_sparse_direction(rng: Rng, n_params: int, rho: float) -> np.ndarray:
     signs = rng.integers(0, 2, size=nnz) * 2 - 1
     v[support] = signs.astype(np.float64)
     return v / np.linalg.norm(v)
-
-
-def finite_diff_grad_check(f, analytic_grad: np.ndarray, point: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between central differences of ``f`` and a gradient.
-
-    Returns max_i |(f(x + eps e_i) - f(x - eps e_i)) / (2 eps) - g_i|
-    / (|g_i| + 1e-8). Used as the oracle for every hand-written backward
-    pass in the model.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
-    if point.shape != analytic_grad.shape:
-        raise ShapeError(f"gradient shape {analytic_grad.shape} != point shape {point.shape}")
-    flat = point.ravel()
-    grad = analytic_grad.ravel()
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        bumped = point.copy().ravel()
-        bumped[i] = orig + eps
-        f_plus = float(f(bumped.reshape(point.shape)))
-        bumped[i] = orig - eps
-        f_minus = float(f(bumped.reshape(point.shape)))
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise NumericError("f returned non-finite value during grad check")
-        numeric = (f_plus - f_minus) / (2.0 * eps)
-        err = abs(numeric - grad[i]) / (abs(grad[i]) + 1e-8)
-        worst = max(worst, err)
-    return worst

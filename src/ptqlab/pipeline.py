@@ -21,7 +21,7 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .allocator import SplitRatios, assign_precision, ratios_for_budget
+from .allocator import BIT_LEVELS, SplitRatios, assign_precision, ratios_for_budget
 from .errors import ContractError, ParameterError
 from .evaluation import (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP, EvalResult, GridConfig,
                          LatencyConfig, TaskSuite, evaluate_tasks, measure_latency, plan_grid)
@@ -115,7 +115,8 @@ class PipelineConfig:
 
     def plan_hash(self, mode: str, ratios, levels) -> str:
         return _hash({"parent": self.sensitivity_hash(mode),
-                      "ratios": list(ratios), "levels": list(levels)})
+                      "ratios": list(ratios), "levels": list(levels),
+                      "rank_mode": self.grid.rank_mode, "group_size": self.gptq.group_size})
 
 
 def _hash(payload: dict) -> str:
@@ -253,6 +254,8 @@ def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
     ranked = rank_sensitivities(records, cfg.grid.rank_mode)
     levels = tuple(levels or cfg.assign_levels)
     if budget is not None:
+        if levels != BIT_LEVELS:  # the waterfill raises modules 4 -> 8 -> 16 bits
+            raise ParameterError(f"--budget assigns the levels {BIT_LEVELS}, not {levels}")
         ckpt = ws.require_checkpoint(mode, force)
         sized = [(r.path, ckpt.n_params(r.path)) for r in ranked]
         split, achieved = ratios_for_budget(sized, budget)
@@ -278,16 +281,16 @@ def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, bits: int 
     takes ``bits`` and its calibration ``batches`` (drawn here if not given),
     with every other setting from ``cfg.gptq``.
     """
+    if method not in ("rtn", "gptq"):
+        raise ParameterError(f"unknown method {method!r} (rtn or gptq)")
+    if method == "gptq" and (bits is None or plan is not None):
+        raise ParameterError("gptq quantization is uniform; pass --bits and no --plan")
     if plan is None:
         if bits is None:
             raise ParameterError("quantize needs --bits or --plan")
         plan = uniform_plan(ckpt, bits, group_size=cfg.gptq.group_size)
     if method == "rtn":
         return rtn_quantize_model(ckpt, plan), plan, []
-    if method != "gptq":
-        raise ParameterError(f"unknown method {method!r} (rtn or gptq)")
-    if bits is None:
-        raise ParameterError("gptq quantization is uniform; pass --bits")
     if batches is None:
         batches = _calibration(ckpt, cfg.grid.n_calibration_batches)
     quantized, rows = gptq_quantize_model(ckpt, batches,

@@ -55,9 +55,8 @@ class GroupQuantSpec:
 class QuantizedWeight:
     shape: tuple
     spec: GroupQuantSpec
-    scales: np.ndarray | None  # (d_out, n_groups) float64; None for passthrough
-    codes: np.ndarray | None   # (d_out, d_in) int16; None for passthrough
-    values: np.ndarray | None = None  # original array (passthrough only)
+    scales: np.ndarray  # (d_out, n_groups) float64
+    codes: np.ndarray   # (d_out, d_in) int16
 
 
 def round_half_away_from_zero(x: np.ndarray) -> np.ndarray:
@@ -84,12 +83,12 @@ def _ungrouped(blocks: np.ndarray, d_in: int) -> np.ndarray:
 
 
 def quantize_weight(weight: np.ndarray, spec: GroupQuantSpec) -> QuantizedWeight:
-    """Quantize a 2-D weight group-by-group along the input dimension."""
+    """Quantize a 2-D weight group-by-group along the input dimension (2-8 bits)."""
     weight = np.asarray(weight)
     if weight.ndim != 2:
         raise ParameterError(f"expected a 2-D weight, got shape {weight.shape}")
     if spec.passthrough:
-        return QuantizedWeight(weight.shape, spec, None, None, weight.copy())
+        raise ParameterError("16 bits is passthrough: the weight is kept, not quantized")
     w = weight.astype(np.float64)
     if not np.all(np.isfinite(w)):
         raise NumericError("non-finite values in weight")
@@ -101,9 +100,7 @@ def quantize_weight(weight: np.ndarray, spec: GroupQuantSpec) -> QuantizedWeight
 
 
 def dequantize(qw: QuantizedWeight) -> np.ndarray:
-    """code * scale per element; exact passthrough when bits == 16."""
-    if qw.spec.passthrough:
-        return qw.values.copy()
+    """code * scale per element."""
     blocks = _grouped(qw.codes, qw.spec.group_size).astype(np.float64)
     return _ungrouped(blocks * qw.scales[..., None], qw.shape[1])
 

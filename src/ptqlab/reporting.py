@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,20 +84,14 @@ def points_from_results(results) -> list:
 # Degradation table
 
 
-@dataclass
-class TableModel:
-    title: str
-    headers: list
-    rows: list = field(default_factory=list)  # list of list[str]
-
-
 def _row_sort_key(r: EvalResult):
     bits = r.raw_bits if np.isfinite(r.raw_bits) else 99.0
     return (_METHOD_ORDER.get(r.method, 9), bits, r.bits_or_plan)
 
 
-def build_degradation_table(results) -> TableModel:
-    """Rows per quantization level, cells 'diffusion (ar)', deltas vs baseline.
+def degradation_table(results) -> str:
+    """Markdown table with a row per quantization level, cells 'diffusion (ar)'
+    and deltas vs baseline.
 
     Requires the 16-bit baseline row for both models.
     """
@@ -115,7 +109,8 @@ def build_degradation_table(results) -> TableModel:
 
     pairs = sorted({k for k in by_key if "ar" in by_key[k] and "diffusion" in by_key[k]},
                    key=lambda k: _row_sort_key(by_key[k]["diffusion"]))
-    rows = []
+    out = ["### Score by quantization level, diffusion (ar)", "",
+           "| " + " | ".join(headers) + " |", "|" + "|".join(" --- " for _ in headers) + "|"]
     for key in pairs:
         diff_r = by_key[key]["diffusion"]
         ar_r = by_key[key]["ar"]
@@ -126,16 +121,7 @@ def build_degradation_table(results) -> TableModel:
                          f"({fmt(ar_r.scores.get(t, float('nan')))})")
         cells.append(fmt(diff_r.mean_score() - base_mean["diffusion"]))
         cells.append(fmt(ar_r.mean_score() - base_mean["ar"]))
-        rows.append(cells)
-    return TableModel("Score by quantization level, diffusion (ar)", headers, rows)
-
-
-def render_markdown(table: TableModel) -> str:
-    out = [f"### {table.title}", ""]
-    out.append("| " + " | ".join(table.headers) + " |")
-    out.append("|" + "|".join(" --- " for _ in table.headers) + "|")
-    for row in table.rows:
-        out.append("| " + " | ".join(row) + " |")
+        out.append("| " + " | ".join(cells) + " |")
     return "\n".join(out) + "\n"
 
 
@@ -199,14 +185,13 @@ def _svg_header(width, height, title):
             f'font-family="sans-serif">{title}</text>']
 
 
-def _axis_ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _axis_ticks(lo, hi):
+    """Five evenly spaced ticks; :func:`_svg_chart` makes every range non-empty."""
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
-def _svg_chart(series: dict, xlabel: str, ylabel: str, title: str,
-               labeled_points=(), width=640, height=420) -> str:
+def _svg_chart(series: dict, xlabel: str, ylabel: str, title: str, labeled_points=()) -> str:
+    width, height = 640, 420
     margin_l, margin_r, margin_t, margin_b = 60, 160, 34, 46
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
@@ -316,17 +301,15 @@ def emit(results, out_dir) -> dict:
     put("results.csv", results_to_csv_text(results))
     points = points_from_results(results)
     frontier, dominated = pareto_frontier(points) if points else ([], [])
-    rows = [asdict(r) for r in
-            sorted(results, key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))]
     doc = {
-        "results": rows,
+        "results": [asdict(r) for r in
+                    sorted(results, key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))],
         "pareto": {"frontier": [p.label for p in frontier],
                    "dominated": [p.label for p in dominated]},
         "trends": trend_notes(results),
     }
     put("report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    put("results.jsonl", "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n")
-    put("table.md", render_markdown(build_degradation_table(results)))
+    put("table.md", degradation_table(results))
     put("latency.svg", latency_chart(results))
     put("pareto.svg", pareto_chart(results, frontier))
     return written

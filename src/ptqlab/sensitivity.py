@@ -58,16 +58,12 @@ class SensitivityRecord:
     converged: bool
 
     @property
-    def sensitivity_raw(self) -> float:
-        return self.lam
-
-    @property
     def sensitivity_normalized(self) -> float:
         return self.lam / self.n_params
 
     def to_dict(self) -> dict:
         return {"path": self.path, "lambda": self.lam, "n_params": self.n_params,
-                "sensitivity_raw": self.sensitivity_raw,
+                "sensitivity_raw": self.lam,
                 "sensitivity_normalized": self.sensitivity_normalized,
                 "iters_used": self.iters_used, "converged": self.converged}
 
@@ -77,10 +73,8 @@ class SensitivityRecord:
                    int(d["iters_used"]), bool(d["converged"]))
 
 
-def finite_diff_hvp(grad_fn, v: np.ndarray, eps: float, base_grad: np.ndarray | None = None) -> np.ndarray:
-    """(grad(w + eps v) - grad(w)) / eps over a flat parameter vector."""
-    if base_grad is None:
-        base_grad = grad_fn(None)
+def finite_diff_hvp(grad_fn, v: np.ndarray, eps: float, base_grad: np.ndarray) -> np.ndarray:
+    """(grad(w + eps v) - base_grad) / eps over a flat parameter vector; base_grad = grad(w)."""
     g_plus = grad_fn(eps * v)
     hv = (g_plus - base_grad) / eps
     if not np.all(np.isfinite(hv)):
@@ -99,7 +93,7 @@ def power_iteration(grad_fn, n_params: int, rng, rho: float, n_iters: int, eps: 
     iters = 0
     for _ in range(n_iters):
         iters += 1
-        hv = finite_diff_hvp(grad_fn, v, eps, base_grad=base)
+        hv = finite_diff_hvp(grad_fn, v, eps, base)
         if rho < 1.0:
             hv = np.where(support, hv, 0.0)
         lam = float(np.linalg.norm(hv))
@@ -178,7 +172,7 @@ def rank_sensitivities(records, mode: str = RANK_RAW) -> list:
     if not records:
         raise ParameterError("no sensitivity records to rank")
     if mode == RANK_RAW:
-        key = lambda r: (-r.sensitivity_raw, r.path)
+        key = lambda r: (-r.lam, r.path)
     elif mode == RANK_NORMALIZED:
         key = lambda r: (-r.sensitivity_normalized, r.path)
     else:
@@ -186,22 +180,19 @@ def rank_sensitivities(records, mode: str = RANK_RAW) -> list:
     return sorted(records, key=key)
 
 
-def save_report(records, cfg: SensitivityConfig, json_path, csv_path=None,
-                config_hash: str | None = None) -> None:
-    doc = {"config": asdict(cfg), "records": [r.to_dict() for r in records]}
-    if config_hash is not None:
-        doc["config_hash"] = config_hash
+def save_report(records, cfg: SensitivityConfig, json_path, csv_path, config_hash: str) -> None:
+    doc = {"config": asdict(cfg), "records": [r.to_dict() for r in records],
+           "config_hash": config_hash}
     write_atomic(json_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if csv_path:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["path", "lambda", "n_params", "sensitivity_raw",
-                        "sensitivity_normalized", "iters_used", "converged"])
-        for r in records:
-            writer.writerow([r.path, f"{r.lam:.6g}", r.n_params,
-                            f"{r.sensitivity_raw:.6g}", f"{r.sensitivity_normalized:.6g}",
-                            r.iters_used, int(r.converged)])
-        write_atomic(csv_path, buf.getvalue())
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["path", "lambda", "n_params", "sensitivity_raw",
+                    "sensitivity_normalized", "iters_used", "converged"])
+    for r in records:
+        writer.writerow([r.path, f"{r.lam:.6g}", r.n_params,
+                        f"{r.lam:.6g}", f"{r.sensitivity_normalized:.6g}",
+                        r.iters_used, int(r.converged)])
+    write_atomic(csv_path, buf.getvalue())
 
 
 def load_report(json_path) -> tuple:

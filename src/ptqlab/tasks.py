@@ -58,11 +58,11 @@ def sample_example(rng: Rng, task: str) -> TaskExample:
     return TaskExample(task, prompt, tuple(int(c) for c in answer))
 
 
-def sample_task_rows(rng: Rng, n_rows: int, tasks=GENERATION_TASKS) -> tuple:
-    """(token grid, list of TaskExample); each row a uniformly drawn task."""
-    examples = [sample_example(rng, tasks[int(rng.integers(0, len(tasks)))]) for _ in range(n_rows)]
-    grid = np.array([ex.tokens for ex in examples], dtype=np.int64)
-    return grid, examples
+def sample_task_rows(rng: Rng, n_rows: int) -> np.ndarray:
+    """Token grid of ``n_rows`` examples, each of a uniformly drawn generation task."""
+    examples = [sample_example(rng, GENERATION_TASKS[int(rng.integers(0, len(GENERATION_TASKS)))])
+                for _ in range(n_rows)]
+    return np.array([ex.tokens for ex in examples], dtype=np.int64)
 
 
 def load_corpus(path=None) -> bytes:
@@ -76,14 +76,14 @@ def corpus_hash(corpus: bytes) -> str:
     return hashlib.sha256(corpus).hexdigest()
 
 
-def sample_text_rows(rng: Rng, n_rows: int, corpus: bytes, row_len: int = TEXT_ROW_LEN) -> np.ndarray:
-    if len(corpus) < row_len:
+def sample_text_rows(rng: Rng, n_rows: int, corpus: bytes) -> np.ndarray:
+    if len(corpus) < TEXT_ROW_LEN:
         raise ParameterError("corpus shorter than one text row")
-    starts = rng.integers(0, len(corpus) - (row_len - 1), size=n_rows)
-    rows = np.empty((n_rows, row_len), dtype=np.int64)
+    starts = rng.integers(0, len(corpus) - (TEXT_ROW_LEN - 1), size=n_rows)
+    rows = np.empty((n_rows, TEXT_ROW_LEN), dtype=np.int64)
     rows[:, 0] = BOS_ID
     for i, st in enumerate(starts):
-        rows[i, 1:] = np.frombuffer(corpus[st:st + row_len - 1], dtype=np.uint8)
+        rows[i, 1:] = np.frombuffer(corpus[st:st + TEXT_ROW_LEN - 1], dtype=np.uint8)
     return rows
 
 
@@ -94,19 +94,17 @@ def ar_batch(token_ids: np.ndarray) -> Batch:
     return Batch(token_ids, mask)
 
 
-def diffusion_batch(token_ids: np.ndarray, rng: Rng,
-                    ratio_range=(0.1, 0.9), completion_only_prob=0.5,
-                    completion_start: int | None = None) -> Batch:
-    """Denoising batch: per-batch uniform mask ratio, at least one mask per row.
+def diffusion_batch(token_ids: np.ndarray, rng: Rng, completion_start: int | None = None) -> Batch:
+    """Denoising batch: per-batch mask ratio uniform in [0.1, 0.9), at least one mask per row.
 
-    Half of the batches (``completion_only_prob``) restrict masking to the
-    completion region so the infill pattern used at generation time (prompt
-    fully visible, answer masked) is well covered; the rest mask uniformly
-    over all non-BOS positions.
+    When ``completion_start`` is given, half of the batches restrict masking
+    to the completion region so the infill pattern used at generation time
+    (prompt fully visible, answer masked) is well covered; the rest mask
+    uniformly over all non-BOS positions.
     """
-    ratio = rng.uniform(*ratio_range)
+    ratio = rng.uniform(0.1, 0.9)
     lo = 1
-    if completion_start is not None and rng.random() < completion_only_prob:
+    if completion_start is not None and rng.random() < 0.5:
         lo = completion_start
     mask = np.zeros(token_ids.shape, dtype=bool)
     mask[:, lo:] = rng.random((token_ids.shape[0], token_ids.shape[1] - lo)) < ratio

@@ -82,7 +82,7 @@ def _next_batch(cfg: TrainConfig, data_rng, corrupt_rng, corpus: bytes) -> Batch
         rows = tasks.sample_text_rows(data_rng, cfg.batch_size, corpus)
         completion_start = None  # free text has no prompt/answer split
     else:
-        rows, _ = tasks.sample_task_rows(data_rng, cfg.batch_size)
+        rows = tasks.sample_task_rows(data_rng, cfg.batch_size)
         completion_start = tasks.TASK_ROW_LEN - tasks.PAYLOAD_LEN
     if cfg.mode == MODE_DIFFUSION:
         return tasks.diffusion_batch(rows, corrupt_rng, completion_start=completion_start)
@@ -97,10 +97,6 @@ def calibration_batches(cfg: TrainConfig, n_batches: int, seed_offset: int = 710
     return [_next_batch(cfg, data_rng, corrupt_rng, corpus) for _ in range(n_batches)]
 
 
-def heldout_batches(cfg: TrainConfig, n_batches: int = 4, seed_offset: int = 9090) -> list:
-    return calibration_batches(cfg, n_batches, seed_offset=seed_offset)
-
-
 def train(cfg: TrainConfig) -> ModelCheckpoint:
     """Train from scratch; deterministic in the seed, logs (step, loss) CSV."""
     corpus = tasks.load_corpus(cfg.corpus_path)
@@ -113,19 +109,16 @@ def train(cfg: TrainConfig) -> ModelCheckpoint:
     corrupt_rng = make_rng(cfg.seed + 2)
     opt = AdamState(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
 
-    held = heldout_batches(cfg)
+    held = calibration_batches(cfg, 4, seed_offset=9090)
     init_loss = float(np.mean([loss_and_grads(params, config, b, want_grads=False)[0] for b in held]))
 
     curve = []
-    prev_params = None
     for step in range(1, cfg.steps + 1):
         batch = _next_batch(cfg, data_rng, corrupt_rng, corpus)
         try:
             loss, grads = loss_and_grads(params, config, batch)
         except NumericError as exc:
-            last_good = ModelCheckpoint(config, prev_params, {"diverged_at": step}) if prev_params else None
-            raise DivergenceError(f"loss became non-finite at step {step}", last_good, step) from exc
-        prev_params = {k: v.copy() for k, v in params.items()}
+            raise DivergenceError(f"loss became non-finite at step {step}") from exc
         opt.step(params, grads)
         curve.append((step, loss))
 

@@ -356,9 +356,9 @@ class TestCriterion8Reporting:
 
         golden = Path(__file__).parent / "golden" / "table.md"
         from test_reporting import table1_fixture
-        from ptqlab.reporting import build_degradation_table, render_markdown
+        from ptqlab.reporting import degradation_table
 
-        md = render_markdown(build_degradation_table(table1_fixture()))
+        md = degradation_table(table1_fixture())
         assert "0.457 (0.439)" in md
         assert md == golden.read_text()
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from ptqlab.cli import main
 from ptqlab.errors import ContractError
 from ptqlab.pipeline import PipelineConfig, Workspace, _bench_lock
-from ptqlab.quant import QuantPlan
+from ptqlab.model import ModelCheckpoint
+from ptqlab.quant import QuantPlan, uniform_plan
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,7 +62,8 @@ class TestCliContracts:
         assert not (tmp_path / "ws" / "checkpoints").exists()
 
     @pytest.mark.parametrize("override", [{"seed": "abc"}, {"train": {"steps": "3"}},
-                                          {"assign": {"ratios": 5}}])
+                                          {"assign": {"ratios": 5}},
+                                          {"suite": {"n_eval_prompts": 0}}])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
@@ -85,6 +88,13 @@ class TestCliContracts:
         assert direct == loaded
         assert direct.train_hash("ar") == loaded.train_hash("ar")
         assert direct.sensitivity_hash("ar") == loaded.sensitivity_hash("ar")
+
+    def test_plan_hash_covers_rank_mode_and_group_size(self):
+        cfg = PipelineConfig(workspace="w")
+        changed = [replace(cfg, grid=replace(cfg.grid, rank_mode="normalized")),
+                   replace(cfg, gptq=replace(cfg.gptq, group_size=64))]
+        hashes = {c.plan_hash("ar", (0.5, 0.5, 0.0), (16, 8, 4)) for c in [cfg, *changed]}
+        assert len(hashes) == 3
 
     def test_dry_run_plans_22_cells(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -144,6 +154,30 @@ class TestPipelineStages:
         assert out["plan"].endswith("ar_split_16-8-4.json")
         bits = sorted(s.bits for s in QuantPlan.load(out["plan"]).specs.values())
         assert bits == [4, 4, 8, 8, 16, 16]
+
+    def test_assign_budget_rejects_levels(self, tmp_path, capsys):
+        # the budget search assigns 16/8/4 bits; other levels would break its average
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        capsys.readouterr()
+        assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "10",
+                     "--levels", "8,4,4"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (tmp_path / "ws" / "plans").exists()
+        assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "10"]) == 0
+
+    def test_gptq_rejects_a_plan(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        ckpt = ModelCheckpoint.load(tmp_path / "ws" / "checkpoints" / "ar.ckpt")
+        plan = tmp_path / "plan.json"
+        uniform_plan(ckpt, 8).save(plan)
+        capsys.readouterr()
+        assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "gptq",
+                     "--bits", "4", "--plan", str(plan)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (tmp_path / "ws" / "quantized").exists()
 
     def test_assign_rejects_stale_sensitivity(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

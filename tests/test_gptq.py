@@ -47,8 +47,9 @@ class TestCalibration:
         rng = make_rng(5)
         ids = rng.integers(0, 256, size=(2, 6))
         batch = Batch(ids, np.zeros_like(ids, dtype=bool))
-        single = collect_calibration(ckpt, [batch])
-        double = collect_calibration(ckpt, [batch, batch])
+        paths = ckpt.quantizable_paths()
+        single = collect_calibration(ckpt, [batch], paths)
+        double = collect_calibration(ckpt, [batch, batch], paths)
         for path, calib in single.items():
             assert np.allclose(calib.hessian, calib.hessian.T, atol=1e-9)
             eigs = np.linalg.eigvalsh(calib.hessian)
@@ -182,8 +183,8 @@ class TestModelQuantization:
         cfg = GptqConfig(bits=2)
         seq, _ = gptq_quantize_model(ckpt, batches, cfg)
         # reference: every layer calibrated on the unquantized model
-        calibs = collect_calibration(ckpt, batches)
         paths = ckpt.quantizable_paths()
+        calibs = collect_calibration(ckpt, batches, paths)
         iso = {p: dequantize(gptq_quantize_layer(ckpt.params[p], calibs[p], cfg)[0])
                .astype(np.float32) for p in paths}
         # the first stage (q/k/v) sees the same calibration either way, later

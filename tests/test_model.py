@@ -5,7 +5,9 @@ from ptqlab.errors import ContractError, ParameterError, ShapeError
 from ptqlab.model import (BOS_ID, MASK_ID, Batch, ModelCheckpoint, ModelConfig,
                           forward_logits, generate_ar, generate_diffusion,
                           loss_and_grads, new_checkpoint, prediction_targets)
-from ptqlab.numerics import finite_diff_grad_check, make_rng
+from ptqlab.numerics import make_rng
+
+from gradcheck import finite_diff_grad_check
 
 TINY = dict(d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=16)
 
@@ -173,26 +175,41 @@ class TestGenerateAr:
             generate_ar(tiny_ckpt("ar"), [BOS_ID] * 10, 10)
 
 
+def masked_inputs(monkeypatch) -> list:
+    """The MASK count of the input of every forward pass generate_diffusion runs."""
+    counts = []
+    real = forward_logits
+
+    def counting(params, config, ids, *args, **kwargs):
+        counts.append(int(np.sum(ids == MASK_ID)))
+        return real(params, config, ids, *args, **kwargs)
+
+    monkeypatch.setattr("ptqlab.model.generate.forward_logits", counting)
+    return counts
+
+
 class TestGenerateDiffusion:
-    def test_single_step_commits_everything(self):
+    def test_single_step_commits_everything(self, monkeypatch):
         ckpt = tiny_ckpt("diffusion")
-        history = []
-        out = generate_diffusion(ckpt, [BOS_ID, 65], 6, steps=1, history=history)
-        assert history == [0]
+        counts = masked_inputs(monkeypatch)
+        out = generate_diffusion(ckpt, [BOS_ID, 65], 6, steps=1)
+        assert counts == [6]
         assert MASK_ID not in out
 
-    def test_one_position_per_step(self):
+    def test_one_position_per_step(self, monkeypatch):
         ckpt = tiny_ckpt("diffusion")
-        history = []
-        generate_diffusion(ckpt, [BOS_ID], 5, steps=5, history=history)
-        assert history == [4, 3, 2, 1, 0]
+        counts = masked_inputs(monkeypatch)
+        out = generate_diffusion(ckpt, [BOS_ID], 5, steps=5)
+        assert counts == [5, 4, 3, 2, 1]
+        assert MASK_ID not in out
 
-    def test_masked_count_trajectory_10_4(self):
+    def test_masked_count_trajectory_10_4(self, monkeypatch):
         # k = ceil(remaining / steps_left): 10->7->4->2->0
         ckpt = tiny_ckpt("diffusion")
-        history = []
-        generate_diffusion(ckpt, [BOS_ID], 10, steps=4, history=history)
-        assert history == [7, 4, 2, 0]
+        counts = masked_inputs(monkeypatch)
+        out = generate_diffusion(ckpt, [BOS_ID], 10, steps=4)
+        assert counts == [10, 7, 4, 2]
+        assert MASK_ID not in out
 
     def test_terminates_for_all_step_counts(self):
         ckpt = tiny_ckpt("diffusion", seed=13)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptqlab.errors import CoverageError, NumericError
+from ptqlab.errors import CoverageError, NumericError, ParameterError
 from ptqlab.model import ModelConfig, new_checkpoint
 from ptqlab.numerics import make_rng
 from ptqlab.quant import (GroupQuantSpec, QuantPlan, dequantize, memory_footprint,
@@ -37,9 +37,9 @@ class TestQuantizeGroup:
         assert np.abs(vals - deq).max() <= scale / 2
 
     def test_rejects_16_and_nonfinite(self):
-        # 16 bits never reaches the rounding path: no scales, no codes
-        qw = quantize_weight(np.array([[1.0]]), GroupQuantSpec(16))
-        assert qw.scales is None and qw.codes is None
+        # 16 bits is passthrough: rtn_quantize_model keeps the weight
+        with pytest.raises(ParameterError):
+            quantize_weight(np.array([[1.0]]), GroupQuantSpec(16))
         with pytest.raises(NumericError):
             quantize_row([1.0, np.nan], bits=4)
 
@@ -118,12 +118,16 @@ class TestWeightProperties:
             assert mses[0] >= mses[1] >= mses[2] >= mses[3]
 
     def test_passthrough_is_exact(self):
-        rng = make_rng(8)
-        w = rng.standard_normal((3, 10)).astype(np.float32)
-        qw = quantize_weight(w, GroupQuantSpec(16))
-        out = dequantize(qw)
-        assert out.dtype == np.float32
-        assert np.array_equal(out, w)
+        # the 16-bit modules of a mixed plan keep their float32 bytes
+        ckpt = small_ckpt()
+        plan = uniform_plan(ckpt, 4)
+        kept = plan.paths()[::2]
+        for path in kept:
+            plan.specs[path] = GroupQuantSpec(16)
+        out = rtn_quantize_model(ckpt, plan)
+        for path in plan.paths():
+            same = out.params[path].tobytes() == ckpt.params[path].tobytes()
+            assert same == (path in kept)
 
 
 def small_ckpt(mode="ar", seed=1):

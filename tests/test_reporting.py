@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 from ptqlab.errors import ContractError
 from ptqlab.evaluation import EvalResult
 from ptqlab.numerics import make_rng
-from ptqlab.reporting import (ParetoPoint, build_degradation_table, emit,
-                              latency_chart, pareto_chart, pareto_frontier,
-                              points_from_results, render_markdown,
+from ptqlab.reporting import (ParetoPoint, degradation_table, emit, latency_chart,
+                              pareto_chart, pareto_frontier, points_from_results,
                               results_to_csv_text, trend_notes)
 
 GOLDEN = Path(__file__).parent / "golden" / "table.md"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def fixture_result(model, mode, method, plan, scores, raw, lat=10.0, lat_std=0.3):
@@ -90,23 +91,22 @@ class TestPareto:
 
 class TestDegradationTable:
     def test_golden_markdown(self):
-        md = render_markdown(build_degradation_table(table1_fixture()))
-        assert md == GOLDEN.read_text()
+        assert degradation_table(table1_fixture()) == GOLDEN.read_text()
 
     def test_cell_and_collapse_formatting(self):
-        md = render_markdown(build_degradation_table(table1_fixture()))
+        md = degradation_table(table1_fixture())
         assert "0.457 (0.439)" in md
         assert "0.000 (0.000)" in md
 
     def test_baseline_deltas_zero(self):
-        table = build_degradation_table(table1_fixture())
-        baseline_row = [r for r in table.rows if r[0] == "16bit"][0]
-        assert baseline_row[-2:] == ["0.000", "0.000"]
+        (baseline_row,) = [line for line in degradation_table(table1_fixture()).splitlines()
+                           if line.startswith("| 16bit |")]
+        assert baseline_row.endswith("| 0.000 | 0.000 |")
 
     def test_missing_baseline_rejected(self):
         rows = [r for r in table1_fixture() if r.method != "baseline"]
         with pytest.raises(ContractError):
-            build_degradation_table(rows)
+            degradation_table(rows)
 
 
 class TestCsvRoundTrip:
@@ -155,10 +155,17 @@ class TestEmission:
         results = table1_fixture()
         first = emit(results, tmp_path / "a")
         second = emit(results, tmp_path / "b")
-        assert set(first) == {"results.csv", "report.json", "results.jsonl",
-                              "table.md", "latency.svg", "pareto.svg"}
+        assert set(first) == {"results.csv", "report.json", "table.md", "latency.svg",
+                              "pareto.svg"}
         for name in first:
             assert first[name].read_bytes() == second[name].read_bytes()
+
+    def test_readme_workspace_layout_names_the_report_files(self, tmp_path):
+        layout = README.read_text().split("## Workspace layout")[1].split("```")[1]
+        # an entry is "report/<file>" or "report/<file>, <file>", then its description
+        names = {name for m in re.finditer(r"^\s*report/([^\s,]+(?:, [^\s,]+)*)", layout, re.M)
+                 for name in m.group(1).split(", ")}
+        assert names == set(emit(table1_fixture(), tmp_path))
 
     def test_svg_series_per_model_method(self):
         svg = latency_chart(table1_fixture())

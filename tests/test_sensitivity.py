@@ -29,7 +29,7 @@ class QuadraticProbe:
 class TestFiniteDiffHvp:
     def test_matches_analytic_hessian(self):
         probe = QuadraticProbe(np.diag([3.0, 1.0]), w0=np.array([0.7, -0.4]))
-        hv = finite_diff_hvp(probe.gradient, np.array([1.0, 0.0]), eps=1e-3)
+        hv = finite_diff_hvp(probe.gradient, np.array([1.0, 0.0]), 1e-3, probe.gradient(None))
         assert np.abs(hv - np.array([3.0, 0.0])).max() <= 1e-6 * 3.0
 
     def test_eps_invariance_on_quadratics(self):
@@ -38,8 +38,9 @@ class TestFiniteDiffHvp:
         probe = QuadraticProbe(m.T @ m, w0=rng.standard_normal(5))
         v = rng.standard_normal(5)
         v /= np.linalg.norm(v)
-        a = finite_diff_hvp(probe.gradient, v, eps=1e-3)
-        b = finite_diff_hvp(probe.gradient, v, eps=5e-4)
+        base = probe.gradient(None)
+        a = finite_diff_hvp(probe.gradient, v, 1e-3, base)
+        b = finite_diff_hvp(probe.gradient, v, 5e-4, base)
         assert np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(a).max())
 
 
@@ -150,8 +151,9 @@ class TestModelHvp:
         v = sample_sparse_direction(make_rng(7), ckpt.params[path].size, 1.0)
         oracle = ModuleGradientOracle(ckpt, batches, path)
         eps = default_eps(oracle, 1e-3)
-        hv_pos = finite_diff_hvp(oracle.gradient, v, eps)
-        hv_neg = finite_diff_hvp(oracle.gradient, -v, eps)
+        base = oracle.gradient(None)
+        hv_pos = finite_diff_hvp(oracle.gradient, v, eps, base)
+        hv_neg = finite_diff_hvp(oracle.gradient, -v, eps, base)
         denom = np.abs(hv_pos).max() + 1e-12
         assert np.abs(hv_pos + hv_neg).max() / denom <= 1e-4
 
