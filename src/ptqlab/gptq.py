@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ContractError, NotPositiveDefiniteError, ParameterError
 from .model import ModelCheckpoint, prediction_targets
 from .model.config import MODE_DIFFUSION, Batch
-from .model.network import forward_logits
+from .model.network import block_fwd, block_index, embed_fwd
 from .numerics import cholesky_upper_of_inverse
 from .quant import (DEFAULT_GROUP_SIZE, QUANT_BITS, GroupQuantSpec, QuantizedWeight,
                     dequantize, group_scales, round_half_away_from_zero)
@@ -76,21 +76,19 @@ def calibration_inputs(ckpt: ModelCheckpoint, batch: Batch) -> np.ndarray:
     return batch.token_ids
 
 
-def collect_calibration(ckpt: ModelCheckpoint, batches, paths) -> dict:
-    """Accumulate the Hessians of the layers at ``paths`` over the calibration batches."""
-    if not batches:
-        raise ContractError("no calibration batches")
+def collect_calibration(ckpt: ModelCheckpoint, inputs, paths) -> dict:
+    """Accumulate the Hessians of the layers at ``paths`` from their block's cached inputs.
+
+    The layers share one input, as the layers of a stage of
+    :func:`gptq_quantize_model` do: the block runs from each cached input
+    (one per calibration batch) up to that input and no further.
+    """
+    i = block_index(paths[0])
     calibs = {p: LayerCalibration(p, np.zeros((ckpt.params[p].shape[1],) * 2)) for p in paths}
-    total_tokens = 0
-    for batch in batches:
-        capture: dict = {}
-        forward_logits(ckpt.params, ckpt.config, calibration_inputs(ckpt, batch), capture=capture)
+    for x in inputs:
+        x2d = block_fwd(ckpt.params, ckpt.config, i, x, stop=paths[0])
         for p in paths:
-            for x in capture.get(p, ()):
-                calibs[p].add(x)
-        total_tokens += batch.token_ids.size
-    if total_tokens == 0:
-        raise ContractError("calibration batches contain zero tokens")
+            calibs[p].add(x2d)
     return calibs
 
 
@@ -127,7 +125,9 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqCo
         perm = np.argsort(-np.diag(h), kind="stable")
     else:
         perm = np.arange(d_in)
-    wp = w_orig[:, perm].copy()
+    # row j of the working copy is column perm[j]: each step reads one
+    # contiguous row and updates the contiguous rows below it
+    wt = np.ascontiguousarray(w_orig[:, perm].T)
     hp = h[perm][:, perm]
 
     upper = _damped_inverse_factor(hp, cfg.damping)
@@ -136,8 +136,7 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqCo
     n_groups = math.ceil(d_in / gs)
     scales = np.zeros((d_out, n_groups), dtype=np.float64)
     seen_group = np.zeros(n_groups, dtype=bool)
-    codes_perm = np.zeros((d_out, d_in), dtype=np.int16)
-    deq_perm = np.zeros((d_out, d_in), dtype=np.float64)
+    codes_t = np.zeros((d_in, d_out), dtype=np.int16)
 
     group_of = perm // gs  # original-index group of each processed column
     col_in_group = {g: np.nonzero(group_of == g)[0] for g in range(n_groups)}
@@ -146,29 +145,30 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqCo
         g = group_of[j]
         if not seen_group[g]:
             # scales from the current (compensated) weights of this group
-            scales[:, g] = group_scales(wp[:, col_in_group[g]], qmax)
+            scales[:, g] = group_scales(wt[col_in_group[g]].T, qmax)
             seen_group[g] = True
         s = scales[:, g]
-        codes = np.clip(round_half_away_from_zero(wp[:, j] / s), -qmax, qmax).astype(np.int16)
+        w_j = wt[j]
+        codes = np.clip(round_half_away_from_zero(w_j / s), -qmax, qmax).astype(np.int16)
         deq = codes.astype(np.float64) * s
-        codes_perm[:, j] = codes
-        deq_perm[:, j] = deq
+        codes_t[j] = codes
         if j + 1 < d_in:
-            err = (wp[:, j] - deq) / upper[j, j]
-            wp[:, j + 1:] -= np.outer(err, upper[j, j + 1:])
+            err = (w_j - deq) / upper[j, j]
+            wt[j + 1:] -= upper[j, j + 1:, None] * err
+        w_j[:] = deq  # the working copy ends as the dequantized weight
 
     inv_perm = np.argsort(perm)
     qw = QuantizedWeight((d_out, d_in), cfg.spec(), scales,
-                         codes_perm[:, inv_perm])
-    delta = w_orig - deq_perm[:, inv_perm]
+                         np.ascontiguousarray(codes_t[inv_perm].T))
+    delta = w_orig - np.ascontiguousarray(wt[inv_perm].T)
     recon_error = float(np.trace(delta.T @ delta @ h)) / 2.0
     return qw, recon_error
 
 
 def _stage_key(path: str):
     # q/k/v share inputs and do not affect each other's inputs
-    parts = path.split(".")  # blocks.<i>.<attn|mlp>.<layer>.weight
-    return (int(parts[1]), {"q": 0, "k": 0, "v": 0, "o": 1, "fc_in": 2, "fc_out": 3}[parts[-2]])
+    layer = path.split(".")[-2]  # blocks.<i>.<attn|mlp>.<layer>.weight
+    return (block_index(path), {"q": 0, "k": 0, "v": 0, "o": 1, "fc_in": 2, "fc_out": 3}[layer])
 
 
 def gptq_quantize_model(ckpt: ModelCheckpoint, batches, cfg: GptqConfig):
@@ -176,15 +176,24 @@ def gptq_quantize_model(ckpt: ModelCheckpoint, batches, cfg: GptqConfig):
 
     Each stage's calibration inputs come from the already-quantized prefix
     of the model, so downstream layers see the activation distribution they
-    will face at inference time.
+    will face at inference time. The input of every block is cached per
+    batch and advanced through a block once all its layers are quantized,
+    so a stage runs only its own block, and the head never runs.
     """
+    if not batches:
+        raise ContractError("no calibration batches")
     stages: dict = {}
     for p in ckpt.quantizable_paths():
         stages.setdefault(_stage_key(p), []).append(p)
     out = ckpt.copy()
+    inputs = [embed_fwd(out.params, out.config, calibration_inputs(out, b))[0] for b in batches]
+    block = 0
     report = []
     for key in sorted(stages):
-        calibs = collect_calibration(out, batches, stages[key])
+        while block < key[0]:
+            inputs = [block_fwd(out.params, out.config, block, x)[0] for x in inputs]
+            block += 1
+        calibs = collect_calibration(out, inputs, stages[key])
         for p in stages[key]:
             qw, err = gptq_quantize_layer(out.params[p], calibs[p], cfg)
             out.params[p] = _deq32(qw)

@@ -24,9 +24,12 @@ def linear_fwd(x, weight, bias):
     return y, (x, weight)
 
 
-def linear_bwd(dout, cache):
+def linear_bwd(dout, cache, input_grad: bool = True, weight_grads: bool = True):
+    """(dx, dw, db); the gradients not asked for are None."""
     x, weight = cache
-    dx = dout @ weight
+    dx = dout @ weight if input_grad else None
+    if not weight_grads:
+        return dx, None, None
     dw = dout.T @ x
     db = np.sum(dout, axis=0, dtype=np.float64).astype(x.dtype)
     return dx, dw, db
@@ -40,13 +43,16 @@ def layer_norm_fwd(x, gain, bias):
     return gain * norm + bias, (norm, inv_std, gain)
 
 
-def layer_norm_bwd(dout, cache):
+def layer_norm_bwd(dout, cache, weight_grads: bool = True):
+    """(dx, dgain, dbias); without ``weight_grads`` only dx, the others None."""
     norm, inv_std, gain = cache
     dnorm = dout * gain
     # d/dx of (x - mean) * inv_std, mean/var taken over the last axis
     mean_dnorm = np.mean(dnorm, axis=-1, keepdims=True, dtype=np.float64).astype(dout.dtype)
     mean_dnorm_norm = np.mean(dnorm * norm, axis=-1, keepdims=True, dtype=np.float64).astype(dout.dtype)
     dx = inv_std * (dnorm - mean_dnorm - norm * mean_dnorm_norm)
+    if not weight_grads:
+        return dx, None, None
     axes = tuple(range(dout.ndim - 1))
     dgain = np.sum(dout * norm, axis=axes, dtype=np.float64).astype(dout.dtype)
     dbias = np.sum(dout, axis=axes, dtype=np.float64).astype(dout.dtype)

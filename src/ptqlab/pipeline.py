@@ -241,6 +241,8 @@ def stage_sensitivity(ws: Workspace, mode: str, force: bool = False,
 
 def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
                  budget: float | None = None, force: bool = False) -> dict:
+    if budget is not None and ratios is not None:
+        raise ParameterError("--budget chooses the ratios; pass --budget or --ratios, not both")
     cfg = ws.cfg
     json_path = ws.path("sensitivity", f"{mode}.json")
     if not json_path.exists():
@@ -285,6 +287,8 @@ def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, bits: int 
         raise ParameterError(f"unknown method {method!r} (rtn or gptq)")
     if method == "gptq" and (bits is None or plan is not None):
         raise ParameterError("gptq quantization is uniform; pass --bits and no --plan")
+    if bits is not None and plan is not None:
+        raise ParameterError("pass --bits or --plan, not both")
     if plan is None:
         if bits is None:
             raise ParameterError("quantize needs --bits or --plan")

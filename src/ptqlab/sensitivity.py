@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .files import write_atomic
-from .model import ModelCheckpoint, loss_and_grads
+from .model import ModelCheckpoint, forward_logits, loss_and_grads, prediction_targets
+from .model.network import block_index
 from .numerics import make_rng, sample_sparse_direction
 
 CONVERGENCE_TOL = 1e-2
@@ -107,22 +108,40 @@ def power_iteration(grad_fn, n_params: int, rng, rho: float, n_iters: int, eps: 
     return lam, iters, converged
 
 
+def float64_pass(ckpt: ModelCheckpoint, batches) -> tuple:
+    """(float64 parameter copy, per-batch block inputs) shared by a model's oracles.
+
+    One unperturbed forward per batch caches the input of every block, so
+    a gradient call can resume at the block of its module.
+    """
+    if not batches:
+        raise ParameterError("need at least one calibration batch")
+    params = {k: v.astype(np.float64) for k, v in ckpt.params.items()}
+    inputs = []
+    for batch in batches:
+        input_ids, _, _ = prediction_targets(ckpt.config, batch)
+        inputs.append(forward_logits(params, ckpt.config, input_ids, np.float64)[1]["inputs"])
+    return params, inputs
+
+
 class ModuleGradientOracle:
     """Averaged gradient of the loss w.r.t. one module's weight, in float64.
 
-    Works on a private float64 copy of the parameters; a perturbation is
-    applied and restored around each gradient call, so the source
-    checkpoint's bytes never change.
+    ``params`` and ``inputs`` come from :func:`float64_pass`. Each call
+    resumes the forward at the module's block from its cached input and
+    stops the backward at the module. A perturbation is applied to the
+    float64 copy and restored around each call, so the source checkpoint's
+    bytes never change.
     """
 
-    def __init__(self, ckpt: ModelCheckpoint, batches, path: str):
-        if not batches:
-            raise ParameterError("need at least one calibration batch")
-        self.config = ckpt.config
+    def __init__(self, config, params: dict, batches, inputs, path: str):
+        self.config = config
+        self.params = params
         self.batches = list(batches)
         self.path = path
-        self.params = {k: v.astype(np.float64) for k, v in ckpt.params.items()}
-        self.n_params = int(self.params[path].size)
+        self.block = block_index(path)
+        self.inputs = [x[self.block] for x in inputs]
+        self.n_params = int(params[path].size)
 
     def gradient(self, delta: np.ndarray | None = None) -> np.ndarray:
         weight = self.params[self.path]
@@ -130,8 +149,9 @@ class ModuleGradientOracle:
             self.params[self.path] = weight + delta.reshape(weight.shape)
         try:
             acc = np.zeros(self.n_params, dtype=np.float64)
-            for batch in self.batches:
-                _, grads = loss_and_grads(self.params, self.config, batch, dtype=np.float64)
+            for batch, x in zip(self.batches, self.inputs):
+                _, grads = loss_and_grads(self.params, self.config, batch, np.float64,
+                                          start=self.block, x=x, stop=self.path)
                 acc += grads[self.path].ravel()
         finally:
             self.params[self.path] = weight
@@ -150,20 +170,22 @@ def _module_seed(seed: int, name: str) -> int:
     return (int.from_bytes(digest[:8], "little") ^ (seed * 0x9E3779B97F4A7C15)) % (2**63)
 
 
-def power_iteration_sensitivity(ckpt: ModelCheckpoint, batches, path: str,
+def power_iteration_sensitivity(oracle: ModuleGradientOracle,
                                 cfg: SensitivityConfig) -> SensitivityRecord:
-    """Score one module on a fixed calibration sub-sample."""
-    oracle = ModuleGradientOracle(ckpt, batches[:cfg.n_batches], path)
+    """Score the oracle's module."""
     eps = default_eps(oracle, cfg.eps_scale)
-    rng = make_rng(_module_seed(cfg.seed, path))
+    rng = make_rng(_module_seed(cfg.seed, oracle.path))
     lam, iters, converged = power_iteration(
         oracle.gradient, oracle.n_params, rng, cfg.rho, cfg.n_power_iters, eps)
-    return SensitivityRecord(path, lam, oracle.n_params, iters, converged)
+    return SensitivityRecord(oracle.path, lam, oracle.n_params, iters, converged)
 
 
 def compute_sensitivities(ckpt: ModelCheckpoint, batches, cfg: SensitivityConfig) -> list:
-    """One record per quantizable module, in forward order."""
-    return [power_iteration_sensitivity(ckpt, batches, path, cfg)
+    """One record per quantizable module, in forward order, on the first ``n_batches``."""
+    batches = batches[:cfg.n_batches]
+    params, inputs = float64_pass(ckpt, batches)
+    return [power_iteration_sensitivity(
+                ModuleGradientOracle(ckpt.config, params, batches, inputs, path), cfg)
             for path in ckpt.quantizable_paths()]
 
 

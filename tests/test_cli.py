@@ -167,6 +167,30 @@ class TestPipelineStages:
         assert not (tmp_path / "ws" / "plans").exists()
         assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "10"]) == 0
 
+    def test_assign_budget_rejects_ratios(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        capsys.readouterr()
+        assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "10",
+                     "--ratios", "0.5,0.5,0"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (tmp_path / "ws" / "plans").exists()
+
+    def test_rtn_rejects_bits_with_a_plan(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        ckpt = ModelCheckpoint.load(tmp_path / "ws" / "checkpoints" / "ar.ckpt")
+        plan = tmp_path / "plan.json"
+        uniform_plan(ckpt, 8).save(plan)
+        capsys.readouterr()
+        assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "rtn",
+                     "--bits", "2", "--plan", str(plan)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (tmp_path / "ws" / "quantized").exists()
+        assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "rtn",
+                     "--plan", str(plan)]) == 0
+
     def test_gptq_rejects_a_plan(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0

@@ -1,14 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from ptqlab.errors import NotPositiveDefiniteError, ParameterError
-from ptqlab.gptq import (MAX_RETRIES, GptqConfig, LayerCalibration, collect_calibration,
+from ptqlab.gptq import (MAX_RETRIES, GptqConfig, LayerCalibration, _damped_inverse_factor,
+                         _stage_key, calibration_inputs, collect_calibration,
                          gptq_quantize_layer, gptq_quantize_model)
-from ptqlab.model import Batch, ModelConfig, new_checkpoint
+from ptqlab.model import Batch, ModelConfig, forward_logits, layers, network, new_checkpoint
 from ptqlab.numerics import make_rng
-from ptqlab.quant import GroupQuantSpec, dequantize, quantize_weight
+from ptqlab.quant import (GroupQuantSpec, QuantizedWeight, dequantize, group_scales,
+                          quantize_weight, round_half_away_from_zero)
 from ptqlab.trainer import TrainConfig, calibration_batches
 
 
@@ -28,6 +31,85 @@ def calib_from_inputs(x, path="layer"):
     return c
 
 
+def full_forward_inputs(ckpt, batches) -> dict:
+    """path -> the 2-D input of that projection in a full forward (head included) per batch."""
+    by_id = {id(ckpt.params[p]): p for p in ckpt.quantizable_paths()}
+    seen: dict = {}
+    real = layers.linear_fwd
+
+    def recording(x, weight, bias):
+        if id(weight) in by_id:
+            seen.setdefault(by_id[id(weight)], []).append(np.array(x, dtype=np.float32))
+        return real(x, weight, bias)
+
+    layers.linear_fwd = recording
+    try:
+        for batch in batches:
+            forward_logits(ckpt.params, ckpt.config, calibration_inputs(ckpt, batch))
+    finally:
+        layers.linear_fwd = real
+    return seen
+
+
+def calib_from_list(path, xs, d_in):
+    c = LayerCalibration(path, np.zeros((d_in, d_in)))
+    for x in xs:
+        c.add(x)
+    return c
+
+
+def reference_quantize_layer(weight, calib, cfg):
+    """The column loop on an untransposed (d_out, d_in) working copy."""
+    w_orig = np.asarray(weight, dtype=np.float64)
+    d_out, d_in = w_orig.shape
+    h = calib.hessian
+    if cfg.column_order == "by_diag_desc":
+        perm = np.argsort(-np.diag(h), kind="stable")
+    else:
+        perm = np.arange(d_in)
+    wp = w_orig[:, perm].copy()
+    upper = _damped_inverse_factor(h[perm][:, perm], cfg.damping)
+    qmax = cfg.spec().qmax
+    n_groups = math.ceil(d_in / cfg.group_size)
+    scales = np.zeros((d_out, n_groups))
+    seen_group = np.zeros(n_groups, dtype=bool)
+    codes_perm = np.zeros((d_out, d_in), dtype=np.int16)
+    deq_perm = np.zeros((d_out, d_in))
+    group_of = perm // cfg.group_size
+    for j in range(d_in):
+        g = group_of[j]
+        if not seen_group[g]:
+            scales[:, g] = group_scales(wp[:, np.nonzero(group_of == g)[0]], qmax)
+            seen_group[g] = True
+        s = scales[:, g]
+        codes = np.clip(round_half_away_from_zero(wp[:, j] / s), -qmax, qmax).astype(np.int16)
+        deq = codes.astype(np.float64) * s
+        codes_perm[:, j] = codes
+        deq_perm[:, j] = deq
+        if j + 1 < d_in:
+            err = (wp[:, j] - deq) / upper[j, j]
+            wp[:, j + 1:] -= np.outer(err, upper[j, j + 1:])
+    inv_perm = np.argsort(perm)
+    delta = w_orig - deq_perm[:, inv_perm]
+    qw = QuantizedWeight((d_out, d_in), cfg.spec(), scales, codes_perm[:, inv_perm])
+    return qw, float(np.trace(delta.T @ delta @ h)) / 2.0
+
+
+def reference_quantize_model(ckpt, batches, cfg):
+    """Sequential GPTQ, each stage calibrated by full forwards of the quantized prefix."""
+    out = ckpt.copy()
+    errors = []
+    for _, stage in itertools.groupby(ckpt.quantizable_paths(), key=_stage_key):
+        stage = list(stage)
+        seen = full_forward_inputs(out, batches)
+        for p in stage:
+            calib = calib_from_list(p, seen[p], out.params[p].shape[1])
+            qw, err = reference_quantize_layer(out.params[p], calib, cfg)
+            out.params[p] = dequantize(qw).astype(np.float32)
+            errors.append((p, err))
+    return out, errors
+
+
 class TestCalibration:
     def test_single_outer_product(self):
         c = calib_from_inputs(np.array([[1.0, 0.0]]))
@@ -45,16 +127,14 @@ class TestCalibration:
         ckpt = new_checkpoint(ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16,
                                           max_seq_len=32, mode="ar"), 1)
         rng = make_rng(5)
-        ids = rng.integers(0, 256, size=(2, 6))
-        batch = Batch(ids, np.zeros_like(ids, dtype=bool))
-        paths = ckpt.quantizable_paths()
-        single = collect_calibration(ckpt, [batch], paths)
-        double = collect_calibration(ckpt, [batch, batch], paths)
-        for path, calib in single.items():
+        x, _ = network.embed_fwd(ckpt.params, ckpt.config, rng.integers(0, 256, size=(2, 6)))
+        for path in ckpt.quantizable_paths():
+            calib = collect_calibration(ckpt, [x], [path])[path]
+            double = collect_calibration(ckpt, [x, x], [path])[path]
             assert np.allclose(calib.hessian, calib.hessian.T, atol=1e-9)
             eigs = np.linalg.eigvalsh(calib.hessian)
             assert eigs.min() >= -1e-8  # dense PSD oracle
-            assert np.allclose(double[path].hessian, 2 * calib.hessian, rtol=1e-12)
+            assert np.allclose(double.hessian, 2 * calib.hessian, rtol=1e-12)
 
 
 class TestLayerQuantization:
@@ -143,6 +223,21 @@ class TestLayerQuantization:
         with pytest.raises(NotPositiveDefiniteError):
             gptq_quantize_layer(w, indefinite(50.0), GptqConfig(bits=3))
 
+    @pytest.mark.parametrize("order", ["ascending", "by_diag_desc"])
+    def test_transposed_loop_matches_reference_bytes(self, order):
+        rng = make_rng(21)
+        for d_out, d_in, group in ((5, 12, 4), (7, 10, 128), (3, 9, 4)):
+            w = rng.standard_normal((d_out, d_in))
+            calib = calib_from_inputs(rng.standard_normal((30, d_in)) @
+                                      rng.standard_normal((d_in, d_in)))
+            for bits in (2, 3, 4, 8):
+                cfg = GptqConfig(bits=bits, group_size=group, column_order=order)
+                qw, err = gptq_quantize_layer(w, calib, cfg)
+                ref, ref_err = reference_quantize_layer(w, calib, cfg)
+                assert qw.codes.tobytes() == ref.codes.tobytes()
+                assert qw.scales.tobytes() == ref.scales.tobytes()
+                assert err == ref_err
+
     def test_config_rejects_16_bits(self):
         with pytest.raises(ParameterError):
             GptqConfig(bits=16)
@@ -172,6 +267,27 @@ class TestModelQuantization:
         for p in untouched:
             assert np.array_equal(out.params[p], ckpt.params[p])
 
+    @pytest.mark.parametrize("mode", ["ar", "diffusion"])
+    def test_matches_full_forward_reference_bytes(self, mode):
+        cfg = TrainConfig(mode=mode, steps=3, seed=4, d_model=16, n_layers=2, n_heads=2,
+                          d_ff=32, max_seq_len=32)
+        from ptqlab.trainer import train
+
+        ckpt = train(cfg)
+        batches = calibration_batches(cfg, 2)
+        for bits in (2, 4):
+            out, report = gptq_quantize_model(ckpt, batches, GptqConfig(bits=bits))
+            ref, ref_errors = reference_quantize_model(ckpt, batches, GptqConfig(bits=bits))
+            assert [(r["path"], r["recon_error"]) for r in report] == ref_errors
+            for p in ckpt.params:
+                assert out.params[p].tobytes() == ref.params[p].tobytes(), (bits, p)
+
+    def test_a_stage_never_runs_the_head(self, monkeypatch):
+        ckpt, batches = self.make_setup()
+        for name in ("head_fwd", "forward_logits"):
+            monkeypatch.setattr(network, name, lambda *a, _n=name, **k: pytest.fail(_n))
+        gptq_quantize_model(ckpt, batches, GptqConfig(bits=4))
+
     def test_deterministic(self):
         ckpt, batches = self.make_setup()
         a, _ = gptq_quantize_model(ckpt, batches, GptqConfig(bits=3))
@@ -184,7 +300,8 @@ class TestModelQuantization:
         seq, _ = gptq_quantize_model(ckpt, batches, cfg)
         # reference: every layer calibrated on the unquantized model
         paths = ckpt.quantizable_paths()
-        calibs = collect_calibration(ckpt, batches, paths)
+        seen = full_forward_inputs(ckpt, batches)
+        calibs = {p: calib_from_list(p, seen[p], ckpt.params[p].shape[1]) for p in paths}
         iso = {p: dequantize(gptq_quantize_layer(ckpt.params[p], calibs[p], cfg)[0])
                .astype(np.float32) for p in paths}
         # the first stage (q/k/v) sees the same calibration either way, later

@@ -54,6 +54,17 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_logits(ckpt.params, ckpt.config, np.zeros((1, 17), dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_resumed_forward_matches_full_forward_bytes(self, dtype):
+        ckpt = new_checkpoint(ModelConfig(mode="ar", **dict(TINY, n_layers=3)), 4)
+        ids = rand_ids(make_rng(6), (2, 7))
+        full, tape = forward_logits(ckpt.params, ckpt.config, ids, dtype)
+        for i, x in enumerate(tape["inputs"]):
+            resumed, _ = forward_logits(ckpt.params, ckpt.config, None, dtype, start=i, x=x)
+            assert resumed.tobytes() == full.tobytes()
+        with pytest.raises(ContractError):
+            forward_logits(ckpt.params, ckpt.config, ids, dtype, start=1, x=tape["inputs"][1])
+
 
 class TestGradients:
     @pytest.mark.parametrize("mode", ["ar", "diffusion"])

@@ -5,13 +5,15 @@ import pytest
 from scipy import stats
 
 from ptqlab.errors import ParameterError
-from ptqlab.model import Batch, ModelConfig, new_checkpoint
+from ptqlab.model import Batch, ModelConfig, loss_and_grads, new_checkpoint
+from ptqlab.model import layers, network
 from ptqlab.numerics import make_rng, sample_sparse_direction
 from ptqlab.sensitivity import (ModuleGradientOracle, SensitivityConfig, SensitivityRecord,
                                 compute_sensitivities, default_eps, finite_diff_hvp,
-                                load_report, power_iteration,
+                                float64_pass, load_report, power_iteration,
                                 power_iteration_sensitivity, rank_sensitivities,
                                 save_report)
+from ptqlab.trainer import TrainConfig, calibration_batches
 
 
 class QuadraticProbe:
@@ -143,13 +145,18 @@ def tiny_batches(n=2, seed=4):
     return batches
 
 
+def make_oracle(ckpt, batches, path):
+    params, inputs = float64_pass(ckpt, batches)
+    return ModuleGradientOracle(ckpt.config, params, batches, inputs, path)
+
+
 class TestModelHvp:
     def test_sign_negation(self):
         ckpt = tiny_ckpt()
         batches = tiny_batches()
         path = "blocks.0.attn.q.weight"
         v = sample_sparse_direction(make_rng(7), ckpt.params[path].size, 1.0)
-        oracle = ModuleGradientOracle(ckpt, batches, path)
+        oracle = make_oracle(ckpt, batches, path)
         eps = default_eps(oracle, 1e-3)
         base = oracle.gradient(None)
         hv_pos = finite_diff_hvp(oracle.gradient, v, eps, base)
@@ -161,7 +168,7 @@ class TestModelHvp:
         ckpt = tiny_ckpt("diffusion")
         before = ckpt.to_bytes()
         cfg = SensitivityConfig(rho=0.5, n_power_iters=2, n_batches=2)
-        power_iteration_sensitivity(ckpt, tiny_batches(), "blocks.0.mlp.fc_in.weight", cfg)
+        compute_sensitivities(ckpt, tiny_batches(), cfg)
         assert ckpt.to_bytes() == before
 
     def test_zero_weights_flat_loss(self):
@@ -169,7 +176,8 @@ class TestModelHvp:
         for p in ckpt.params:
             ckpt.params[p] = np.zeros_like(ckpt.params[p])
         cfg = SensitivityConfig(rho=1.0, n_power_iters=3, n_batches=1)
-        rec = power_iteration_sensitivity(ckpt, tiny_batches(1), "blocks.0.attn.q.weight", cfg)
+        rec = power_iteration_sensitivity(
+            make_oracle(ckpt, tiny_batches(1), "blocks.0.attn.q.weight"), cfg)
         assert rec.lam <= 1e-12
         assert rec.converged
 
@@ -179,6 +187,58 @@ class TestModelHvp:
         records = compute_sensitivities(ckpt, tiny_batches(), cfg)
         assert [r.path for r in records] == ckpt.quantizable_paths()
         assert all(r.lam >= 0 and r.n_params == ckpt.n_params(r.path) for r in records)
+
+
+def two_block_setup(mode):
+    """A two-block checkpoint and calibration batches mixing task and text rows."""
+    cfg = TrainConfig(mode=mode, steps=1, seed=5, batch_size=3, text_fraction=0.5,
+                      d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq_len=32)
+    ckpt = new_checkpoint(cfg.model_config(), 5)
+    batches = calibration_batches(cfg, 4)
+    assert {b.token_ids.shape[1] for b in batches} == {20, 32}  # task and text rows
+    return ckpt, batches
+
+
+class TestPartialPasses:
+    @pytest.mark.parametrize("mode", ["ar", "diffusion"])
+    def test_partial_gradient_equals_full_gradient_bytes(self, mode):
+        ckpt, batches = two_block_setup(mode)
+        params, inputs = float64_pass(ckpt, batches)
+        for path in ckpt.quantizable_paths():
+            oracle = ModuleGradientOracle(ckpt.config, params, batches, inputs, path)
+            delta = 1e-3 * sample_sparse_direction(make_rng(9), oracle.n_params, 0.5)
+            for d in (None, delta):
+                full = {k: v.astype(np.float64) for k, v in ckpt.params.items()}
+                if d is not None:
+                    full[path] = full[path] + d.reshape(full[path].shape)
+                want = np.zeros(oracle.n_params)
+                for batch in batches:
+                    want += loss_and_grads(full, ckpt.config, batch, np.float64)[1][path].ravel()
+                want /= len(batches)
+                assert oracle.gradient(d).tobytes() == want.tobytes(), (path, d is None)
+
+    def test_no_embedding_backward(self, monkeypatch):
+        monkeypatch.setattr(layers, "embedding_bwd", lambda *a, **k: pytest.fail("embedding_bwd"))
+        ckpt, batches = two_block_setup("ar")
+        compute_sensitivities(ckpt, batches, SensitivityConfig(rho=0.5, n_power_iters=1,
+                                                               n_batches=2))
+
+    def test_block_one_gradient_runs_no_block_zero_layer(self, monkeypatch):
+        ckpt, batches = two_block_setup("ar")
+        oracle = make_oracle(ckpt, batches, "blocks.1.attn.k.weight")
+        ran = []
+        for name in ("embed_fwd", "block_fwd", "block_bwd"):
+            real = getattr(network, name)
+
+            def recording(*args, _real=real, _name=name, **kwargs):
+                block = args[2] if _name == "block_fwd" else args[1] if _name == "block_bwd" \
+                    else "embed"
+                ran.append(block)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(network, name, recording)
+        oracle.gradient(None)
+        assert ran == [1, 1] * len(batches)  # one block forward and backward per batch
 
 
 class TestRanking:
