@@ -40,6 +40,8 @@ class TaskSuite:
             raise ContractError("task suite is empty")
         if self.n_eval_prompts < 1:
             raise ParameterError(f"n_eval_prompts must be >= 1, got {self.n_eval_prompts}")
+        if self.diffusion_steps < 1:
+            raise ParameterError(f"diffusion_steps must be >= 1, got {self.diffusion_steps}")
         unknown = [t for t in self.tasks if t not in tasks.ALL_TASKS]
         if unknown:
             raise ParameterError(f"unknown tasks: {unknown}")
@@ -57,6 +59,8 @@ class LatencyConfig:
             raise ParameterError("warmup_runs must be >= 0")
         if self.timed_runs < 2:
             raise ParameterError("timed_runs must be >= 2")
+        if self.seq_len < 1:
+            raise ParameterError(f"seq_len must be >= 1, got {self.seq_len}")
         if self.unit_of_work not in (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP):
             raise ParameterError(f"unknown unit_of_work {self.unit_of_work!r}")
 
@@ -96,19 +100,6 @@ def _task_seed(seed: int, task: str) -> int:
     return int.from_bytes(digest[:8], "little") % (2**63)
 
 
-def _exact_match_score(ckpt: ModelCheckpoint, task: str, suite: TaskSuite) -> float:
-    rng = make_rng(_task_seed(suite.seed, task))
-    hits = 0
-    for _ in range(suite.n_eval_prompts):
-        ex = tasks.sample_example(rng, task)
-        if ckpt.config.mode == MODE_AR:
-            out = generate_ar(ckpt, ex.prompt, len(ex.answer))
-        else:
-            out = generate_diffusion(ckpt, ex.prompt, len(ex.answer), suite.diffusion_steps)
-        hits += tuple(out[len(ex.prompt):]) == ex.answer
-    return hits / suite.n_eval_prompts
-
-
 def _heldout_accuracy(ckpt: ModelCheckpoint, suite: TaskSuite) -> float:
     """Teacher-forced argmax accuracy over held-out answer regions."""
     rng = make_rng(_task_seed(suite.seed, "heldout_token_accuracy"))
@@ -126,14 +117,28 @@ def _heldout_accuracy(ckpt: ModelCheckpoint, suite: TaskSuite) -> float:
 
 
 def evaluate_tasks(ckpt: ModelCheckpoint, suite: TaskSuite) -> dict:
-    """Per-task scores in [0, 1]; exact-match for generation tasks."""
-    scores = {}
-    for task in suite.tasks:
-        if task == "heldout_token_accuracy":
-            scores[task] = _heldout_accuracy(ckpt, suite)
+    """Per-task scores in [0, 1]; exact-match for generation tasks.
+
+    Each generation task draws its prompts from its own seeded stream. All
+    prompts have the same layout, so those of every generation task decode
+    together in one batch.
+    """
+    hits = dict.fromkeys((t for t in suite.tasks if t in tasks.GENERATION_TASKS), 0)
+    examples = []
+    for task in hits:
+        rng = make_rng(_task_seed(suite.seed, task))
+        examples += [tasks.sample_example(rng, task) for _ in range(suite.n_eval_prompts)]
+    if examples:
+        prompts = [ex.prompt for ex in examples]
+        n_new = len(examples[0].answer)
+        if ckpt.config.mode == MODE_AR:
+            outs = generate_ar(ckpt, prompts, n_new)
         else:
-            scores[task] = _exact_match_score(ckpt, task, suite)
-    return scores
+            outs = generate_diffusion(ckpt, prompts, n_new, suite.diffusion_steps)
+        for ex, out in zip(examples, outs):
+            hits[ex.task] += tuple(out[len(ex.prompt):]) == ex.answer
+    return {task: hits[task] / suite.n_eval_prompts if task in hits
+            else _heldout_accuracy(ckpt, suite) for task in suite.tasks}
 
 
 def _latency_state(ckpt: ModelCheckpoint, cfg: LatencyConfig) -> np.ndarray:

@@ -13,7 +13,7 @@ while factorizing only once. Group scales are taken from the current
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,15 +81,15 @@ def collect_calibration(ckpt: ModelCheckpoint, inputs, paths) -> dict:
 
     The layers share one input, as the layers of a stage of
     :func:`gptq_quantize_model` do: the block runs from each cached input
-    (one per calibration batch) up to that input and no further.
+    (one per calibration batch) up to that input and no further, and one
+    ``2 xᵀx`` per batch serves every layer. The layers' calibrations share
+    that Hessian array.
     """
     i = block_index(paths[0])
-    calibs = {p: LayerCalibration(p, np.zeros((ckpt.params[p].shape[1],) * 2)) for p in paths}
+    calib = LayerCalibration(paths[0], np.zeros((ckpt.params[paths[0]].shape[1],) * 2))
     for x in inputs:
-        x2d = block_fwd(ckpt.params, ckpt.config, i, x, stop=paths[0])
-        for p in paths:
-            calibs[p].add(x2d)
-    return calibs
+        calib.add(block_fwd(ckpt.params, ckpt.config, i, x, stop=paths[0]))
+    return {p: replace(calib, path=p) for p in paths}
 
 
 def _damped_inverse_factor(h: np.ndarray, damping: float):
@@ -134,31 +134,43 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqCo
     qmax = cfg.spec().qmax
     gs = cfg.group_size
     n_groups = math.ceil(d_in / gs)
-    scales = np.zeros((d_out, n_groups), dtype=np.float64)
+    scales_t = np.zeros((n_groups, d_out), dtype=np.float64)
     seen_group = np.zeros(n_groups, dtype=bool)
     codes_t = np.zeros((d_in, d_out), dtype=np.int16)
 
     group_of = perm // gs  # original-index group of each processed column
     col_in_group = {g: np.nonzero(group_of == g)[0] for g in range(n_groups)}
 
+    # column buffers, allocated once: the scaled and the quantized column,
+    # the scaled error, and the rank-1 update of the rows below
+    scaled = np.empty(d_out)
+    q = np.empty(d_out)
+    err = np.empty(d_out)
+    update = np.empty((d_in, d_out))
     for j in range(d_in):
         g = group_of[j]
+        s = scales_t[g]
         if not seen_group[g]:
             # scales from the current (compensated) weights of this group
-            scales[:, g] = group_scales(wt[col_in_group[g]].T, qmax)
+            s[:] = group_scales(wt[col_in_group[g]].T, qmax)
             seen_group[g] = True
-        s = scales[:, g]
         w_j = wt[j]
-        codes = np.clip(round_half_away_from_zero(w_j / s), -qmax, qmax).astype(np.int16)
-        deq = codes.astype(np.float64) * s
-        codes_t[j] = codes
+        np.divide(w_j, s, out=scaled)
+        round_half_away_from_zero(scaled, out=q)
+        np.maximum(q, -qmax, out=q)
+        np.minimum(q, qmax, out=q)
+        codes_t[j] = q
+        deq = np.multiply(codes_t[j], s, out=q)
         if j + 1 < d_in:
-            err = (w_j - deq) / upper[j, j]
-            wt[j + 1:] -= upper[j, j + 1:, None] * err
+            np.subtract(w_j, deq, out=err)
+            err /= upper[j, j]
+            rows = update[:d_in - j - 1]
+            np.multiply(upper[j, j + 1:, None], err, out=rows)
+            wt[j + 1:] -= rows
         w_j[:] = deq  # the working copy ends as the dequantized weight
 
     inv_perm = np.argsort(perm)
-    qw = QuantizedWeight((d_out, d_in), cfg.spec(), scales,
+    qw = QuantizedWeight((d_out, d_in), cfg.spec(), np.ascontiguousarray(scales_t.T),
                          np.ascontiguousarray(codes_t[inv_perm].T))
     delta = w_orig - np.ascontiguousarray(wt[inv_perm].T)
     recon_error = float(np.trace(delta.T @ delta @ h)) / 2.0

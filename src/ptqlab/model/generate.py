@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import ContractError, ParameterError, ShapeError
@@ -12,54 +10,85 @@ from .config import MASK_ID, MODE_AR, MODE_DIFFUSION, PAD_ID
 from .network import forward_logits
 
 
-def generate_ar(ckpt: ModelCheckpoint, prompt, max_new: int) -> list:
-    """Greedy next-token decoding; stops early if PAD is emitted."""
+def _prompt_batch(prompts) -> np.ndarray:
+    """(n, prompt_len) int64 array of a batch of equal-length prompts."""
+    try:
+        batch = np.array(prompts, dtype=np.int64)
+    except ValueError as exc:
+        raise ShapeError(f"prompts must have equal lengths: {exc}") from exc
+    if batch.ndim != 2 or batch.shape[0] < 1:
+        raise ShapeError(f"prompts must be a non-empty batch of sequences, got shape {batch.shape}")
+    return batch
+
+
+def generate_ar(ckpt: ModelCheckpoint, prompts, max_new: int) -> list:
+    """Greedy next-token decoding of a batch of equal-length prompts.
+
+    Each step runs one forward over the rows still decoding and appends
+    one column. A row stops at its own PAD, which is not kept. Returns the
+    token list of each row, prompt included.
+    """
     if ckpt.config.mode != MODE_AR:
         raise ContractError(f"generate_ar requires an AR checkpoint, got mode={ckpt.config.mode!r}")
-    tokens = [int(t) for t in prompt]
-    if len(tokens) + max_new > ckpt.config.max_seq_len:
-        raise ShapeError(f"prompt + max_new = {len(tokens) + max_new} exceeds max_seq_len")
-    for _ in range(max_new):
-        logits, _ = forward_logits(ckpt.params, ckpt.config, np.array([tokens]))
-        nxt = int(np.argmax(logits[0, -1]))
-        if nxt == PAD_ID:
+    seq = _prompt_batch(prompts)
+    n, start = seq.shape
+    if max_new < 0:
+        raise ParameterError(f"max_new must be >= 0, got {max_new}")
+    if start + max_new > ckpt.config.max_seq_len:
+        raise ShapeError(f"prompt + max_new = {start + max_new} exceeds max_seq_len")
+    seq = np.concatenate([seq, np.full((n, max_new), PAD_ID, dtype=np.int64)], axis=1)
+    lengths = np.full(n, start + max_new)
+    live = np.arange(n)
+    for col in range(start, start + max_new):
+        logits, _ = forward_logits(ckpt.params, ckpt.config, seq[live, :col])
+        nxt = np.argmax(logits[:, -1], axis=-1)
+        stopped = nxt == PAD_ID
+        lengths[live[stopped]] = col
+        live, nxt = live[~stopped], nxt[~stopped]
+        if live.size == 0:
             break
-        tokens.append(nxt)
-    return tokens
+        seq[live, col] = nxt
+    return [row[:length].tolist() for row, length in zip(seq, lengths)]
 
 
-def generate_diffusion(ckpt: ModelCheckpoint, prompt, target_len: int, steps: int) -> list:
-    """Iterative denoising of a fully masked completion region.
+def generate_diffusion(ckpt: ModelCheckpoint, prompts, target_len: int, steps: int) -> list:
+    """Iterative denoising of a fully masked completion region, for a batch of prompts.
 
-    Each step runs one full-sequence forward and commits the
-    ``ceil(remaining / remaining_steps)`` highest-confidence masked
+    The prompts have equal lengths, so every row starts with ``target_len``
+    masks. Each step runs one forward over the batch. Every row commits
+    its ``ceil(remaining / remaining_steps)`` highest-confidence masked
     positions (softmax probability of the argmax token; ties go to the
-    lowest position index). After ``steps`` steps no MASK remains.
+    lowest position index), where ``remaining`` counts the MASK tokens
+    left in its completion. After ``steps`` steps no MASK remains, unless
+    a row committed MASK itself. Returns the token list of each row,
+    prompt included.
     """
     if ckpt.config.mode != MODE_DIFFUSION:
         raise ContractError(f"generate_diffusion requires a diffusion checkpoint, got mode={ckpt.config.mode!r}")
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
-    if target_len < 0 or len(prompt) + target_len > ckpt.config.max_seq_len:
-        raise ParameterError(f"prompt + target_len = {len(prompt) + target_len} exceeds max_seq_len")
+    seq = _prompt_batch(prompts)
+    n, start = seq.shape
+    if target_len < 0 or start + target_len > ckpt.config.max_seq_len:
+        raise ParameterError(f"prompt + target_len = {start + target_len} exceeds max_seq_len")
 
-    seq = np.array([list(prompt) + [MASK_ID] * target_len], dtype=np.int64)
-    start = len(prompt)
-    steps_left = steps
-    while steps_left > 0:
-        masked = np.nonzero(seq[0, start:] == MASK_ID)[0] + start
-        if masked.size == 0:
+    seq = np.concatenate([seq, np.full((n, target_len), MASK_ID, dtype=np.int64)], axis=1)
+    for steps_left in range(steps, 0, -1):
+        # masked (row, position) pairs, by row and then position
+        rows, cols = np.nonzero(seq[:, start:] == MASK_ID)
+        if rows.size == 0:
             break
-        k = math.ceil(masked.size / steps_left)
+        cols += start
+        remaining = np.bincount(rows, minlength=n)
+        k = -(-remaining // steps_left)  # ceil per row
         logits, _ = forward_logits(ckpt.params, ckpt.config, seq)
-        picked = logits[0, masked].astype(np.float64)
-        shifted = picked - picked.max(axis=-1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        picked = logits[rows, cols].astype(np.float64)
         best_tok = np.argmax(picked, axis=-1)
-        conf = probs[np.arange(masked.size), best_tok]
-        order = np.lexsort((masked, -conf))  # confidence desc, then position asc
-        commit = order[:k]
-        seq[0, masked[commit]] = best_tok[commit]
-        steps_left -= 1
-    return [int(t) for t in seq[0]]
+        picked -= picked.max(axis=-1, keepdims=True)
+        np.exp(picked, out=picked)
+        conf = 1.0 / picked.sum(axis=-1)  # the argmax term is exp(0) = 1
+        order = np.lexsort((cols, -conf, rows))  # per row: confidence desc, position asc
+        rank = np.arange(rows.size) - (np.cumsum(remaining) - remaining)[rows[order]]
+        commit = order[rank < k[rows[order]]]
+        seq[rows[commit], cols[commit]] = best_tok[commit]
+    return seq.tolist()

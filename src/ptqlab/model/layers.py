@@ -9,6 +9,8 @@ softmax/norm/loss reductions always accumulate in float64.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 LN_EPS = 1e-5
@@ -20,7 +22,7 @@ def linear_fwd(x, weight, bias):
     """y = x @ W.T + b with x: (N, d_in), W: (d_out, d_in)."""
     y = x @ weight.T
     if bias is not None:
-        y = y + bias
+        y += bias
     return y, (x, weight)
 
 
@@ -31,58 +33,105 @@ def linear_bwd(dout, cache, input_grad: bool = True, weight_grads: bool = True):
     if not weight_grads:
         return dx, None, None
     dw = dout.T @ x
-    db = np.sum(dout, axis=0, dtype=np.float64).astype(x.dtype)
+    db = np.add.reduce(dout, axis=0, dtype=np.float64).astype(x.dtype)
     return dx, dw, db
 
 
+def _row_mean(x):
+    """float64 mean over the last axis as a column, the operations ``np.mean`` runs."""
+    return np.add.reduce(x, axis=-1, keepdims=True, dtype=np.float64) / x.shape[-1]
+
+
 def layer_norm_fwd(x, gain, bias):
-    mean = np.mean(x, axis=-1, keepdims=True, dtype=np.float64)
-    var = np.var(x.astype(np.float64), axis=-1, keepdims=True)
-    inv_std = (1.0 / np.sqrt(var + LN_EPS)).astype(x.dtype)
-    norm = (x - mean.astype(x.dtype)) * inv_std
-    return gain * norm + bias, (norm, inv_std, gain)
+    centered = x.astype(np.float64)
+    mean = _row_mean(centered)
+    centered -= mean
+    if x.dtype == np.float64:
+        norm = centered  # x - mean in the compute dtype
+        var = _row_mean(centered * centered)
+    else:
+        norm = x - mean.astype(x.dtype)
+        var = _row_mean(np.multiply(centered, centered, out=centered))
+    var += LN_EPS
+    np.sqrt(var, out=var)
+    inv_std = np.divide(1.0, var, out=var).astype(x.dtype, copy=False)
+    norm *= inv_std
+    out = norm * gain
+    out += bias
+    return out, (norm, inv_std, gain)
 
 
 def layer_norm_bwd(dout, cache, weight_grads: bool = True):
     """(dx, dgain, dbias); without ``weight_grads`` only dx, the others None."""
     norm, inv_std, gain = cache
-    dnorm = dout * gain
+    dx = dout * gain  # d norm
     # d/dx of (x - mean) * inv_std, mean/var taken over the last axis
-    mean_dnorm = np.mean(dnorm, axis=-1, keepdims=True, dtype=np.float64).astype(dout.dtype)
-    mean_dnorm_norm = np.mean(dnorm * norm, axis=-1, keepdims=True, dtype=np.float64).astype(dout.dtype)
-    dx = inv_std * (dnorm - mean_dnorm - norm * mean_dnorm_norm)
+    mean_dnorm = _row_mean(dx).astype(dout.dtype)
+    scratch = dx * norm
+    mean_dnorm_norm = _row_mean(scratch).astype(dout.dtype)
+    dx -= mean_dnorm
+    dx -= np.multiply(norm, mean_dnorm_norm, out=scratch)
+    dx *= inv_std
     if not weight_grads:
         return dx, None, None
     axes = tuple(range(dout.ndim - 1))
-    dgain = np.sum(dout * norm, axis=axes, dtype=np.float64).astype(dout.dtype)
-    dbias = np.sum(dout, axis=axes, dtype=np.float64).astype(dout.dtype)
+    dgain = np.add.reduce(np.multiply(dout, norm, out=scratch), axis=axes,
+                          dtype=np.float64).astype(dout.dtype)
+    dbias = np.add.reduce(dout, axis=axes, dtype=np.float64).astype(dout.dtype)
     return dx, dgain, dbias
 
 
 def gelu_fwd(x):
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), (x, t)
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)  # tanh(c * (x + a x^3))
+    out = x * 0.5
+    out *= 1.0 + t
+    return out, (x, t)
 
 
 def gelu_bwd(dout, cache):
     x, t = cache
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
-    return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    du = x * x
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    out = t * t
+    np.subtract(1.0, out, out=out)
+    slope = x * 0.5
+    slope *= out
+    slope *= du  # 0.5 x (1 - t^2) du
+    np.add(t, 1.0, out=out)
+    out *= 0.5
+    out += slope
+    out *= dout
+    return out
+
+
+@functools.lru_cache(maxsize=16)  # a decode visits few lengths; a mask is s^2 bytes
+def _causal_mask(s: int) -> np.ndarray:
+    """Read-only (s, s) mask of the positions above the diagonal, built once per length."""
+    mask = np.triu(np.ones((s, s), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def attention_fwd(q, k, v, causal: bool):
     """Scaled dot-product attention over (B, heads, S, d_head) tensors."""
     d_head = q.shape[-1]
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= scale
     if causal:
-        s = q.shape[-2]
-        mask = np.triu(np.ones((s, s), dtype=bool), k=1)
-        scores = np.where(mask, np.array(-np.inf, dtype=q.dtype), scores)
+        np.copyto(scores, -np.inf, where=_causal_mask(q.shape[-2]))
     scores -= np.max(scores, axis=-1, keepdims=True)
-    exps = np.exp(scores)
-    probs = (exps / np.sum(exps, axis=-1, keepdims=True, dtype=np.float64)).astype(q.dtype)
+    np.exp(scores, out=scores)
+    sums = np.add.reduce(scores, axis=-1, keepdims=True, dtype=np.float64)
+    # the float64 quotient rounds into the compute dtype as .astype would
+    probs = np.divide(scores, sums, out=scores, casting="unsafe")
     out = probs @ v
     return out, (q, k, v, probs)
 

@@ -51,8 +51,9 @@ def init_params(config: ModelConfig, seed: int) -> dict:
 
 
 def _split_heads(x, n_heads):
+    """(b, heads, s, d_head) copy of a (b, s, d) array, each head's (s, d_head) contiguous."""
     b, s, d = x.shape
-    return x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3))
 
 
 def _merge_heads(x):
@@ -122,7 +123,9 @@ def block_fwd(params: dict, config: ModelConfig, i: int, x, dtype=np.float32,
     if stop_at == "o":
         return merged
     o, o_cache = layers.linear_fwd(merged, p("attn.o.weight"), p("attn.o.bias"))
-    x = x + o.reshape(b, s, d)
+    o = o.reshape(b, s, d)
+    o += x  # residual
+    x = o
 
     h2, ln2_cache = layers.layer_norm_fwd(x, p("ln2.gain"), p("ln2.bias"))
     h2_2d = h2.reshape(b * s, d)
@@ -133,7 +136,9 @@ def block_fwd(params: dict, config: ModelConfig, i: int, x, dtype=np.float32,
     if stop_at == "fc_out":
         return g
     m, fout_cache = layers.linear_fwd(g, p("mlp.fc_out.weight"), p("mlp.fc_out.bias"))
-    x = x + m.reshape(b, s, d)
+    m = m.reshape(b, s, d)
+    m += x  # residual
+    x = m
     return x, {"ln1": ln1_cache, "q": q_cache, "k": k_cache, "v": v_cache,
                "attn": attn_cache, "o": o_cache,
                "ln2": ln2_cache, "fc_in": fin_cache, "gelu": gelu_cache, "fc_out": fout_cache}
@@ -164,7 +169,8 @@ def block_bwd(config: ModelConfig, i: int, cache: dict, dx, stop: str | None = N
     dh2_2d, dw_fin, db_fin = layers.linear_bwd(df, cache["fc_in"], weight_grads=full)
     dx_ln2, dg_ln2, db_ln2 = layers.layer_norm_bwd(dh2_2d.reshape(b, s, d), cache["ln2"],
                                                    weight_grads=full)
-    dx = dx + dx_ln2  # residual branch
+    dx_ln2 += dx  # residual branch
+    dx = dx_ln2
 
     do2d = dx.reshape(b * s, d)
     if stop_at == "o":
@@ -180,9 +186,12 @@ def block_bwd(config: ModelConfig, i: int, cache: dict, dx, stop: str | None = N
     dh_q, dw_q, db_q = layers.linear_bwd(dq2d, cache["q"], weight_grads=full)
     dh_k, dw_k, db_k = layers.linear_bwd(dk2d, cache["k"], weight_grads=full)
     dh_v, dw_v, db_v = layers.linear_bwd(dv2d, cache["v"], weight_grads=full)
-    dh = (dh_q + dh_k + dh_v).reshape(b, s, d)
-    dx_ln1, dg_ln1, db_ln1 = layers.layer_norm_bwd(dh, cache["ln1"], weight_grads=full)
-    dx = dx + dx_ln1
+    dh_q += dh_k
+    dh_q += dh_v
+    dx_ln1, dg_ln1, db_ln1 = layers.layer_norm_bwd(dh_q.reshape(b, s, d), cache["ln1"],
+                                                   weight_grads=full)
+    dx_ln1 += dx
+    dx = dx_ln1
     if not full:
         return dx, {}
     grads = {"mlp.fc_out.weight": dw_fout, "mlp.fc_out.bias": db_fout,

@@ -59,8 +59,14 @@ class QuantizedWeight:
     codes: np.ndarray   # (d_out, d_in) int16
 
 
-def round_half_away_from_zero(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+def round_half_away_from_zero(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """trunc(x + copysign(0.5, x)), which is sign(x) * floor(|x| + 0.5) for finite x.
+
+    ``out``, if given, must not be ``x``.
+    """
+    out = np.copysign(0.5, x, out=out)
+    out += x
+    return np.trunc(out, out=out)
 
 
 def group_scales(blocks: np.ndarray, qmax: int) -> np.ndarray:

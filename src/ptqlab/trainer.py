@@ -71,9 +71,20 @@ class AdamState:
         for k, g in grads.items():
             m = self.m[k]
             v = self.v[k]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            params[k] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            scratch = np.subtract(g, m)
+            scratch *= 1.0 - self.beta1
+            m += scratch
+            np.multiply(g, g, out=scratch)
+            scratch -= v
+            scratch *= 1.0 - self.beta2
+            v += scratch
+            np.divide(v, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update = m / bc1
+            update *= self.lr
+            update /= scratch
+            params[k] -= update
 
 
 def _next_batch(cfg: TrainConfig, data_rng, corrupt_rng, corpus: bytes) -> Batch:

@@ -63,7 +63,9 @@ class TestCliContracts:
 
     @pytest.mark.parametrize("override", [{"seed": "abc"}, {"train": {"steps": "3"}},
                                           {"assign": {"ratios": 5}},
-                                          {"suite": {"n_eval_prompts": 0}}])
+                                          {"suite": {"n_eval_prompts": 0}},
+                                          {"suite": {"diffusion_steps": 0}},
+                                          {"latency": {"seq_len": 0}}])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1

@@ -11,7 +11,9 @@ from ptqlab.gptq import (MAX_RETRIES, GptqConfig, LayerCalibration, _damped_inve
 from ptqlab.model import Batch, ModelConfig, forward_logits, layers, network, new_checkpoint
 from ptqlab.numerics import make_rng
 from ptqlab.quant import (GroupQuantSpec, QuantizedWeight, dequantize, group_scales,
-                          quantize_weight, round_half_away_from_zero)
+                          quantize_weight)
+
+from kernel_reference import round_half_away_from_zero
 from ptqlab.trainer import TrainConfig, calibration_batches
 
 
@@ -59,7 +61,10 @@ def calib_from_list(path, xs, d_in):
 
 
 def reference_quantize_layer(weight, calib, cfg):
-    """The column loop on an untransposed (d_out, d_in) working copy."""
+    """The column loop on an untransposed (d_out, d_in) working copy.
+
+    It rounds by sign(x) * floor(|x| + 0.5) and clips with ``np.clip``.
+    """
     w_orig = np.asarray(weight, dtype=np.float64)
     d_out, d_in = w_orig.shape
     h = calib.hessian
@@ -237,6 +242,24 @@ class TestLayerQuantization:
                 assert qw.codes.tobytes() == ref.codes.tobytes()
                 assert qw.scales.tobytes() == ref.scales.tobytes()
                 assert err == ref_err
+
+    def test_ties_round_away_from_zero_as_the_reference(self):
+        # column 0 holds the peak qmax, so every scale is 1.0; with a
+        # diagonal Hessian no column compensates another, and every other
+        # w / scale stays an exact tie k + 0.5
+        rng = make_rng(22)
+        calib = LayerCalibration("l", np.eye(12), n_samples=12)
+        for bits in (2, 3, 4, 8):
+            qmax = 2 ** (bits - 1) - 1
+            ties = rng.integers(-qmax, qmax, size=(4, 11)) + 0.5
+            w = np.concatenate([np.full((4, 1), float(qmax)), ties], axis=1)
+            cfg = GptqConfig(bits=bits)
+            qw, err = gptq_quantize_layer(w, calib, cfg)
+            ref, ref_err = reference_quantize_layer(w, calib, cfg)
+            assert np.array_equal(qw.scales, np.ones((4, 1)))
+            assert np.array_equal(qw.codes[:, 1:], ties + np.sign(ties) * 0.5)
+            assert qw.codes.tobytes() == ref.codes.tobytes()
+            assert err == ref_err
 
     def test_config_rejects_16_bits(self):
         with pytest.raises(ParameterError):

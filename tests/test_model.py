@@ -169,21 +169,21 @@ class TestLoss:
 class TestGenerateAr:
     def test_zero_new_tokens(self):
         ckpt = tiny_ckpt("ar")
-        assert generate_ar(ckpt, [BOS_ID, 65, 66], 0) == [BOS_ID, 65, 66]
+        assert generate_ar(ckpt, [[BOS_ID, 65, 66]], 0) == [[BOS_ID, 65, 66]]
 
     def test_deterministic(self):
         ckpt = tiny_ckpt("ar")
-        a = generate_ar(ckpt, [BOS_ID, 65], 6)
-        b = generate_ar(ckpt, [BOS_ID, 65], 6)
+        a = generate_ar(ckpt, [[BOS_ID, 65]], 6)
+        b = generate_ar(ckpt, [[BOS_ID, 65]], 6)
         assert a == b
 
     def test_mode_mismatch(self):
         with pytest.raises(ContractError):
-            generate_ar(tiny_ckpt("diffusion"), [BOS_ID], 2)
+            generate_ar(tiny_ckpt("diffusion"), [[BOS_ID]], 2)
 
     def test_length_guard(self):
         with pytest.raises(ShapeError):
-            generate_ar(tiny_ckpt("ar"), [BOS_ID] * 10, 10)
+            generate_ar(tiny_ckpt("ar"), [[BOS_ID] * 10], 10)
 
 
 def masked_inputs(monkeypatch) -> list:
@@ -203,14 +203,14 @@ class TestGenerateDiffusion:
     def test_single_step_commits_everything(self, monkeypatch):
         ckpt = tiny_ckpt("diffusion")
         counts = masked_inputs(monkeypatch)
-        out = generate_diffusion(ckpt, [BOS_ID, 65], 6, steps=1)
+        [out] = generate_diffusion(ckpt, [[BOS_ID, 65]], 6, steps=1)
         assert counts == [6]
         assert MASK_ID not in out
 
     def test_one_position_per_step(self, monkeypatch):
         ckpt = tiny_ckpt("diffusion")
         counts = masked_inputs(monkeypatch)
-        out = generate_diffusion(ckpt, [BOS_ID], 5, steps=5)
+        [out] = generate_diffusion(ckpt, [[BOS_ID]], 5, steps=5)
         assert counts == [5, 4, 3, 2, 1]
         assert MASK_ID not in out
 
@@ -218,7 +218,7 @@ class TestGenerateDiffusion:
         # k = ceil(remaining / steps_left): 10->7->4->2->0
         ckpt = tiny_ckpt("diffusion")
         counts = masked_inputs(monkeypatch)
-        out = generate_diffusion(ckpt, [BOS_ID], 10, steps=4)
+        [out] = generate_diffusion(ckpt, [[BOS_ID]], 10, steps=4)
         assert counts == [10, 7, 4, 2]
         assert MASK_ID not in out
 
@@ -226,18 +226,112 @@ class TestGenerateDiffusion:
         ckpt = tiny_ckpt("diffusion", seed=13)
         for target_len in range(1, 7):
             for steps in range(1, target_len + 1):
-                out = generate_diffusion(ckpt, [BOS_ID, 70], target_len, steps)
+                [out] = generate_diffusion(ckpt, [[BOS_ID, 70]], target_len, steps)
                 assert MASK_ID not in out
                 assert len(out) == 2 + target_len
 
     def test_parameter_errors(self):
         ckpt = tiny_ckpt("diffusion")
         with pytest.raises(ParameterError):
-            generate_diffusion(ckpt, [BOS_ID], 4, steps=0)
+            generate_diffusion(ckpt, [[BOS_ID]], 4, steps=0)
         with pytest.raises(ParameterError):
-            generate_diffusion(ckpt, [BOS_ID] * 10, 8, steps=2)
+            generate_diffusion(ckpt, [[BOS_ID] * 10], 8, steps=2)
         with pytest.raises(ContractError):
-            generate_diffusion(tiny_ckpt("ar"), [BOS_ID], 4, steps=2)
+            generate_diffusion(tiny_ckpt("ar"), [[BOS_ID]], 4, steps=2)
+        with pytest.raises(ShapeError):
+            generate_diffusion(ckpt, [[BOS_ID], [BOS_ID, 65]], 4, steps=2)
+
+
+@pytest.fixture(scope="module")
+def trained_pair():
+    """A small AR/diffusion pair trained until greedy decoding scores some exact matches."""
+    from ptqlab.trainer import TrainConfig, train
+
+    cfg = dict(steps=300, seed=0, learning_rate=1e-2, text_fraction=0.0, d_model=16,
+               n_layers=2, n_heads=2, d_ff=32, max_seq_len=32)
+    return {mode: train(TrainConfig(mode=mode, **cfg)) for mode in ("ar", "diffusion")}
+
+
+def suite_examples(n_per_task=50):
+    from ptqlab.evaluation import TaskSuite, _task_seed
+    from ptqlab.tasks import GENERATION_TASKS, sample_example
+
+    examples = []
+    for task in GENERATION_TASKS:
+        rng = make_rng(_task_seed(TaskSuite().seed, task))
+        examples += [sample_example(rng, task) for _ in range(n_per_task)]
+    return examples
+
+
+def decode(ckpt, prompts, n_new):
+    if ckpt.config.mode == "ar":
+        return generate_ar(ckpt, prompts, n_new)
+    return generate_diffusion(ckpt, prompts, n_new, steps=4)
+
+
+def fake_forward(monkeypatch, fill):
+    """Replace the decoders' forward by ``fill(logits, ids)`` on zero logits."""
+    seen = []
+
+    def forward(params, config, ids, *args, **kwargs):
+        ids = np.asarray(ids)
+        seen.append(ids.copy())
+        logits = np.zeros(ids.shape + (config.vocab_size,), dtype=np.float32)
+        fill(logits, ids)
+        return logits, None
+
+    monkeypatch.setattr("ptqlab.model.generate.forward_logits", forward)
+    return seen
+
+
+class TestBatchedDecoding:
+    @pytest.mark.parametrize("mode", ["ar", "diffusion"])
+    def test_rows_equal_their_batch_of_one_decode(self, trained_pair, mode):
+        ckpt = trained_pair[mode]
+        examples = suite_examples()
+        n_new = len(examples[0].answer)
+        batched = decode(ckpt, [ex.prompt for ex in examples], n_new)
+        assert len(batched) == len(examples)
+        hits = 0
+        for ex, row in zip(examples, batched):
+            assert row == decode(ckpt, [ex.prompt], n_new)[0]
+            hits += tuple(row[len(ex.prompt):]) == ex.answer
+        assert hits > 0  # the decodes are not all wrong in the same way
+
+    def test_ar_row_stops_at_its_own_pad(self, monkeypatch):
+        from ptqlab.model.config import PAD_ID
+
+        # a row whose second token is 66 emits PAD once it is 4 tokens long
+        def fill(logits, ids):
+            for r, row in enumerate(ids):
+                logits[r, -1, PAD_ID if row[1] == 66 and len(row) == 4 else 70 + len(row)] = 1.0
+
+        seen = fake_forward(monkeypatch, fill)
+        prompts = [[BOS_ID, 65], [BOS_ID, 66], [BOS_ID, 67]]
+        out = generate_ar(tiny_ckpt("ar"), prompts, 5)
+        assert out[1] == [BOS_ID, 66, 72, 73]
+        assert out[0] == [BOS_ID, 65, 72, 73, 74, 75, 76]
+        assert out[2] == [BOS_ID, 67, 72, 73, 74, 75, 76]
+        assert [ids.shape[0] for ids in seen] == [3, 3, 3, 2, 2]  # the stopped row runs no more
+        for prompt, row in zip(prompts, out):
+            assert generate_ar(tiny_ckpt("ar"), [prompt], 5) == [row]
+
+    def test_diffusion_row_that_commits_mask_keeps_its_own_count(self, monkeypatch):
+        # the second row commits MASK at position 2, its most confident
+        # position, so from then on it has one mask more than the others
+        def fill(logits, ids):
+            logits[:, :, 80] = 1.0
+            logits[ids[:, 1] == 66, 2, MASK_ID] = 5.0
+
+        seen = fake_forward(monkeypatch, fill)
+        prompts = [[BOS_ID, 65], [BOS_ID, 66], [BOS_ID, 67]]
+        out = generate_diffusion(tiny_ckpt("diffusion"), prompts, 6, steps=3)
+        assert [np.sum(ids == MASK_ID, axis=1).tolist() for ids in seen] == [
+            [6, 6, 6], [4, 5, 4], [2, 3, 2]]  # k = ceil(masks / steps left), per row
+        assert out[0] == [BOS_ID, 65] + [80] * 6 and out[2] == [BOS_ID, 67] + [80] * 6
+        assert out[1] == [BOS_ID, 66, MASK_ID] + [80] * 5
+        for prompt, row in zip(prompts, out):
+            assert generate_diffusion(tiny_ckpt("diffusion"), [prompt], 6, steps=3) == [row]
 
 
 class TestCheckpointIO:
