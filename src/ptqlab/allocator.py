@@ -3,11 +3,11 @@
 Modules arrive ranked by descending sensitivity. ``assign_precision`` cuts
 the ranking at k16 = floor(p16 * M) and k8 = floor((p16 + p8) * M)
 (1-indexed, boundary included), assigning 16/8/4 bits to the three
-segments. ``ratios_for_budget`` finds ratios matching a target average
-bitwidth by waterfilling: starting from all-4-bit it raises modules level
-by level (4 -> 8 -> 16) in ranking order while the size-weighted average
-stays within budget, stopping a pass at the first module that no longer
-fits so the assignment stays a monotone prefix.
+segments. ``budget_plan`` meets a target average bitwidth by
+waterfilling: starting from all-4-bit it raises modules level by level
+(4 -> 8 -> 16) in ranking order while the size-weighted average stays
+within budget, stopping a pass at the first module that no longer fits so
+the assignment stays a monotone prefix.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .quant import DEFAULT_GROUP_SIZE, PROVENANCE_HAWQ, GroupQuantSpec, QuantPlan
+from .quant import DEFAULT_GROUP_SIZE, PROVENANCE_HAWQ, QuantPlan
 
 BIT_LEVELS = (16, 8, 4)
 
@@ -65,15 +65,16 @@ def assign_precision(ranked_modules, ratios: SplitRatios,
     if not paths:
         raise ParameterError("no ranked modules to assign")
     bits = cutoff_bits(len(paths), ratios, levels)
-    specs = {p: GroupQuantSpec(b, group_size) for p, b in zip(paths, bits)}
-    return QuantPlan(specs, PROVENANCE_HAWQ, ratios=ratios.as_tuple())
+    return QuantPlan(dict(zip(paths, bits)), group_size, PROVENANCE_HAWQ, ratios.as_tuple())
 
 
-def ratios_for_budget(ranked_modules_with_sizes, target_avg_bits: float):
-    """(SplitRatios, achieved_avg_bits) for a target size-weighted bitwidth.
+def budget_plan(ranked_modules_with_sizes, target_avg_bits: float,
+                group_size: int = DEFAULT_GROUP_SIZE):
+    """(QuantPlan, achieved_avg_bits) for a target size-weighted bitwidth.
 
     ``ranked_modules_with_sizes``: iterable of (path, n_params) in
-    descending sensitivity order.
+    descending sensitivity order. The plan holds the waterfilled widths and
+    records each level's share of the modules as its split ratios.
     """
     if not (4.0 <= target_avg_bits <= 16.0):
         raise ParameterError(f"target_avg_bits must be within [4, 16], got {target_avg_bits}")
@@ -95,10 +96,7 @@ def ratios_for_budget(ranked_modules_with_sizes, target_avg_bits: float):
             bits[i] = level_to
             used = candidate
 
-    counts = {16: 0, 8: 0, 4: 0}
-    for b in bits:
-        counts[b] += 1
-    m = len(items)
-    ratios = SplitRatios(counts[16] / m, counts[8] / m, counts[4] / m)
-    achieved = used / total_n
-    return ratios, achieved
+    ratios = tuple(bits.count(level) / len(bits) for level in BIT_LEVELS)
+    plan = QuantPlan({p: b for (p, _), b in zip(items, bits)}, group_size, PROVENANCE_HAWQ,
+                     ratios)
+    return plan, used / total_n

@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", choices=MODELS, required=True)
     q.add_argument("--method", choices=("rtn", "gptq"), required=True)
     q.add_argument("--bits", type=int)
-    q.add_argument("--plan", help="QuantPlan JSON (rtn only)")
+    q.add_argument("--plan", help="QuantPlan JSON instead of a uniform --bits")
 
     s = sub.add_parser("sensitivity", help="power-iteration sensitivity scores")
     _add_common(s)
@@ -96,13 +96,8 @@ def main(argv=None) -> int:
                 out = reproduce(ws, args.force)
         else:  # pragma: no cover - argparse enforces choices
             raise AssertionError(args.command)
-    except PtqLabError as exc:
+    except (PtqLabError, FileNotFoundError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc),
-                   "stage": getattr(args, "command", None)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except FileNotFoundError as exc:
-        json.dump({"error": "FileNotFoundError", "message": str(exc),
                    "stage": getattr(args, "command", None)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

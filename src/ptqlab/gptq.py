@@ -19,11 +19,12 @@ import numpy as np
 
 from .errors import ContractError, NotPositiveDefiniteError, ParameterError
 from .model import ModelCheckpoint, prediction_targets
+from .model.checkpoint import EMBEDDING_PATHS
 from .model.config import MODE_DIFFUSION, Batch
 from .model.network import block_fwd, block_index, embed_fwd
 from .numerics import cholesky_upper_of_inverse
-from .quant import (DEFAULT_GROUP_SIZE, QUANT_BITS, GroupQuantSpec, QuantizedWeight,
-                    dequantize, group_scales, round_half_away_from_zero)
+from .quant import (DEFAULT_GROUP_SIZE, GroupQuantSpec, QuantizedWeight, QuantPlan,
+                    dequantize, group_scales, quantized_copy, round_half_away_from_zero)
 
 ORDER_ASCENDING = "ascending"
 ORDER_BY_DIAG_DESC = "by_diag_desc"
@@ -32,22 +33,17 @@ MAX_RETRIES = 3  # damping escalations (x10 each) before a layer fails
 
 @dataclass(frozen=True)
 class GptqConfig:
-    bits: int = 4  # callers that sweep widths replace it per call
-    group_size: int = DEFAULT_GROUP_SIZE
+    group_size: int = DEFAULT_GROUP_SIZE  # of every plan the pipeline builds
     damping: float = 0.01  # fraction of mean(diag H)
     column_order: str = ORDER_ASCENDING
 
     def __post_init__(self):
-        if self.bits not in QUANT_BITS:
-            raise ParameterError(f"GPTQ supports bits in {QUANT_BITS}, got {self.bits}")
+        if self.group_size < 1:
+            raise ParameterError(f"group_size must be >= 1, got {self.group_size}")
         if self.damping <= 0:
             raise ParameterError("damping fraction must be > 0")
         if self.column_order not in (ORDER_ASCENDING, ORDER_BY_DIAG_DESC):
             raise ParameterError(f"unknown column order {self.column_order!r}")
-        self.spec()  # validates group_size
-
-    def spec(self) -> GroupQuantSpec:
-        return GroupQuantSpec(self.bits, self.group_size)
 
 
 @dataclass
@@ -107,12 +103,15 @@ def _damped_inverse_factor(h: np.ndarray, damping: float):
     raise AssertionError("unreachable")
 
 
-def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqConfig):
-    """(QuantizedWeight, recon_error) for one layer.
+def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, spec: GroupQuantSpec,
+                        cfg: GptqConfig):
+    """(QuantizedWeight, recon_error) for one layer on ``spec``'s grid (2-8 bits).
 
     recon_error is tr(D^T D H) / 2 with D the weight change and H the raw
     calibration Hessian, i.e. the ||D X||_F^2 reconstruction objective.
     """
+    if spec.passthrough:
+        raise ParameterError("16 bits is passthrough: the weight is kept, not quantized")
     if calib.n_samples <= 0:
         raise ContractError(f"layer {calib.path}: no calibration samples")
     w_orig = np.asarray(weight, dtype=np.float64)
@@ -131,8 +130,8 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqCo
     hp = h[perm][:, perm]
 
     upper = _damped_inverse_factor(hp, cfg.damping)
-    qmax = cfg.spec().qmax
-    gs = cfg.group_size
+    qmax = spec.qmax
+    gs = spec.group_size
     n_groups = math.ceil(d_in / gs)
     scales_t = np.zeros((n_groups, d_out), dtype=np.float64)
     seen_group = np.zeros(n_groups, dtype=bool)
@@ -170,7 +169,7 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, cfg: GptqCo
         w_j[:] = deq  # the working copy ends as the dequantized weight
 
     inv_perm = np.argsort(perm)
-    qw = QuantizedWeight((d_out, d_in), cfg.spec(), np.ascontiguousarray(scales_t.T),
+    qw = QuantizedWeight((d_out, d_in), spec, np.ascontiguousarray(scales_t.T),
                          np.ascontiguousarray(codes_t[inv_perm].T))
     delta = w_orig - np.ascontiguousarray(wt[inv_perm].T)
     recon_error = float(np.trace(delta.T @ delta @ h)) / 2.0
@@ -183,21 +182,27 @@ def _stage_key(path: str):
     return (block_index(path), {"q": 0, "k": 0, "v": 0, "o": 1, "fc_in": 2, "fc_out": 3}[layer])
 
 
-def gptq_quantize_model(ckpt: ModelCheckpoint, batches, cfg: GptqConfig):
-    """Quantize layers in forward order; returns (checkpoint, per-layer report).
+def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: GptqConfig):
+    """Quantize each layer at its planned width in forward order; returns
+    (checkpoint, per-layer report).
 
     Each stage's calibration inputs come from the already-quantized prefix
     of the model, so downstream layers see the activation distribution they
     will face at inference time. The input of every block is cached per
     batch and advanced through a block once all its layers are quantized,
-    so a stage runs only its own block, and the head never runs.
+    so a stage runs only its own block, and the head never runs. 16-bit
+    layers pass through, and a stage of only 16-bit layers is skipped.
     """
     if not batches:
         raise ContractError("no calibration batches")
+    embedded = sorted(set(plan.bits) & set(EMBEDDING_PATHS))
+    if embedded:
+        raise ParameterError(f"GPTQ does not quantize the embedding paths {embedded}")
+    out = quantized_copy(ckpt, plan, "gptq")
     stages: dict = {}
     for p in ckpt.quantizable_paths():
-        stages.setdefault(_stage_key(p), []).append(p)
-    out = ckpt.copy()
+        if not plan.spec(p).passthrough:
+            stages.setdefault(_stage_key(p), []).append(p)
     inputs = [embed_fwd(out.params, out.config, calibration_inputs(out, b))[0] for b in batches]
     block = 0
     report = []
@@ -207,11 +212,9 @@ def gptq_quantize_model(ckpt: ModelCheckpoint, batches, cfg: GptqConfig):
             block += 1
         calibs = collect_calibration(out, inputs, stages[key])
         for p in stages[key]:
-            qw, err = gptq_quantize_layer(out.params[p], calibs[p], cfg)
+            qw, err = gptq_quantize_layer(out.params[p], calibs[p], plan.spec(p), cfg)
             out.params[p] = _deq32(qw)
-            report.append(_report_row(p, cfg, err, qw))
-    out.meta = dict(out.meta)
-    out.meta["quantization"] = {"method": "gptq", "bits": cfg.bits, "group_size": cfg.group_size}
+            report.append(_report_row(p, err, qw))
     return out, report
 
 
@@ -219,10 +222,10 @@ def _deq32(qw: QuantizedWeight) -> np.ndarray:
     return dequantize(qw).astype(np.float32)
 
 
-def _report_row(path: str, cfg: GptqConfig, recon_error: float, qw: QuantizedWeight) -> dict:
+def _report_row(path: str, recon_error: float, qw: QuantizedWeight) -> dict:
     return {
         "path": path,
-        "bits": cfg.bits,
+        "bits": qw.spec.bits,
         "recon_error": recon_error,
         "scale_min": float(qw.scales.min()),
         "scale_mean": float(qw.scales.mean()),

@@ -21,7 +21,7 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .allocator import BIT_LEVELS, SplitRatios, assign_precision, ratios_for_budget
+from .allocator import BIT_LEVELS, SplitRatios, assign_precision, budget_plan
 from .errors import ContractError, ParameterError
 from .evaluation import (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP, EvalResult, GridConfig,
                          LatencyConfig, TaskSuite, evaluate_tasks, measure_latency, plan_grid)
@@ -39,16 +39,15 @@ MODELS = (MODE_AR, MODE_DIFFUSION)
 LATENCY_UNIT = {MODE_AR: UNIT_AR_TOKEN, MODE_DIFFUSION: UNIT_DIFFUSION_STEP}
 
 # Config sections built from a dataclass, with the fields the file may not
-# set because the pipeline sets them: seeds come from the top-level seed, the
-# training mode, log path and latency unit from the model at hand, and GPTQ
-# widths from the grid or from `quantize --bits`.
+# set because the pipeline sets them: seeds come from the top-level seed, and
+# the training mode, log path and latency unit from the model at hand.
 SECTIONS = {
     "train": (TrainConfig, ("seed", "mode", "log_path")),
     "suite": (TaskSuite, ()),
     "latency": (LatencyConfig, ("unit_of_work",)),
     "sensitivity": (SensitivityConfig, ("seed",)),
     "grid": (GridConfig, ()),
-    "gptq": (GptqConfig, ("bits",)),
+    "gptq": (GptqConfig, ()),
 }
 ASSIGN_KEYS = ("ratios", "levels")
 
@@ -128,18 +127,14 @@ def _latency(cfg: PipelineConfig, mode: str) -> LatencyConfig:
     return dataclasses.replace(cfg.latency, unit_of_work=LATENCY_UNIT[mode])
 
 
-def cell_hash(cfg: PipelineConfig, cell: tuple, fingerprint: str) -> str:
-    """Cache key of one :func:`plan_grid` cell (model, method, bits_or_plan).
+def cell_hasher(cfg: PipelineConfig, mode: str, fingerprint: str):
+    """Cache key of each :func:`plan_grid` cell (model, method, bits_or_plan) of ``mode``.
 
     It hashes the cell and the run seed, the fingerprint of the cell's
     checkpoint, and every config section but ``train``, which the
     fingerprint already covers; the latency section carries the cell's unit.
+    The sections are serialized once per model.
     """
-    return _cell_hasher(cfg, cell[0].removeprefix("toy-"), fingerprint)(cell)
-
-
-def _cell_hasher(cfg: PipelineConfig, mode: str, fingerprint: str):
-    """:func:`cell_hash` for the cells of one model, its sections serialized once."""
     latency = _latency(cfg, mode)
     sections = {name: dataclasses.asdict(latency if name == "latency" else getattr(cfg, name))
                 for name in SECTIONS if name != "train"}
@@ -260,54 +255,44 @@ def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
             raise ParameterError(f"--budget assigns the levels {BIT_LEVELS}, not {levels}")
         ckpt = ws.require_checkpoint(mode, force)
         sized = [(r.path, ckpt.n_params(r.path)) for r in ranked]
-        split, achieved = ratios_for_budget(sized, budget)
+        plan, achieved = budget_plan(sized, budget, cfg.gptq.group_size)
     else:
         split = SplitRatios(*(ratios or cfg.assign_ratios))
+        plan = assign_precision(ranked, split, cfg.gptq.group_size, levels)
         achieved = None
-    plan = assign_precision(ranked, split, group_size=cfg.gptq.group_size, levels=levels)
-    label = "-".join(str(b) for b in dict.fromkeys(levels))
-    plan_path = ws.path("plans", f"{mode}_split_{label}.json")
-    config_hash = cfg.plan_hash(mode, split.as_tuple(), levels)
+    config_hash = cfg.plan_hash(mode, plan.ratios, levels)
+    plan_path = ws.path("plans", f"{mode}_{config_hash}.json")
     plan.save(plan_path, config_hash)
-    out = {"plan": str(plan_path), "ratios": list(split.as_tuple()), "config_hash": config_hash}
+    out = {"plan": str(plan_path), "ratios": list(plan.ratios), "config_hash": config_hash}
     if achieved is not None:
         out["achieved_avg_bits"] = achieved
     return out
 
 
-def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, bits: int | None = None,
-             plan: QuantPlan | None = None, batches=None) -> tuple:
-    """(quantized checkpoint, plan, GPTQ per-layer rows); writes nothing.
+def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, plan: QuantPlan,
+             batches=None) -> tuple:
+    """(quantized checkpoint, GPTQ per-layer rows) of ``plan``; writes nothing.
 
-    RTN applies ``plan``, or a uniform ``bits`` plan. GPTQ is uniform: it
-    takes ``bits`` and its calibration ``batches`` (drawn here if not given),
-    with every other setting from ``cfg.gptq``.
+    Method "gptq" runs GPTQ on its calibration ``batches`` (drawn here if
+    not given) with ``cfg.gptq``; any other method rounds to nearest.
     """
-    if method not in ("rtn", "gptq"):
-        raise ParameterError(f"unknown method {method!r} (rtn or gptq)")
-    if method == "gptq" and (bits is None or plan is not None):
-        raise ParameterError("gptq quantization is uniform; pass --bits and no --plan")
-    if bits is not None and plan is not None:
-        raise ParameterError("pass --bits or --plan, not both")
-    if plan is None:
-        if bits is None:
-            raise ParameterError("quantize needs --bits or --plan")
-        plan = uniform_plan(ckpt, bits, group_size=cfg.gptq.group_size)
-    if method == "rtn":
-        return rtn_quantize_model(ckpt, plan), plan, []
+    if method != "gptq":
+        return rtn_quantize_model(ckpt, plan), []
     if batches is None:
         batches = _calibration(ckpt, cfg.grid.n_calibration_batches)
-    quantized, rows = gptq_quantize_model(ckpt, batches,
-                                          dataclasses.replace(cfg.gptq, bits=bits))
-    return quantized, plan, rows
+    return gptq_quantize_model(ckpt, plan, batches, cfg.gptq)
 
 
 def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = None,
                    plan_path=None, force: bool = False) -> dict:
+    if (bits is None) == (plan_path is None):
+        raise ParameterError("quantize takes exactly one of --bits and --plan")
     ckpt = ws.require_checkpoint(mode, force)
-    plan = QuantPlan.load(plan_path) if plan_path is not None else None
-    label = Path(plan_path).stem if plan_path is not None else f"{bits}bit"
-    quantized, plan, report_rows = quantize(ws.cfg, ckpt, method, bits, plan)
+    if plan_path is None:
+        plan, label = uniform_plan(ckpt, bits, ws.cfg.gptq.group_size), f"{bits}bit"
+    else:
+        plan, label = QuantPlan.load(plan_path), Path(plan_path).stem
+    quantized, report_rows = quantize(ws.cfg, ckpt, method, plan)
     out_path = ws.path("quantized", f"{mode}_{method}_{label}.ckpt")
     quantized.save(out_path)
     plan_sidecar = ws.path("quantized", f"{mode}_{method}_{label}.plan.json")
@@ -384,8 +369,10 @@ def stage_eval(ws: Workspace, force: bool = False) -> dict:
     """One EvalResult per :func:`plan_grid` cell, each cached under a hash of
     everything that decides it; failed cells are recorded, never cached.
 
-    Cells are built by the CLI's steps: :func:`quantize` for RTN and GPTQ,
-    :func:`stage_sensitivity` then :func:`stage_assign` for the HAWQ plans.
+    Each cell is a plan, built by the CLI's steps and applied by one
+    :func:`quantize` call: the 16-bit plan for the baseline, the grid width
+    for RTN and GPTQ, and for HAWQ (rounded to nearest) the plan of
+    :func:`stage_sensitivity` then :func:`stage_assign`.
     Calibration batches and sensitivities are computed only when a cell
     needing them misses the cache, so a finished grid re-runs with no model
     forward.
@@ -394,28 +381,25 @@ def stage_eval(ws: Workspace, force: bool = False) -> dict:
     ckpts = {mode: ws.require_checkpoint(mode, force) for mode in MODELS}
     # the checkpoint file holds ckpt.to_bytes(), so its sha256 is the same
     # fingerprint without serializing the model again
-    keys = {mode: _cell_hasher(cfg, mode, hashlib.sha256(
+    keys = {mode: cell_hasher(cfg, mode, hashlib.sha256(
                 ws.checkpoint_path(mode).read_bytes()).hexdigest()[:16])
             for mode in MODELS}
     batches, scored = {}, set()  # per mode: GPTQ calibration, sensitivity report written
 
     def build(mode, method, label):
         ckpt = ckpts[mode]
-        if method == "baseline":
-            return ckpt, 16.0, 16.0
         if method == "hawq":
             if mode not in scored:
                 stage_sensitivity(ws, mode, force, ckpt)
                 scored.add(mode)
             hi, lo = (int(b) for b in label.removeprefix("hawq-").split("/"))
             split = (cfg.grid.hawq_ratio, 1.0 - cfg.grid.hawq_ratio, 0.0)
-            written = stage_assign(ws, mode, split, (hi, lo, lo), force=force)
-            quantized, plan, _ = quantize(cfg, ckpt, "rtn", plan=QuantPlan.load(written["plan"]))
-        else:
-            if method == "gptq" and mode not in batches:
-                batches[mode] = _calibration(ckpt, cfg.grid.n_calibration_batches)
-            quantized, plan, _ = quantize(cfg, ckpt, method, int(label.removesuffix("bit")),
-                                          batches=batches.get(mode))
+            plan = QuantPlan.load(stage_assign(ws, mode, split, (hi, lo, lo), force=force)["plan"])
+        else:  # the baseline is the 16-bit plan
+            plan = uniform_plan(ckpt, int(label.removesuffix("bit")), cfg.gptq.group_size)
+        if method == "gptq" and mode not in batches:
+            batches[mode] = _calibration(ckpt, cfg.grid.n_calibration_batches)
+        quantized, _ = quantize(cfg, ckpt, method, plan, batches.get(mode))
         raw_bits, eff_bits, _ = memory_footprint(plan, ckpt)
         return quantized, raw_bits, eff_bits
 

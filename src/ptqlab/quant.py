@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CoverageError, NumericError, ParameterError
+from .errors import ContractError, CoverageError, NumericError, ParameterError
 from .files import write_atomic
 from .model.checkpoint import EMBEDDING_PATHS, ModelCheckpoint
 
 SUPPORTED_BITS = (2, 3, 4, 8, 16)
-QUANT_BITS = (2, 3, 4, 8)  # widths that actually round
 DEFAULT_GROUP_SIZE = 128
 SCALE_BITS = 16  # storage cost of one per-group scale
 
@@ -113,24 +112,29 @@ def dequantize(qw: QuantizedWeight) -> np.ndarray:
 
 @dataclass
 class QuantPlan:
-    """Per-module bitwidth assignment covering a checkpoint's quantizable weights."""
+    """Bitwidth per module path of a checkpoint's quantizable weights, one group size for all."""
 
-    specs: dict = field(default_factory=dict)  # path -> GroupQuantSpec
+    bits: dict = field(default_factory=dict)  # path -> bits
+    group_size: int = DEFAULT_GROUP_SIZE
     provenance: str = PROVENANCE_MANUAL
     ratios: tuple | None = None  # recorded split ratios for hawq_split plans
 
+    def __post_init__(self):
+        for path in self.bits:
+            self.spec(path)  # validates the width and the group size
+
     def paths(self) -> list:
-        return sorted(self.specs)
+        return sorted(self.bits)
+
+    def spec(self, path: str) -> GroupQuantSpec:
+        return GroupQuantSpec(self.bits[path], self.group_size)
 
     def save(self, path, config_hash: str | None = None) -> None:
-        sizes = {s.group_size for s in self.specs.values()}
-        if len(sizes) > 1:
-            raise ParameterError("plan file format requires a single group_size")
         doc = {
             "version": 1,
-            "group_size": sizes.pop() if sizes else DEFAULT_GROUP_SIZE,
+            "group_size": self.group_size,
             "provenance": self.provenance,
-            "modules": [{"path": p, "bits": self.specs[p].bits} for p in self.paths()],
+            "modules": [{"path": p, "bits": self.bits[p]} for p in self.paths()],
         }
         if self.ratios is not None:
             doc["ratios"] = list(self.ratios)
@@ -140,24 +144,27 @@ class QuantPlan:
 
     @classmethod
     def load(cls, path) -> "QuantPlan":
-        doc = json.loads(Path(path).read_text())
-        gs = int(doc["group_size"])
-        specs = {m["path"]: GroupQuantSpec(int(m["bits"]), gs) for m in doc["modules"]}
-        ratios = tuple(doc["ratios"]) if "ratios" in doc else None
-        return cls(specs, doc.get("provenance", PROVENANCE_MANUAL), ratios)
+        try:
+            doc = json.loads(Path(path).read_text())
+            bits = {m["path"]: int(m["bits"]) for m in doc["modules"]}
+            ratios = tuple(doc["ratios"]) if "ratios" in doc else None
+            return cls(bits, int(doc["group_size"]), doc.get("provenance", PROVENANCE_MANUAL),
+                       ratios)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ContractError(f"plan {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def uniform_plan(ckpt: ModelCheckpoint, bits: int,
                  group_size: int = DEFAULT_GROUP_SIZE) -> QuantPlan:
-    spec = GroupQuantSpec(bits, group_size)
-    return QuantPlan({p: spec for p in ckpt.quantizable_paths()}, PROVENANCE_UNIFORM)
+    return QuantPlan(dict.fromkeys(ckpt.quantizable_paths(), bits), group_size,
+                     PROVENANCE_UNIFORM)
 
 
 def check_coverage(ckpt: ModelCheckpoint, plan: QuantPlan) -> None:
     """Plan must cover every quantizable path; it may add the embedding paths."""
     required = set(ckpt.quantizable_paths())
     allowed = required | set(EMBEDDING_PATHS)
-    have = set(plan.specs)
+    have = set(plan.bits)
     missing = sorted(required - have)
     unknown = sorted(have - allowed)
     if missing or unknown:
@@ -166,17 +173,22 @@ def check_coverage(ckpt: ModelCheckpoint, plan: QuantPlan) -> None:
             missing=missing, unknown=unknown)
 
 
-def rtn_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan) -> ModelCheckpoint:
-    """Round-to-nearest: replace each planned weight by dequantize(quantize(w))."""
+def quantized_copy(ckpt: ModelCheckpoint, plan: QuantPlan, method: str) -> ModelCheckpoint:
+    """A copy of ``ckpt`` for ``method`` to quantize by ``plan``; its meta records both."""
     check_coverage(ckpt, plan)
     out = ckpt.copy()
-    for path, spec in plan.specs.items():
-        if spec.passthrough:
-            continue
-        qw = quantize_weight(out.params[path], spec)
-        out.params[path] = dequantize(qw).astype(np.float32)
-    out.meta = dict(out.meta)
-    out.meta["quantization"] = {"method": "rtn", "plan": {p: plan.specs[p].bits for p in plan.paths()}}
+    out.meta["quantization"] = {"method": method, "plan": dict(plan.bits)}
+    return out
+
+
+def rtn_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan) -> ModelCheckpoint:
+    """Round-to-nearest: replace each planned weight by dequantize(quantize(w))."""
+    out = quantized_copy(ckpt, plan, "rtn")
+    for path in plan.bits:
+        spec = plan.spec(path)
+        if not spec.passthrough:
+            qw = quantize_weight(out.params[path], spec)
+            out.params[path] = dequantize(qw).astype(np.float32)
     return out
 
 
@@ -190,7 +202,8 @@ def memory_footprint(plan: QuantPlan, ckpt: ModelCheckpoint):
     total_n = 0
     raw_sum = 0.0
     eff_sum = 0.0
-    for path, spec in plan.specs.items():
+    for path in plan.bits:
+        spec = plan.spec(path)
         n = ckpt.n_params(path)
         eff = spec.bits if spec.passthrough else spec.bits + SCALE_BITS / spec.group_size
         total_n += n

@@ -47,26 +47,16 @@ def pareto_frontier(points):
 
     Maximize score, minimize bits. A point is dominated when another point
     has <= bits and >= score with at least one strict; among exact
-    duplicates the first label in sort order survives.
+    duplicates the first label in sort order survives. In the order
+    (bits, -score, label) those are exactly the points whose score is not
+    strictly above every score before them.
     """
     if not points:
         raise ParameterError("need at least one point")
-    for p in points:
-        p.dominated = False
-        for q in points:
-            if q is p:
-                continue
-            better = (q.effective_avg_bits <= p.effective_avg_bits and q.score >= p.score
-                      and (q.effective_avg_bits < p.effective_avg_bits or q.score > p.score))
-            duplicate = (q.effective_avg_bits == p.effective_avg_bits
-                         and q.score == p.score and q.label < p.label)
-            if better or duplicate:
-                p.dominated = True
-                break
-    frontier = sorted((p for p in points if not p.dominated),
-                      key=lambda p: (p.effective_avg_bits, -p.score, p.label))
-    dominated = sorted((p for p in points if p.dominated),
-                       key=lambda p: (p.effective_avg_bits, -p.score, p.label))
+    frontier, dominated = [], []
+    for p in sorted(points, key=lambda p: (p.effective_avg_bits, -p.score, p.label)):
+        p.dominated = bool(frontier) and p.score <= frontier[-1].score
+        (dominated if p.dominated else frontier).append(p)
     return frontier, dominated
 
 

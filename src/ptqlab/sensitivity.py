@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import ContractError, NumericError, ParameterError
 from .files import write_atomic
 from .model import ModelCheckpoint, forward_logits, loss_and_grads, prediction_targets
 from .model.network import block_index
@@ -219,5 +219,9 @@ def save_report(records, cfg: SensitivityConfig, json_path, csv_path, config_has
 
 def load_report(json_path) -> tuple:
     """(records, the config_hash the report was written with, or None)."""
-    doc = json.loads(Path(json_path).read_text())
-    return [SensitivityRecord.from_dict(d) for d in doc["records"]], doc.get("config_hash")
+    try:
+        doc = json.loads(Path(json_path).read_text())
+        return [SensitivityRecord.from_dict(d) for d in doc["records"]], doc.get("config_hash")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ContractError(f"sensitivity report {json_path} is malformed: "
+                            f"{type(exc).__name__}: {exc}") from exc

@@ -207,7 +207,7 @@ class TestCriterion5Gptq:
         rng = make_rng(3)
         w = rng.standard_normal((6, 12))
         qw, _ = gptq_quantize_layer(w, LayerCalibration("l", np.eye(12), 12),
-                                    GptqConfig(bits=3))
+                                    GroupQuantSpec(3), GptqConfig())
         rtn = quantize_weight(w, GroupQuantSpec(3, 128))
         assert np.array_equal(qw.codes, rtn.codes)
 
@@ -215,7 +215,7 @@ class TestCriterion5Gptq:
         x = np.array([[1.0, 0.97], [0.9, 0.88], [1.1, 1.05], [-1.0, -0.96]])
         calib = LayerCalibration("l", np.zeros((2, 2)))
         calib.add(x)
-        qw, err = gptq_quantize_layer(w, calib, GptqConfig(bits=2))
+        qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(2), GptqConfig())
         scale = qw.scales[0, 0]
         h = calib.hessian
 
@@ -235,7 +235,7 @@ class TestCriterion5Gptq:
             calib = LayerCalibration("l", np.zeros((16, 16)))
             calib.add(x)
             w = rng.standard_normal((16, 16)) * 0.5
-            _, ge = gptq_quantize_layer(w, calib, GptqConfig(bits=3))
+            _, ge = gptq_quantize_layer(w, calib, GroupQuantSpec(3), GptqConfig())
             re = recon_vs(w, calib.hessian)
             wins += ge <= re
             improvements.append(re - ge)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ptqlab.allocator import SplitRatios, assign_precision, cutoff_bits, ratios_for_budget
+from ptqlab.allocator import SplitRatios, assign_precision, budget_plan, cutoff_bits
 from ptqlab.errors import ParameterError
 from ptqlab.numerics import make_rng
 from ptqlab.sensitivity import SensitivityRecord
@@ -16,7 +16,7 @@ def ranked(n):
 
 
 def plan_bits(plan, paths):
-    return [plan.specs[p].bits for p in paths]
+    return [plan.bits[p] for p in paths]
 
 
 class TestSplitRatios:
@@ -79,29 +79,44 @@ class TestAssignPrecision:
         a = [SensitivityRecord("x", 100.0, 10, 1, True), SensitivityRecord("y", 1.0, 10, 1, True)]
         b = [SensitivityRecord("x", 0.2, 10, 1, True), SensitivityRecord("y", 0.1, 10, 1, True)]
         r = SplitRatios(0.5, 0.5, 0.0)
-        assert {p: s.bits for p, s in assign_precision(a, r).specs.items()} == \
-               {p: s.bits for p, s in assign_precision(b, r).specs.items()}
+        assert assign_precision(a, r).bits == assign_precision(b, r).bits
 
 
 class TestRatiosForBudget:
     def equal_sized(self, n, size=10):
         return [(f"m{i}", size) for i in range(n)]
 
+    def bits(self, plan, mods):
+        return [plan.bits[p] for p, _ in mods]
+
     def test_max_budget(self):
-        ratios, achieved = ratios_for_budget(self.equal_sized(6), 16.0)
-        assert ratios.p16 == 1.0
+        plan, achieved = budget_plan(self.equal_sized(6), 16.0)
+        assert plan.ratios == (1.0, 0.0, 0.0)
         assert achieved == pytest.approx(16.0)
 
     def test_min_budget(self):
-        ratios, achieved = ratios_for_budget(self.equal_sized(6), 4.0)
-        assert ratios.p4 == 1.0
+        plan, achieved = budget_plan(self.equal_sized(6), 4.0)
+        assert plan.ratios == (0.0, 0.0, 1.0)
         assert achieved == pytest.approx(4.0)
 
     def test_waterfill_example_m4_target10(self):
-        ratios, achieved = ratios_for_budget(self.equal_sized(4), 10.0)
-        bits = cutoff_bits(4, ratios)
-        assert bits == [16, 8, 8, 8]
+        mods = self.equal_sized(4)
+        plan, achieved = budget_plan(mods, 10.0, group_size=64)
+        assert self.bits(plan, mods) == [16, 8, 8, 8]
+        assert plan.ratios == (0.25, 0.75, 0.0)
+        assert plan.group_size == 64 and plan.provenance == "hawq_split"
         assert achieved == pytest.approx(10.0)
+
+    def test_plan_has_the_reported_average(self):
+        # (1/18 + 6/18) * 18 is just under 7, so flooring the ratios would
+        # put one module fewer at 8 bits than the waterfill did
+        sizes = [4096] * 7 + [16384] + [4096] * 10
+        mods = [(f"m{i:02d}", n) for i, n in enumerate(sizes)]
+        plan, achieved = budget_plan(mods, 6.0)
+        assert self.bits(plan, mods) == [16] + [8] * 6 + [4] * 11
+        assert plan.ratios == (1 / 18, 6 / 18, 11 / 18)
+        assert achieved == pytest.approx(5.714, abs=1e-3)
+        assert sum(plan.bits[p] * n for p, n in mods) / sum(sizes) == pytest.approx(achieved)
 
     def test_never_exceeds_budget_and_discreteness_bound(self):
         rng = make_rng(5)
@@ -109,10 +124,11 @@ class TestRatiosForBudget:
             m = int(rng.integers(1, 25))
             target = float(rng.uniform(4.0, 16.0))
             mods = self.equal_sized(m)
-            ratios, achieved = ratios_for_budget(mods, target)
+            plan, achieved = budget_plan(mods, target)
             assert achieved <= target + 1e-9
             assert achieved >= target - 12.0 / m - 1e-9
-            bits = cutoff_bits(m, ratios)
+            bits = self.bits(plan, mods)
+            assert sum(bits) / m == pytest.approx(achieved)
             assert all(a >= b for a, b in zip(bits, bits[1:]))
 
     def test_greedy_is_feasible_vs_exhaustive(self):
@@ -126,8 +142,8 @@ class TestRatiosForBudget:
             mods = [(f"m{i}", s) for i, s in zip(range(m), sizes)]
             total = sum(sizes)
             target = float(rng.uniform(4.0, 16.0))
-            ratios, achieved = ratios_for_budget(mods, target)
-            got = cutoff_bits(m, ratios)
+            plan, achieved = budget_plan(mods, target)
+            got = self.bits(plan, mods)
             assert sum(b * s for b, s in zip(got, sizes)) <= target * total + 1e-6
             feasible = [combo for combo in itertools.product((16, 8, 4), repeat=m)
                         if sum(b * s for b, s in zip(combo, sizes)) <= target * total + 1e-9
@@ -138,4 +154,4 @@ class TestRatiosForBudget:
     def test_rejects_out_of_range_target(self):
         for target in (3.9, 16.1):
             with pytest.raises(ParameterError):
-                ratios_for_budget(self.equal_sized(3), target)
+                budget_plan(self.equal_sized(3), target)

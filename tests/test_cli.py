@@ -13,6 +13,7 @@ from ptqlab.errors import ContractError
 from ptqlab.pipeline import PipelineConfig, Workspace, _bench_lock
 from ptqlab.model import ModelCheckpoint
 from ptqlab.quant import QuantPlan, uniform_plan
+from ptqlab.sensitivity import SensitivityRecord, save_report
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -137,8 +138,7 @@ class TestPipelineStages:
                      "--ratios", "0.5,0.5,0"]) == 0
         out = json.loads(capsys.readouterr().out)
         plan = QuantPlan.load(out["plan"])
-        bits = sorted(s.bits for s in plan.specs.values())
-        assert bits == [8, 8, 8, 16, 16, 16]  # 6 modules split 50/50
+        assert sorted(plan.bits.values()) == [8, 8, 8, 16, 16, 16]  # 6 modules split 50/50
         assert plan.provenance == "hawq_split"
 
         assert main(["bench", "-c", cfg, "--model", "ar"]) == 0
@@ -153,9 +153,48 @@ class TestPipelineStages:
         capsys.readouterr()
         assert main(["assign", "-c", cfg, "--model", "ar", "--ratios", "0.34,0.33,0.33"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["plan"].endswith("ar_split_16-8-4.json")
-        bits = sorted(s.bits for s in QuantPlan.load(out["plan"]).specs.values())
-        assert bits == [4, 4, 8, 8, 16, 16]
+        assert out["plan"].endswith(f"ar_{out['config_hash']}.json")
+        assert sorted(QuantPlan.load(out["plan"]).bits.values()) == [4, 4, 8, 8, 16, 16]
+
+    def test_each_plan_has_its_own_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        capsys.readouterr()
+        plans = {}
+        for args in (["--ratios", "0.34,0.33,0.33"], ["--budget", "10"]):
+            assert main(["assign", "-c", cfg, "--model", "ar", *args]) == 0
+            out = json.loads(capsys.readouterr().out)
+            plans[out["plan"]] = out["ratios"]
+        assert len(plans) == 2
+        for path, ratios in plans.items():
+            assert list(QuantPlan.load(path).ratios) == ratios
+
+    def test_assign_budget_plan_has_the_reported_average(self, tmp_path, capsys):
+        # 18 modules: 7 attention projections, one 4x larger MLP projection,
+        # then the rest; a 5.1-bit budget puts the first at 16 bits and the
+        # next six at 8 (floor((1/18 + 6/18) * 18) is 6, not 7)
+        train = {**MICRO["train"], "n_layers": 3, "d_ff": 64}
+        cfg = write_config(tmp_path, train=train)
+        assert main(["train", "-c", cfg]) == 0
+        ws = Workspace(PipelineConfig.load(cfg))
+        ckpt = ws.require_checkpoint("ar")
+        paths = ckpt.quantizable_paths()
+        mlp = [p for p in paths if ".mlp." in p]
+        attn = [p for p in paths if ".attn." in p]
+        ranked = attn[:7] + mlp[:1] + attn[7:] + mlp[1:]
+        records = [SensitivityRecord(p, float(100 - i), ckpt.n_params(p), 1, True)
+                   for i, p in enumerate(ranked)]
+        save_report(records, ws.cfg.sensitivity, ws.path("sensitivity", "ar.json"),
+                    ws.path("sensitivity", "ar.csv"), ws.cfg.sensitivity_hash("ar"))
+        capsys.readouterr()
+        assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "5.1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        bits = {m["path"]: m["bits"] for m in json.loads(Path(out["plan"]).read_text())["modules"]}
+        assert [bits[p] for p in ranked] == [16] + [8] * 6 + [4] * 11
+        average = sum(bits[p] * ckpt.n_params(p) for p in paths) / sum(map(ckpt.n_params, paths))
+        assert average == pytest.approx(out["achieved_avg_bits"]) == 5.0
+        assert out["ratios"] == [1 / 18, 6 / 18, 11 / 18]
 
     def test_assign_budget_rejects_levels(self, tmp_path, capsys):
         # the budget search assigns 16/8/4 bits; other levels would break its average
@@ -193,17 +232,55 @@ class TestPipelineStages:
         assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "rtn",
                      "--plan", str(plan)]) == 0
 
-    def test_gptq_rejects_a_plan(self, tmp_path, capsys):
+    def test_gptq_takes_a_plan(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0
         ckpt = ModelCheckpoint.load(tmp_path / "ws" / "checkpoints" / "ar.ckpt")
-        plan = tmp_path / "plan.json"
-        uniform_plan(ckpt, 8).save(plan)
+        plan = uniform_plan(ckpt, 8)
+        kept = plan.paths()[0]
+        plan.bits[kept] = 16
+        plan_path = tmp_path / "plan.json"
+        plan.save(plan_path)
         capsys.readouterr()
         assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "gptq",
-                     "--bits", "4", "--plan", str(plan)]) == 1
+                     "--bits", "4", "--plan", str(plan_path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
         assert not (tmp_path / "ws" / "quantized").exists()
+        assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "gptq",
+                     "--plan", str(plan_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        quantized = ModelCheckpoint.load(out["checkpoint"])
+        assert quantized.meta["quantization"] == {"method": "gptq", "plan": plan.bits}
+        assert quantized.params[kept].tobytes() == ckpt.params[kept].tobytes()
+        layers = Path(out["layer_report"]).read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in layers] == \
+            [[p, "8"] for p in ckpt.quantizable_paths() if p != kept]
+
+    @pytest.mark.parametrize("text", ['{"version": 1, "group_size": 128, "modu',
+                                      '{"version": 1, "group_size": 128}'])
+    def test_malformed_plan_is_a_json_error(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        capsys.readouterr()
+        assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "rtn",
+                     "--plan", str(plan)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError" and str(plan) in err["message"]
+
+    def test_malformed_sensitivity_report_is_a_json_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        report = tmp_path / "ws" / "sensitivity" / "ar.json"
+        doc = json.loads(report.read_text())
+        del doc["records"][0]["lambda"]
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["assign", "-c", cfg, "--model", "ar", "--force"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError" and "lambda" in err["message"]
 
     def test_assign_rejects_stale_sensitivity(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -12,7 +12,7 @@ from ptqlab.errors import ContractError, ParameterError
 from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure_latency,
                                plan_grid)
 from ptqlab.model import ModelConfig, new_checkpoint
-from ptqlab.pipeline import (ENV_WORKSPACE, SECTIONS, PipelineConfig, Workspace, cell_hash,
+from ptqlab.pipeline import (ENV_WORKSPACE, SECTIONS, PipelineConfig, Workspace, cell_hasher,
                              reproduce, stage_eval, stage_train)
 from ptqlab.quant import QuantPlan, memory_footprint
 from ptqlab.trainer import TrainConfig, train
@@ -124,10 +124,10 @@ def failing_3bit_gptq(monkeypatch):
     """Makes every 3-bit GPTQ layer raise; returns the real layer function."""
     real = gptq_mod.gptq_quantize_layer
 
-    def flaky(weight, calib, cfg):
-        if cfg.bits == 3:
+    def flaky(weight, calib, spec, cfg):
+        if spec.bits == 3:
             raise ContractError("injected failure")
-        return real(weight, calib, cfg)
+        return real(weight, calib, spec, cfg)
 
     monkeypatch.setattr(gptq_mod, "gptq_quantize_layer", flaky)
     return real
@@ -155,8 +155,12 @@ FLIPS = {
     "sensitivity": {"rho": 0.2, "n_power_iters": 2, "eps_scale": 1e-2, "n_batches": 2},
     "grid": {"bits": (4,), "hawq_splits": ((16, 4),), "hawq_ratio": 0.25,
              "rank_mode": "normalized", "n_calibration_batches": 2},
-    "gptq": {"bits": 3, "group_size": 64, "damping": 0.1, "column_order": "by_diag_desc"},
+    "gptq": {"group_size": 64, "damping": 0.1, "column_order": "by_diag_desc"},
 }
+
+
+def cell_hash(cfg, cell, fingerprint):
+    return cell_hasher(cfg, cell[0].removeprefix("toy-"), fingerprint)(cell)
 
 
 class TestGrid:
@@ -203,8 +207,10 @@ class TestGrid:
             assert (ws.root / "sensitivity" / f"{mode}.json").exists()
             assert (ws.root / "sensitivity" / f"{mode}.csv").exists()
             ckpt = ws.require_checkpoint(mode)
-            for label, split in (("hawq-16/8", "16-8"), ("hawq-8/4", "8-4")):
-                plan = QuantPlan.load(ws.root / "plans" / f"{mode}_split_{split}.json")
+            split = (ws.cfg.grid.hawq_ratio, 1.0 - ws.cfg.grid.hawq_ratio, 0.0)
+            for label, levels in (("hawq-16/8", (16, 8, 8)), ("hawq-8/4", (8, 4, 4))):
+                name = f"{mode}_{ws.cfg.plan_hash(mode, split, levels)}.json"
+                plan = QuantPlan.load(ws.root / "plans" / name)
                 raw, eff, _ = memory_footprint(plan, ckpt)
                 row = rows[(f"toy-{mode}", "hawq", label)]
                 assert (row.raw_bits, row.eff_bits) == (raw, eff)
@@ -294,5 +300,6 @@ class TestGrid:
                 assert row.config_hash != before[key].config_hash, key
         assert after[("toy-ar", "rtn", "4bit")].eff_bits == 4 + 16 / 32
         assert after[("toy-diffusion", "gptq", "4bit")].eff_bits == 4 + 16 / 32
-        plan = json.loads((ws.root / "plans" / "ar_split_16-8.json").read_text())
-        assert plan["group_size"] == 32
+        split = (ws.cfg.grid.hawq_ratio, 1.0 - ws.cfg.grid.hawq_ratio, 0.0)
+        name = f"ar_{ws.cfg.plan_hash('ar', split, (16, 8, 8))}.json"
+        assert json.loads((ws.root / "plans" / name).read_text())["group_size"] == 32

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import ptqlab.gptq as gptq_mod
 from ptqlab.errors import NotPositiveDefiniteError, ParameterError
 from ptqlab.gptq import (MAX_RETRIES, GptqConfig, LayerCalibration, _damped_inverse_factor,
                          _stage_key, calibration_inputs, collect_calibration,
                          gptq_quantize_layer, gptq_quantize_model)
 from ptqlab.model import Batch, ModelConfig, forward_logits, layers, network, new_checkpoint
 from ptqlab.numerics import make_rng
-from ptqlab.quant import (GroupQuantSpec, QuantizedWeight, dequantize, group_scales,
-                          quantize_weight)
+from ptqlab.quant import (GroupQuantSpec, QuantizedWeight, QuantPlan, dequantize,
+                          group_scales, quantize_weight, uniform_plan)
 
 from kernel_reference import round_half_away_from_zero
 from ptqlab.trainer import TrainConfig, calibration_batches
@@ -60,7 +61,7 @@ def calib_from_list(path, xs, d_in):
     return c
 
 
-def reference_quantize_layer(weight, calib, cfg):
+def reference_quantize_layer(weight, calib, spec, cfg):
     """The column loop on an untransposed (d_out, d_in) working copy.
 
     It rounds by sign(x) * floor(|x| + 0.5) and clips with ``np.clip``.
@@ -74,13 +75,13 @@ def reference_quantize_layer(weight, calib, cfg):
         perm = np.arange(d_in)
     wp = w_orig[:, perm].copy()
     upper = _damped_inverse_factor(h[perm][:, perm], cfg.damping)
-    qmax = cfg.spec().qmax
-    n_groups = math.ceil(d_in / cfg.group_size)
+    qmax = spec.qmax
+    n_groups = math.ceil(d_in / spec.group_size)
     scales = np.zeros((d_out, n_groups))
     seen_group = np.zeros(n_groups, dtype=bool)
     codes_perm = np.zeros((d_out, d_in), dtype=np.int16)
     deq_perm = np.zeros((d_out, d_in))
-    group_of = perm // cfg.group_size
+    group_of = perm // spec.group_size
     for j in range(d_in):
         g = group_of[j]
         if not seen_group[g]:
@@ -96,20 +97,24 @@ def reference_quantize_layer(weight, calib, cfg):
             wp[:, j + 1:] -= np.outer(err, upper[j, j + 1:])
     inv_perm = np.argsort(perm)
     delta = w_orig - deq_perm[:, inv_perm]
-    qw = QuantizedWeight((d_out, d_in), cfg.spec(), scales, codes_perm[:, inv_perm])
+    qw = QuantizedWeight((d_out, d_in), spec, scales, codes_perm[:, inv_perm])
     return qw, float(np.trace(delta.T @ delta @ h)) / 2.0
 
 
-def reference_quantize_model(ckpt, batches, cfg):
-    """Sequential GPTQ, each stage calibrated by full forwards of the quantized prefix."""
+def reference_quantize_model(ckpt, plan, batches, cfg):
+    """Sequential GPTQ, each stage calibrated by full forwards of the quantized prefix.
+
+    The layers of ``plan`` at 16 bits are kept.
+    """
     out = ckpt.copy()
     errors = []
     for _, stage in itertools.groupby(ckpt.quantizable_paths(), key=_stage_key):
-        stage = list(stage)
+        stage = [p for p in stage if plan.bits[p] != 16]
         seen = full_forward_inputs(out, batches)
         for p in stage:
             calib = calib_from_list(p, seen[p], out.params[p].shape[1])
-            qw, err = reference_quantize_layer(out.params[p], calib, cfg)
+            spec = GroupQuantSpec(plan.bits[p], plan.group_size)
+            qw, err = reference_quantize_layer(out.params[p], calib, spec, cfg)
             out.params[p] = dequantize(qw).astype(np.float32)
             errors.append((p, err))
     return out, errors
@@ -147,7 +152,7 @@ class TestLayerQuantization:
         rng = make_rng(3)
         w = rng.standard_normal((6, 12))
         calib = LayerCalibration("l", np.eye(12), n_samples=12)
-        qw, _ = gptq_quantize_layer(w, calib, GptqConfig(bits=3))
+        qw, _ = gptq_quantize_layer(w, calib, GroupQuantSpec(3), GptqConfig())
         rtn_qw = quantize_weight(w, GroupQuantSpec(3, 128))
         assert np.array_equal(qw.codes, rtn_qw.codes)
         assert np.allclose(qw.scales, rtn_qw.scales)
@@ -157,8 +162,7 @@ class TestLayerQuantization:
         w = np.array([[1.0, 0.55]])
         x = np.array([[1.0, 0.97], [0.9, 0.88], [1.1, 1.05], [-1.0, -0.96]])
         calib = calib_from_inputs(x)
-        cfg = GptqConfig(bits=2)
-        qw, err = gptq_quantize_layer(w, calib, cfg)
+        qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(2), GptqConfig())
         h = calib.hessian
 
         scale = qw.scales[0, 0]
@@ -176,7 +180,7 @@ class TestLayerQuantization:
         x = np.stack([x1, x2], axis=1)
         calib = calib_from_inputs(x)
         w = np.array([[0.55, 1.0]])
-        qw, err = gptq_quantize_layer(w, calib, GptqConfig(bits=2))
+        qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(2), GptqConfig())
         rtn_qw = quantize_weight(w, GroupQuantSpec(2, 128))
         assert not np.array_equal(qw.codes, rtn_qw.codes)
         assert err <= recon_error(w, dequantize(rtn_qw), calib.hessian) * (1 + 1e-9)
@@ -191,7 +195,7 @@ class TestLayerQuantization:
             x = rng.standard_normal((64, 16)) @ mix
             calib = calib_from_inputs(x)
             w = rng.standard_normal((16, 16)) * 0.5
-            _, gptq_err = gptq_quantize_layer(w, calib, GptqConfig(bits=3))
+            _, gptq_err = gptq_quantize_layer(w, calib, GroupQuantSpec(3), GptqConfig())
             rtn_err = recon_error(w, rtn_deq(w, 3), calib.hessian)
             wins += gptq_err <= rtn_err
             improvements.append(rtn_err - gptq_err)
@@ -204,8 +208,8 @@ class TestLayerQuantization:
         x = rng.standard_normal((40, 10)) @ rng.standard_normal((10, 10))
         calib = calib_from_inputs(x)
         for order in ("ascending", "by_diag_desc"):
-            qw, err = gptq_quantize_layer(w, calib, GptqConfig(bits=4, group_size=4,
-                                                               column_order=order))
+            qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(4, 4),
+                                          GptqConfig(column_order=order))
             assert qw.codes.shape == w.shape
             assert qw.scales.shape == (4, 3)  # 4,4,2 ragged split
             assert err >= 0
@@ -223,10 +227,11 @@ class TestLayerQuantization:
 
         w = np.array([[0.5, -0.2]])
         assert MAX_RETRIES == 3
-        qw, _ = gptq_quantize_layer(w, indefinite(5.0), GptqConfig(bits=3))  # delta 10: last try
+        # delta 10: the last try
+        qw, _ = gptq_quantize_layer(w, indefinite(5.0), GroupQuantSpec(3), GptqConfig())
         assert qw.codes.shape == (1, 2)
         with pytest.raises(NotPositiveDefiniteError):
-            gptq_quantize_layer(w, indefinite(50.0), GptqConfig(bits=3))
+            gptq_quantize_layer(w, indefinite(50.0), GroupQuantSpec(3), GptqConfig())
 
     @pytest.mark.parametrize("order", ["ascending", "by_diag_desc"])
     def test_transposed_loop_matches_reference_bytes(self, order):
@@ -235,10 +240,11 @@ class TestLayerQuantization:
             w = rng.standard_normal((d_out, d_in))
             calib = calib_from_inputs(rng.standard_normal((30, d_in)) @
                                       rng.standard_normal((d_in, d_in)))
+            cfg = GptqConfig(column_order=order)
             for bits in (2, 3, 4, 8):
-                cfg = GptqConfig(bits=bits, group_size=group, column_order=order)
-                qw, err = gptq_quantize_layer(w, calib, cfg)
-                ref, ref_err = reference_quantize_layer(w, calib, cfg)
+                spec = GroupQuantSpec(bits, group)
+                qw, err = gptq_quantize_layer(w, calib, spec, cfg)
+                ref, ref_err = reference_quantize_layer(w, calib, spec, cfg)
                 assert qw.codes.tobytes() == ref.codes.tobytes()
                 assert qw.scales.tobytes() == ref.scales.tobytes()
                 assert err == ref_err
@@ -253,17 +259,22 @@ class TestLayerQuantization:
             qmax = 2 ** (bits - 1) - 1
             ties = rng.integers(-qmax, qmax, size=(4, 11)) + 0.5
             w = np.concatenate([np.full((4, 1), float(qmax)), ties], axis=1)
-            cfg = GptqConfig(bits=bits)
-            qw, err = gptq_quantize_layer(w, calib, cfg)
-            ref, ref_err = reference_quantize_layer(w, calib, cfg)
+            spec = GroupQuantSpec(bits)
+            qw, err = gptq_quantize_layer(w, calib, spec, GptqConfig())
+            ref, ref_err = reference_quantize_layer(w, calib, spec, GptqConfig())
             assert np.array_equal(qw.scales, np.ones((4, 1)))
             assert np.array_equal(qw.codes[:, 1:], ties + np.sign(ties) * 0.5)
             assert qw.codes.tobytes() == ref.codes.tobytes()
             assert err == ref_err
 
-    def test_config_rejects_16_bits(self):
+    def test_layer_rejects_16_bits(self):
+        calib = LayerCalibration("l", np.eye(2), n_samples=2)
         with pytest.raises(ParameterError):
-            GptqConfig(bits=16)
+            gptq_quantize_layer(np.ones((1, 2)), calib, GroupQuantSpec(16), GptqConfig())
+
+    def test_config_rejects_group_size_below_one(self):
+        with pytest.raises(ParameterError):
+            GptqConfig(group_size=0)
 
 
 class TestModelQuantization:
@@ -278,7 +289,7 @@ class TestModelQuantization:
     @pytest.mark.parametrize("mode", ["ar", "diffusion"])
     def test_quantize_model_runs_and_reports(self, mode):
         ckpt, batches = self.make_setup(mode)
-        out, report = gptq_quantize_model(ckpt, batches, GptqConfig(bits=4))
+        out, report = gptq_quantize_model(ckpt, uniform_plan(ckpt, 4), batches, GptqConfig())
         paths = ckpt.quantizable_paths()
         assert [r["path"] for r in report] == paths
         for row in report:
@@ -290,42 +301,96 @@ class TestModelQuantization:
         for p in untouched:
             assert np.array_equal(out.params[p], ckpt.params[p])
 
-    @pytest.mark.parametrize("mode", ["ar", "diffusion"])
-    def test_matches_full_forward_reference_bytes(self, mode):
+    def two_block_setup(self, mode):
         cfg = TrainConfig(mode=mode, steps=3, seed=4, d_model=16, n_layers=2, n_heads=2,
                           d_ff=32, max_seq_len=32)
         from ptqlab.trainer import train
 
-        ckpt = train(cfg)
-        batches = calibration_batches(cfg, 2)
-        for bits in (2, 4):
-            out, report = gptq_quantize_model(ckpt, batches, GptqConfig(bits=bits))
-            ref, ref_errors = reference_quantize_model(ckpt, batches, GptqConfig(bits=bits))
+        return train(cfg), calibration_batches(cfg, 2)
+
+    @pytest.mark.parametrize("mode", ["ar", "diffusion"])
+    def test_matches_full_forward_reference_bytes(self, mode):
+        ckpt, batches = self.two_block_setup(mode)
+        for bits in (2, 3, 4, 8):
+            plan = uniform_plan(ckpt, bits)
+            out, report = gptq_quantize_model(ckpt, plan, batches, GptqConfig())
+            ref, ref_errors = reference_quantize_model(ckpt, plan, batches, GptqConfig())
             assert [(r["path"], r["recon_error"]) for r in report] == ref_errors
+            assert {r["bits"] for r in report} == {bits}
             for p in ckpt.params:
                 assert out.params[p].tobytes() == ref.params[p].tobytes(), (bits, p)
+
+    @pytest.mark.parametrize("mode", ["ar", "diffusion"])
+    def test_mixed_plan_quantizes_each_layer_at_its_width(self, mode):
+        ckpt, batches = self.two_block_setup(mode)
+        paths = ckpt.quantizable_paths()
+        plan = QuantPlan({p: (16, 2, 3, 4, 8)[i % 5] for i, p in enumerate(paths)})
+        out, report = gptq_quantize_model(ckpt, plan, batches, GptqConfig())
+        ref, ref_errors = reference_quantize_model(ckpt, plan, batches, GptqConfig())
+        assert [(r["path"], r["recon_error"]) for r in report] == ref_errors
+        assert [(r["path"], r["bits"]) for r in report] == \
+            [(p, plan.bits[p]) for p in paths if plan.bits[p] != 16]
+        assert out.meta["quantization"] == {"method": "gptq", "plan": plan.bits}
+        for p in ckpt.params:
+            assert out.params[p].tobytes() == ref.params[p].tobytes(), p
+            if plan.bits.get(p, 16) == 16:
+                assert out.params[p].tobytes() == ckpt.params[p].tobytes(), p
+            else:  # on its own grid: one group per row (d_in < 128), 2**bits - 1 levels
+                w = out.params[p]
+                assert not np.array_equal(w, ckpt.params[p]), p
+                assert max(len(np.unique(row)) for row in w) <= 2 ** plan.bits[p] - 1, p
+
+    def test_a_stage_of_16_bit_layers_collects_no_calibration(self, monkeypatch):
+        ckpt, batches = self.two_block_setup("ar")
+        paths = ckpt.quantizable_paths()
+        stages = []
+        real = gptq_mod.collect_calibration
+
+        def recording(ckpt, inputs, stage_paths):
+            stages.append(list(stage_paths))
+            return real(ckpt, inputs, stage_paths)
+
+        monkeypatch.setattr(gptq_mod, "collect_calibration", recording)
+        # block 0's q/k/v and all of block 1 stay at 16 bits
+        plan = QuantPlan({p: 16 if ".attn.q" in p or ".attn.k" in p or ".attn.v" in p
+                          or p.startswith("blocks.1.") else 4 for p in paths})
+        gptq_quantize_model(ckpt, plan, batches, GptqConfig())
+        assert stages == [[f"blocks.0.{x}.weight"] for x in ("attn.o", "mlp.fc_in", "mlp.fc_out")]
+
+        stages.clear()
+        out, report = gptq_quantize_model(ckpt, uniform_plan(ckpt, 16), batches, GptqConfig())
+        assert stages == [] and report == []
+        assert out.to_bytes() != ckpt.to_bytes()  # the meta records the plan
+        assert all(out.params[p].tobytes() == ckpt.params[p].tobytes() for p in ckpt.params)
+
+    def test_plan_naming_an_embedding_is_rejected(self):
+        ckpt, batches = self.make_setup()
+        plan = uniform_plan(ckpt, 4)
+        plan.bits["head.weight"] = 8
+        with pytest.raises(ParameterError, match="head.weight"):
+            gptq_quantize_model(ckpt, plan, batches, GptqConfig())
 
     def test_a_stage_never_runs_the_head(self, monkeypatch):
         ckpt, batches = self.make_setup()
         for name in ("head_fwd", "forward_logits"):
             monkeypatch.setattr(network, name, lambda *a, _n=name, **k: pytest.fail(_n))
-        gptq_quantize_model(ckpt, batches, GptqConfig(bits=4))
+        gptq_quantize_model(ckpt, uniform_plan(ckpt, 4), batches, GptqConfig())
 
     def test_deterministic(self):
         ckpt, batches = self.make_setup()
-        a, _ = gptq_quantize_model(ckpt, batches, GptqConfig(bits=3))
-        b, _ = gptq_quantize_model(ckpt, batches, GptqConfig(bits=3))
+        a, _ = gptq_quantize_model(ckpt, uniform_plan(ckpt, 3), batches, GptqConfig())
+        b, _ = gptq_quantize_model(ckpt, uniform_plan(ckpt, 3), batches, GptqConfig())
         assert a.to_bytes() == b.to_bytes()
 
     def test_sequential_differs_from_isolated(self):
         ckpt, batches = self.make_setup()
-        cfg = GptqConfig(bits=2)
-        seq, _ = gptq_quantize_model(ckpt, batches, cfg)
+        spec, cfg = GroupQuantSpec(2), GptqConfig()
+        seq, _ = gptq_quantize_model(ckpt, uniform_plan(ckpt, 2), batches, cfg)
         # reference: every layer calibrated on the unquantized model
         paths = ckpt.quantizable_paths()
         seen = full_forward_inputs(ckpt, batches)
         calibs = {p: calib_from_list(p, seen[p], ckpt.params[p].shape[1]) for p in paths}
-        iso = {p: dequantize(gptq_quantize_layer(ckpt.params[p], calibs[p], cfg)[0])
+        iso = {p: dequantize(gptq_quantize_layer(ckpt.params[p], calibs[p], spec, cfg)[0])
                .astype(np.float32) for p in paths}
         # the first stage (q/k/v) sees the same calibration either way, later
         # stages see the quantized prefix only in sequential calibration
@@ -336,7 +401,7 @@ class TestModelQuantization:
     def test_gptq4_at_least_rtn4_minus_one_point_over_seeds(self):
         # paired end-task comparison across three training seeds
         from ptqlab.evaluation import TaskSuite, evaluate_tasks
-        from ptqlab.quant import rtn_quantize_model, uniform_plan
+        from ptqlab.quant import rtn_quantize_model
         from ptqlab.trainer import train
 
         suite = TaskSuite(tasks=("copy", "reverse", "pattern_completion"),
@@ -346,7 +411,8 @@ class TestModelQuantization:
                               n_layers=1, n_heads=2, d_ff=64, max_seq_len=32)
             ckpt = train(cfg)
             batches = calibration_batches(cfg, 4)
-            gptq_ckpt, _ = gptq_quantize_model(ckpt, batches, GptqConfig(bits=4))
+            gptq_ckpt, _ = gptq_quantize_model(ckpt, uniform_plan(ckpt, 4), batches,
+                                               GptqConfig())
             rtn_ckpt = rtn_quantize_model(ckpt, uniform_plan(ckpt, 4))
             g = np.mean(list(evaluate_tasks(gptq_ckpt, suite).values()))
             r = np.mean(list(evaluate_tasks(rtn_ckpt, suite).values()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptqlab.errors import CoverageError, NumericError, ParameterError
+from ptqlab.errors import ContractError, CoverageError, NumericError, ParameterError
 from ptqlab.model import ModelConfig, new_checkpoint
 from ptqlab.numerics import make_rng
 from ptqlab.quant import (GroupQuantSpec, QuantPlan, dequantize, memory_footprint,
@@ -123,7 +123,7 @@ class TestWeightProperties:
         plan = uniform_plan(ckpt, 4)
         kept = plan.paths()[::2]
         for path in kept:
-            plan.specs[path] = GroupQuantSpec(16)
+            plan.bits[path] = 16
         out = rtn_quantize_model(ckpt, plan)
         for path in plan.paths():
             same = out.params[path].tobytes() == ckpt.params[path].tobytes()
@@ -147,20 +147,20 @@ class TestModelQuantization:
         ckpt = small_ckpt()
         plan = uniform_plan(ckpt, 4)
         out = rtn_quantize_model(ckpt, plan)
-        for path in plan.specs:
+        for path in plan.bits:
             assert not np.array_equal(out.params[path], ckpt.params[path])
-        for path in set(ckpt.params) - set(plan.specs):
+        for path in set(ckpt.params) - set(plan.bits):
             assert np.array_equal(out.params[path], ckpt.params[path])
 
     def test_embeddings_skipped_by_default_allowed_in_a_written_plan(self):
         ckpt = small_ckpt()
         plan = uniform_plan(ckpt, 4)
-        assert not {"embed.tok", "head.weight"} & set(plan.specs)
-        plan.specs["head.weight"] = GroupQuantSpec(8)
+        assert not {"embed.tok", "head.weight"} & set(plan.bits)
+        plan.bits["head.weight"] = 8
         out = rtn_quantize_model(ckpt, plan)
         assert not np.array_equal(out.params["head.weight"], ckpt.params["head.weight"])
         assert np.array_equal(out.params["embed.tok"], ckpt.params["embed.tok"])
-        plan.specs["embed.tok"] = GroupQuantSpec(8)
+        plan.bits["embed.tok"] = 8
         out = rtn_quantize_model(ckpt, plan)
         assert not np.array_equal(out.params["embed.tok"], ckpt.params["embed.tok"])
 
@@ -168,7 +168,7 @@ class TestModelQuantization:
         ckpt = small_ckpt()
         plan = uniform_plan(ckpt, 4)
         dropped = plan.paths()[0]
-        del plan.specs[dropped]
+        del plan.bits[dropped]
         with pytest.raises(CoverageError) as exc:
             rtn_quantize_model(ckpt, plan)
         assert dropped in exc.value.missing
@@ -176,7 +176,7 @@ class TestModelQuantization:
     def test_coverage_error_on_unknown_path(self):
         ckpt = small_ckpt()
         plan = uniform_plan(ckpt, 4)
-        plan.specs["blocks.9.attn.q.weight"] = GroupQuantSpec(4)
+        plan.bits["blocks.9.attn.q.weight"] = 4
         with pytest.raises(CoverageError):
             rtn_quantize_model(ckpt, plan)
 
@@ -196,7 +196,7 @@ class TestMemoryFootprint:
         # attention params == mlp params by construction (d_ff = 2*d_model)
         for p in plan.paths():
             if ".attn." in p:
-                plan.specs[p] = GroupQuantSpec(16)
+                plan.bits[p] = 16
         raw, _, _ = memory_footprint(plan, ckpt)
         assert raw == pytest.approx(12.0)
 
@@ -205,9 +205,27 @@ class TestPlanIO:
     def test_round_trip(self, tmp_path):
         ckpt = small_ckpt()
         plan = uniform_plan(ckpt, 4)
-        plan.specs[plan.paths()[0]] = GroupQuantSpec(8, plan.specs[plan.paths()[1]].group_size)
+        plan.bits[plan.paths()[0]] = 8
         path = tmp_path / "plan.json"
         plan.save(path)
         loaded = QuantPlan.load(path)
         assert loaded.provenance == plan.provenance
-        assert {p: s.bits for p, s in loaded.specs.items()} == {p: s.bits for p, s in plan.specs.items()}
+        assert loaded.bits == plan.bits and loaded.group_size == plan.group_size
+
+    @pytest.mark.parametrize("text", [
+        '{"version": 1, "group_size": 128, "modules": [{"pa',  # cut short
+        '{"version": 1, "group_size": 128}',
+        '{"version": 1, "group_size": 128, "modules": [{"path": "blocks.0.attn.q.weight"}]}',
+        '{"version": 1, "modules": []}',
+        '["modules"]'])
+    def test_malformed_file_is_a_contract_error(self, tmp_path, text):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        with pytest.raises(ContractError, match="malformed"):
+            QuantPlan.load(path)
+
+    def test_unsupported_width_or_group_size_is_rejected(self):
+        with pytest.raises(ParameterError):
+            QuantPlan({"blocks.0.attn.q.weight": 5})
+        with pytest.raises(ParameterError):
+            QuantPlan({"blocks.0.attn.q.weight": 4}, group_size=0)

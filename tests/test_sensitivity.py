@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ptqlab.errors import ParameterError
+from ptqlab.errors import ContractError, ParameterError
 from ptqlab.model import Batch, ModelConfig, loss_and_grads, new_checkpoint
 from ptqlab.model import layers, network
 from ptqlab.numerics import make_rng, sample_sparse_direction
@@ -286,3 +286,14 @@ class TestReportIO:
         assert SensitivityConfig(**json.loads(jp.read_text())["config"]) == cfg
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
         assert cp.read_text().count("\n") == 3  # header + 2 rows
+
+    @pytest.mark.parametrize("text", [
+        '{"config_hash": "abc", "records": [{"path": "x", "lam',  # cut short
+        '{"config_hash": "abc"}',
+        '{"records": [{"path": "x", "n_params": 4, "iters_used": 1, "converged": true}]}',
+        '["records"]'])
+    def test_malformed_report_is_a_contract_error(self, tmp_path, text):
+        jp = tmp_path / "sens.json"
+        jp.write_text(text)
+        with pytest.raises(ContractError, match="malformed"):
+            load_report(jp)
