@@ -39,9 +39,15 @@ class SplitRatios:
 
 
 def cutoff_bits(n_modules: int, ratios: SplitRatios, levels=BIT_LEVELS) -> list:
-    """Bit level per rank position (1-indexed cutoffs with floor arithmetic)."""
-    k_hi = math.floor(ratios.p16 * n_modules)
-    k_mid = math.floor((ratios.p16 + ratios.p8) * n_modules)
+    """Bit level per rank position (1-indexed cutoffs with floor arithmetic).
+
+    A product within 1e-9 of an integer, the tolerance of :class:`SplitRatios`,
+    counts as that integer. So ratios that are count/M fractions, such as
+    (1/7, 4/7, 2/7) over 7 modules, give exactly those counts, whatever the
+    float rounding of the ratios.
+    """
+    k_hi = math.floor(ratios.p16 * n_modules + 1e-9)
+    k_mid = math.floor((ratios.p16 + ratios.p8) * n_modules + 1e-9)
     bits = []
     for m in range(1, n_modules + 1):
         if m <= k_hi:

@@ -91,8 +91,16 @@ class EvalResult:
     error: str = ""
     timer_warning: bool = False
 
+    def to_dict(self) -> dict:
+        """Every field by name, as ``dataclasses.asdict`` gives it, at a fraction of its cost."""
+        return dict(vars(self), scores=dict(self.scores))
+
     def mean_score(self) -> float:
-        return float(np.mean(list(self.scores.values()))) if self.scores else float("nan")
+        """Mean over the tasks in name order, so a fresh result and its cached
+        copy (whose scores come back sorted) give the same float."""
+        if not self.scores:
+            return float("nan")
+        return float(np.mean([self.scores[t] for t in sorted(self.scores)]))
 
 
 def _task_seed(seed: int, task: str) -> int:

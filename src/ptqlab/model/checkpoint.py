@@ -91,22 +91,28 @@ class ModelCheckpoint:
         """Inverse of :meth:`to_bytes`; a truncated or malformed blob is a ContractError."""
         if blob[:8] != MAGIC:
             raise ContractError("not a checkpoint file (bad magic)")
+        view = memoryview(blob)
         off = 8
 
-        def take(n: int) -> bytes:
+        def take(n: int) -> int:
+            """Offset of the next ``n`` bytes, which the cursor then skips."""
             nonlocal off
-            if off + n > len(blob):
-                raise ContractError(f"checkpoint truncated: {len(blob)} bytes, "
+            if off + n > len(view):
+                raise ContractError(f"checkpoint truncated: {len(view)} bytes, "
                                     f"the layout needs at least {off + n}")
             off += n
-            return blob[off - n:off]
+            return off - n
 
         def unpack(fmt: str) -> tuple:
-            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+            return struct.unpack_from(fmt, view, take(struct.calcsize(fmt)))
+
+        def text(n: int) -> str:
+            start = take(n)
+            return str(view[start:off], "utf-8")
 
         (hlen,) = unpack("<I")
         try:
-            header = json.loads(take(hlen).decode("utf-8"))
+            header = json.loads(text(hlen))
             config = ModelConfig(**header["config"])
             meta = header.get("meta", {})
         except (ValueError, KeyError, TypeError, AttributeError, ParameterError) as exc:
@@ -116,15 +122,16 @@ class ModelCheckpoint:
         for _ in range(count):
             (nlen,) = unpack("<H")
             try:
-                name = take(nlen).decode("utf-8")
+                name = text(nlen)
             except UnicodeDecodeError as exc:
                 raise ContractError(f"malformed checkpoint tensor name: {exc}") from exc
             (ndim,) = unpack("<B")
             shape = unpack(f"<{ndim}I")
-            params[name] = np.frombuffer(take(4 * math.prod(shape)),
-                                         dtype="<f4").reshape(shape).copy()
-        if off != len(blob):
-            raise ContractError(f"checkpoint has {len(blob) - off} bytes after its last tensor")
+            size = math.prod(shape)
+            # one copy, out of the blob and into a tensor of its own
+            params[name] = np.frombuffer(view, "<f4", size, take(4 * size)).reshape(shape).copy()
+        if off != len(view):
+            raise ContractError(f"checkpoint has {len(view) - off} bytes after its last tensor")
         return cls(config, params, meta)
 
 

@@ -98,6 +98,8 @@ class PipelineConfig:
                       assign_ratios=assign.get("ratios", (0.5, 0.5, 0.0)),
                       assign_levels=assign.get("levels", (16, 8, 4)))
             SplitRatios(*cfg.assign_ratios)  # validate eagerly
+            if any(type(b) is not int for b in cfg.assign_levels):  # plan widths are integers
+                raise ParameterError(f"assign levels must be integers, got {cfg.assign_levels}")
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"malformed config value: {exc}") from exc
         return cfg
@@ -133,12 +135,20 @@ def cell_hasher(cfg: PipelineConfig, mode: str, fingerprint: str):
     It hashes the cell and the run seed, the fingerprint of the cell's
     checkpoint, and every config section but ``train``, which the
     fingerprint already covers; the latency section carries the cell's unit.
-    The sections are serialized once per model.
+    Each key is :func:`_hash` of that payload. The payload's sorted JSON
+    starts with "cell", which sorts before every other key, so the rest is
+    serialized once per model and each cell only prepends its own entry.
     """
     latency = _latency(cfg, mode)
     sections = {name: dataclasses.asdict(latency if name == "latency" else getattr(cfg, name))
                 for name in SECTIONS if name != "train"}
-    return lambda cell: _hash({"cell": [*cell, cfg.seed], "ckpt": fingerprint, **sections})
+    rest = json.dumps({"ckpt": fingerprint, **sections}, sort_keys=True)[1:]
+
+    def key(cell) -> str:
+        text = f'{{"cell": {json.dumps([*cell, cfg.seed])}, {rest}'
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    return key
 
 
 def _section(doc: dict, name: str, keys) -> dict:
@@ -440,7 +450,7 @@ def _cache_load(ws: Workspace, config_hash: str) -> EvalResult | None:
 
 def _cache_store(ws: Workspace, config_hash: str, result: EvalResult) -> None:
     write_atomic(ws.path("cache", f"{config_hash}.json"),
-                 json.dumps(dataclasses.asdict(result), sort_keys=True))
+                 json.dumps(result.to_dict(), sort_keys=True))
 
 
 def stage_report(ws: Workspace, results=None) -> dict:

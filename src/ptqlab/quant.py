@@ -146,12 +146,20 @@ class QuantPlan:
     def load(cls, path) -> "QuantPlan":
         try:
             doc = json.loads(Path(path).read_text())
-            bits = {m["path"]: int(m["bits"]) for m in doc["modules"]}
+            bits = {m["path"]: _integer(m, "bits") for m in doc["modules"]}
             ratios = tuple(doc["ratios"]) if "ratios" in doc else None
-            return cls(bits, int(doc["group_size"]), doc.get("provenance", PROVENANCE_MANUAL),
-                       ratios)
+            return cls(bits, _integer(doc, "group_size"),
+                       doc.get("provenance", PROVENANCE_MANUAL), ratios)
         except (ValueError, KeyError, TypeError) as exc:
             raise ContractError(f"plan {path} is malformed: {type(exc).__name__}: {exc}") from exc
+
+
+def _integer(doc: dict, key: str) -> int:
+    """``doc[key]`` when it is a JSON integer; 8.9, "8" or true is a TypeError naming ``key``."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def uniform_plan(ckpt: ModelCheckpoint, bits: int,

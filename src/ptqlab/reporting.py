@@ -8,18 +8,26 @@ graphics dependency).
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import evaluation
 from .errors import ContractError, ParameterError
 from .evaluation import CSV_FIELDS, EvalResult
 from .files import write_atomic
 
 FMT = "{:.3f}"
+
+# The report files emit writes, and its bookkeeping file beside them: a
+# dotfile, because it is no report.
+REPORT_FILES = ("results.csv", "report.json", "table.md", "latency.svg", "pareto.svg")
+MANIFEST = ".manifest.json"
 
 _METHOD_ORDER = {"gptq": 0, "rtn": 1, "hawq": 2, "baseline": 3}
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -275,24 +283,37 @@ def pareto_chart(results, frontier) -> str:
 
 
 def emit(results, out_dir) -> dict:
-    """Write the report artifacts; returns {name: path}. Deterministic bytes.
+    """Write the report files; returns {name: path}. Deterministic bytes.
 
     Each file is written atomically, and a file that already holds its bytes
-    is not rewritten.
+    is not rewritten. The manifest, written last, records a digest of the
+    inputs (every field of every result, in order, and the renderer) and the
+    sha256 of each file written. When a later call finds the same input
+    digest and every file still holding its recorded sha256, it renders
+    nothing. A missing, unreadable or stale manifest, or one left by a run
+    that failed part way, makes the call render again.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {name: out_dir / name for name in REPORT_FILES}
+    inputs = _inputs_digest(results)
+    try:
+        current = {name: path.read_bytes() for name, path in paths.items()}
+        if (out_dir / MANIFEST).read_bytes() == _manifest(inputs, current).encode():
+            return paths
+    except OSError:
+        pass  # a missing or unreadable file or manifest: render
     written = {}
 
     def put(name, text):
-        written[name] = out_dir / name
-        write_atomic(written[name], text)
+        written[name] = text.encode("utf-8")
+        write_atomic(paths[name], written[name])
 
     put("results.csv", results_to_csv_text(results))
     points = points_from_results(results)
     frontier, dominated = pareto_frontier(points) if points else ([], [])
     doc = {
-        "results": [asdict(r) for r in
+        "results": [r.to_dict() for r in
                     sorted(results, key=lambda r: (r.model, _row_sort_key(r), r.bits_or_plan))],
         "pareto": {"frontier": [p.label for p in frontier],
                    "dominated": [p.label for p in dominated]},
@@ -302,4 +323,26 @@ def emit(results, out_dir) -> dict:
     put("table.md", degradation_table(results))
     put("latency.svg", latency_chart(results))
     put("pareto.svg", pareto_chart(results, frontier))
-    return written
+    write_atomic(out_dir / MANIFEST, _manifest(inputs, written))
+    return paths
+
+
+@functools.cache
+def _renderer_digest() -> str:
+    """sha256 of the code that turns results into report bytes, read once:
+    this module and the one that defines CSV_FIELDS and EvalResult.mean_score."""
+    code = Path(__file__).read_bytes() + Path(evaluation.__file__).read_bytes()
+    return hashlib.sha256(code).hexdigest()
+
+
+def _inputs_digest(results) -> str:
+    """sha256 of everything :func:`emit` renders from: the results, in order, and the renderer."""
+    doc = {"renderer": _renderer_digest(), "results": [r.to_dict() for r in results]}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _manifest(inputs: str, files: dict) -> str:
+    """The manifest text for an input digest and the report files' bytes."""
+    doc = {"inputs": inputs,
+           "files": {name: hashlib.sha256(blob).hexdigest() for name, blob in files.items()}}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

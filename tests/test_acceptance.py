@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -184,12 +185,14 @@ class TestCriterion3HvpPowerIteration:
 
 class TestCriterion4Algorithm3:
     def test_cutoff_exactness(self):
-        grid = [0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.75, 1.0]
+        # floor(p * M) in exact arithmetic; the ratios reach cutoff_bits as floats
+        grid = [Fraction(n, d) for n, d in ((0, 1), (1, 10), (1, 5), (1, 4), (1, 3), (1, 2),
+                                            (3, 4), (1, 1))]
         for m in range(1, 101):
             for p16, p8 in itertools.product(grid, repeat=2):
-                if p16 + p8 > 1 + 1e-12:
+                if p16 + p8 > 1:
                     continue
-                ratios = SplitRatios(p16, p8, max(0.0, 1 - p16 - p8))
+                ratios = SplitRatios(float(p16), float(p8), max(0.0, 1.0 - p16 - p8))
                 bits = cutoff_bits(m, ratios)
                 k16 = math.floor(p16 * m)
                 k8 = math.floor((p16 + p8) * m)

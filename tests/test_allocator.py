@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -53,17 +54,28 @@ class TestAssignPrecision:
         assert plan_bits(plan, [m.path for m in mods]) == [8, 8, 4, 4]
 
     def test_cutoffs_match_direct_formula_over_grid(self):
-        grid = [0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 1.0]
+        # the formula in exact arithmetic; the ratios reach cutoff_bits as floats
+        grid = [Fraction(n, d) for n, d in ((0, 1), (1, 10), (1, 5), (1, 4), (1, 3), (1, 2),
+                                            (3, 5), (3, 4), (9, 10), (1, 1))]
         for m in range(1, 101):
             for p16, p8 in itertools.product(grid, repeat=2):
-                if p16 + p8 > 1.0 + 1e-12:
+                if p16 + p8 > 1:
                     continue
-                ratios = SplitRatios(p16, p8, max(0.0, 1.0 - p16 - p8))
+                ratios = SplitRatios(float(p16), float(p8), max(0.0, 1.0 - p16 - p8))
                 bits = cutoff_bits(m, ratios)
-                k16 = math.floor(ratios.p16 * m)
-                k8 = math.floor((ratios.p16 + ratios.p8) * m)
+                k16 = math.floor(p16 * m)
+                k8 = math.floor((p16 + p8) * m)
                 want = [16 if i <= k16 else 8 if i <= k8 else 4 for i in range(1, m + 1)]
                 assert bits == want, (m, p16, p8)
+
+    def test_count_fractions_cut_exactly(self):
+        # every split of M modules into counts (a, b, c), given as a/M, b/M, c/M
+        for m in range(1, 41):
+            for a in range(m + 1):
+                for b in range(m + 1 - a):
+                    c = m - a - b
+                    bits = cutoff_bits(m, SplitRatios(a / m, b / m, c / m))
+                    assert bits == [16] * a + [8] * b + [4] * c, (m, a, b, c)
 
     def test_monotone_bits_down_the_ranking(self):
         rng = make_rng(0)

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import ptqlab.reporting as reporting
 from ptqlab.cli import main
 from ptqlab.errors import ContractError
 from ptqlab.pipeline import PipelineConfig, Workspace, _bench_lock
 from ptqlab.model import ModelCheckpoint
 from ptqlab.quant import QuantPlan, uniform_plan
 from ptqlab.sensitivity import SensitivityRecord, save_report
+from test_reporting import RENDERERS, refuse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -66,7 +68,8 @@ class TestCliContracts:
                                           {"assign": {"ratios": 5}},
                                           {"suite": {"n_eval_prompts": 0}},
                                           {"suite": {"diffusion_steps": 0}},
-                                          {"latency": {"seq_len": 0}}])
+                                          {"latency": {"seq_len": 0}},
+                                          {"assign": {"levels": [16, 8.0, 4]}}])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
@@ -296,19 +299,23 @@ class TestPipelineStages:
         capsys.readouterr()
         assert main(["assign", "-c", stale, "--model", "ar", "--force"]) == 0
 
-    def test_reproduce_idempotent_and_deterministic(self, tmp_path, capsys):
+    def test_reproduce_idempotent_and_deterministic(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         ws = tmp_path / "ws"
         assert main(["reproduce", "-c", cfg]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["eval"]["n_cells"] == 22
         assert out["eval"]["n_failed"] == 0
-        results_csv = (ws / "report" / "results.csv").read_bytes()
         assert (ws / "report" / "pareto.svg").exists()
+        report = {p: p.read_bytes() for p in (ws / "report").iterdir()}
+        assert ws / "report" / reporting.MANIFEST in report
 
+        # the cached cells equal the fresh ones, so the report is not rendered again
+        for name in RENDERERS:
+            monkeypatch.setattr(reporting, name, refuse)
         assert main(["reproduce", "-c", cfg]) == 0
         capsys.readouterr()
-        assert (ws / "report" / "results.csv").read_bytes() == results_csv
+        assert {p: p.read_bytes() for p in (ws / "report").iterdir()} == report
 
     def test_truncated_checkpoint_is_retrained(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -12,10 +12,12 @@ from ptqlab.errors import ContractError, ParameterError
 from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure_latency,
                                plan_grid)
 from ptqlab.model import ModelConfig, new_checkpoint
-from ptqlab.pipeline import (ENV_WORKSPACE, SECTIONS, PipelineConfig, Workspace, cell_hasher,
-                             reproduce, stage_eval, stage_train)
+import ptqlab.reporting as reporting
+from ptqlab.pipeline import (ENV_WORKSPACE, LATENCY_UNIT, SECTIONS, PipelineConfig, Workspace,
+                             _hash, cell_hasher, reproduce, stage_eval, stage_train)
 from ptqlab.quant import QuantPlan, memory_footprint
 from ptqlab.trainer import TrainConfig, train
+from test_reporting import RENDERERS, refuse
 
 SMALL = dict(d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq_len=32)
 TINY_SUITE = TaskSuite(n_eval_prompts=4, diffusion_steps=4)
@@ -184,6 +186,23 @@ class TestGrid:
         assert cell_hash(cfg, cell, "other fingerprint") != key
         assert cell_hash(cfg, ("toy-ar", "gptq", "4bit"), "fingerprint") != key
 
+    def test_cell_keys_hash_the_full_payload(self):
+        default = PipelineConfig(workspace="ws")
+        flipped = PipelineConfig(workspace="ws", seed=5, **{
+            section: dataclasses.replace(getattr(default, section), **flips)
+            for section, flips in FLIPS.items()})
+        for cfg in (default, flipped):
+            for mode in ("ar", "diffusion"):
+                sections = {name: dataclasses.asdict(getattr(cfg, name)) for name in SECTIONS
+                            if name != "train"}
+                sections["latency"]["unit_of_work"] = LATENCY_UNIT[mode]
+                key = cell_hasher(cfg, mode, "fingerprint")
+                cells = [c for c in plan_grid(cfg.grid) if c[0] == f"toy-{mode}"]
+                assert cells
+                for cell in cells:
+                    payload = {"cell": [*cell, cfg.seed], "ckpt": "fingerprint", **sections}
+                    assert key(cell) == _hash(payload), (cell, cfg.seed)
+
     def test_plan_has_22_rows(self):
         rows = plan_grid()
         assert len(rows) == 22
@@ -245,14 +264,17 @@ class TestGrid:
             assert r.config_hash == key
             assert (ws.root / "cache" / f"{key}.json").exists()
 
-    def test_cached_reproduce_changes_no_file(self, cold, tmp_path):
+    def test_cached_reproduce_changes_no_file(self, cold, tmp_path, monkeypatch):
         ws = copy_of(cold[0], tmp_path)
         reproduce(ws)  # writes report/
         files = sorted(p for p in ws.root.rglob("*") if p.is_file())
         assert ws.root / "report" / "results.csv" in files
+        assert ws.root / "report" / reporting.MANIFEST in files
         for p in files:
             os.utime(p, ns=(10**18, 10**18))  # a rewrite in the same clock tick still shows
         before = {p: p.read_bytes() for p in files}
+        for name in RENDERERS:
+            monkeypatch.setattr(reporting, name, refuse)
         reproduce(ws)
         assert sorted(p for p in ws.root.rglob("*") if p.is_file()) == files
         for p in files:

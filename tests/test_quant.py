@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,17 @@ class TestPlanIO:
         path = tmp_path / "plan.json"
         path.write_text(text)
         with pytest.raises(ContractError, match="malformed"):
+            QuantPlan.load(path)
+
+    @pytest.mark.parametrize("field, bits, group_size", [
+        ("bits", 8.9, 128), ("bits", 8.0, 128), ("bits", "8", 128), ("bits", True, 128),
+        ("group_size", 8, 64.9), ("group_size", 8, "64"), ("group_size", 8, False)])
+    def test_non_integer_width_or_group_size_is_rejected(self, tmp_path, field, bits,
+                                                          group_size):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"version": 1, "group_size": group_size, "modules": [
+            {"path": "blocks.0.attn.q.weight", "bits": bits}]}))
+        with pytest.raises(ContractError, match=f"malformed.*{field} must be an integer"):
             QuantPlan.load(path)
 
     def test_unsupported_width_or_group_size_is_rejected(self):

@@ -1,15 +1,17 @@
 import csv
 import io
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptqlab.reporting as reporting
 from ptqlab.errors import ContractError
 from ptqlab.evaluation import EvalResult
 from ptqlab.numerics import make_rng
-from ptqlab.reporting import (ParetoPoint, degradation_table, emit, latency_chart,
+from ptqlab.reporting import (MANIFEST, ParetoPoint, degradation_table, emit, latency_chart,
                               pareto_chart, pareto_frontier, points_from_results,
                               results_to_csv_text, trend_notes)
 
@@ -38,6 +40,79 @@ def table1_fixture():
             fixture_result(model, mode, "gptq", "2bit", {"copy": 0.0, "reverse": 0.0}, 2.0),
         ]
     return rows
+
+
+RENDERERS = ("results_to_csv_text", "degradation_table", "latency_chart", "pareto_chart")
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("rendered a report whose inputs did not change")
+
+
+def report_files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+# Each takes the results, the report directory and monkeypatch, leaves the
+# report stale, and returns the results of the next emit.
+def delete_a_report_file(results, out, monkeypatch):
+    (out / "table.md").unlink()
+    return results
+
+
+def edit_one_byte(results, out, monkeypatch):
+    path = out / "latency.svg"
+    blob = bytearray(path.read_bytes())
+    blob[100] ^= 1
+    path.write_bytes(bytes(blob))
+    return results
+
+
+def change_a_score(results, out, monkeypatch):
+    results[3].scores["copy"] = 0.25
+    return results
+
+
+def change_a_latency(results, out, monkeypatch):
+    results[6].lat_mean_ms = 11.0
+    return results
+
+
+def flip_a_timer_warning(results, out, monkeypatch):
+    results[0].timer_warning = True  # shows in report.json alone
+    return results
+
+
+def change_the_renderer(results, out, monkeypatch):
+    monkeypatch.setattr(reporting, "_renderer_digest", lambda: "another renderer")
+    return results
+
+
+def corrupt_the_manifest(results, out, monkeypatch):
+    path = out / MANIFEST
+    path.write_text(path.read_text()[:40])
+    return results
+
+
+def fail_at_the_third_report_file(results, out, monkeypatch):
+    """A run with new scores dies writing table.md; the next run has the old results,
+    so only the file digests can tell that results.csv and report.json changed."""
+    real, calls = reporting.write_atomic, []
+
+    def write_atomic(path, data):
+        calls.append(path.name)
+        if len(calls) == 3:
+            raise OSError("injected: disk full")
+        real(path, data)
+
+    changed = table1_fixture()
+    changed[3].scores["copy"] = 0.25
+    monkeypatch.setattr(reporting, "write_atomic", write_atomic)
+    with pytest.raises(OSError, match="injected"):
+        emit(changed, out)
+    monkeypatch.setattr(reporting, "write_atomic", real)
+    assert calls == ["results.csv", "report.json", "table.md"]
+    return results
 
 
 class TestPareto:
@@ -166,6 +241,43 @@ class TestEmission:
         names = {name for m in re.finditer(r"^\s*report/([^\s,]+(?:, [^\s,]+)*)", layout, re.M)
                  for name in m.group(1).split(", ")}
         assert names == set(emit(table1_fixture(), tmp_path))
+
+    def test_unchanged_inputs_render_nothing(self, tmp_path, monkeypatch):
+        results = table1_fixture()
+        written = emit(results, tmp_path)
+        for p in tmp_path.iterdir():
+            os.utime(p, ns=(10**18, 10**18))  # a rewrite in the same clock tick still shows
+        before = report_files(tmp_path)
+        assert set(before) == set(written) | {MANIFEST}
+        for name in RENDERERS:
+            monkeypatch.setattr(reporting, name, refuse)
+        assert emit(table1_fixture(), tmp_path) == written
+        assert report_files(tmp_path) == before
+        assert all(p.stat().st_mtime_ns == 10**18 for p in tmp_path.iterdir())
+
+    def test_mean_score_ignores_the_order_of_the_scores(self):
+        # the input digest sorts keys, so the render must not depend on score order
+        forward = fixture_result("toy-ar", "ar", "rtn", "4bit",
+                                 {"copy": 0.1, "pattern_completion": 0.2, "reverse": 0.3}, 4.0)
+        backward = fixture_result("toy-ar", "ar", "rtn", "4bit",
+                                  dict(reversed(forward.scores.items())), 4.0)
+        assert forward.mean_score() == backward.mean_score()
+
+    @pytest.mark.parametrize("change", [
+        delete_a_report_file, edit_one_byte, change_a_score, change_a_latency,
+        flip_a_timer_warning, change_the_renderer, corrupt_the_manifest,
+        fail_at_the_third_report_file])
+    def test_stale_report_is_rendered_again(self, tmp_path, monkeypatch, change):
+        results = table1_fixture()
+        emit(results, tmp_path / "report")
+        results = change(results, tmp_path / "report", monkeypatch)
+        rendered = []
+        monkeypatch.setattr(reporting, "degradation_table",
+                            lambda rs: rendered.append(1) or degradation_table(rs))
+        emit(results, tmp_path / "report")
+        assert rendered == [1]
+        emit(results, tmp_path / "fresh")
+        assert report_files(tmp_path / "report") == report_files(tmp_path / "fresh")
 
     def test_svg_series_per_model_method(self):
         svg = latency_chart(table1_fixture())
