@@ -38,6 +38,28 @@ class SplitRatios:
         return (self.p16, self.p8, self.p4)
 
 
+def split_ratios(values) -> SplitRatios:
+    """The :class:`SplitRatios` of exactly three numbers p16, p8, p4."""
+    values = tuple(values)
+    if len(values) != 3:
+        raise ParameterError(f"split ratios are three numbers p16,p8,p4, got {list(values)}")
+    return SplitRatios(*values)
+
+
+def bit_levels(values) -> tuple:
+    """Three integer widths, one per tier of :func:`cutoff_bits`, none above the one before.
+
+    The first tier holds the most sensitive modules, so rising widths would
+    give them the fewest bits.
+    """
+    levels = tuple(values)
+    if (len(levels) != 3 or any(type(b) is not int for b in levels)
+            or list(levels) != sorted(levels, reverse=True)):
+        raise ParameterError(f"bit levels are three non-increasing integer widths, "
+                             f"got {list(levels)}")
+    return levels
+
+
 def cutoff_bits(n_modules: int, ratios: SplitRatios, levels=BIT_LEVELS) -> list:
     """Bit level per rank position (1-indexed cutoffs with floor arithmetic).
 

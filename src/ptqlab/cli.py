@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 
-from .errors import PtqLabError
+from .errors import ParameterError, PtqLabError
 from .pipeline import MODELS, PipelineConfig, Workspace, reproduce, stage_assign, \
     stage_bench, stage_eval, stage_quantize, stage_report, stage_sensitivity, stage_train
 
@@ -57,12 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_floats(text):
-    return tuple(float(x) for x in text.split(",")) if text else None
-
-
-def _parse_ints(text):
-    return tuple(int(x) for x in text.split(",")) if text else None
+def _parse_list(text, kind, flag):
+    """The comma-separated ``kind`` values of ``flag``, or None when not given."""
+    if not text:
+        return None
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ParameterError(f"{flag} takes comma-separated {kind.__name__}s, "
+                             f"got {text!r}") from exc
 
 
 def main(argv=None) -> int:
@@ -78,9 +81,10 @@ def main(argv=None) -> int:
         elif args.command == "sensitivity":
             out = stage_sensitivity(ws, args.model, args.force)
         elif args.command == "assign":
-            out = stage_assign(ws, args.model, ratios=_parse_floats(args.ratios),
-                               levels=_parse_ints(args.levels), budget=args.budget,
-                               force=args.force)
+            out = stage_assign(ws, args.model,
+                               ratios=_parse_list(args.ratios, float, "--ratios"),
+                               levels=_parse_list(args.levels, int, "--levels"),
+                               budget=args.budget, force=args.force)
         elif args.command == "eval":
             evaled = stage_eval(ws, args.force)
             out = {"n_cells": evaled["n_cells"], "n_failed": evaled["n_failed"],

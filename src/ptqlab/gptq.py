@@ -20,8 +20,7 @@ import numpy as np
 from .errors import ContractError, NotPositiveDefiniteError, ParameterError
 from .model import ModelCheckpoint, prediction_targets
 from .model.checkpoint import EMBEDDING_PATHS
-from .model.config import MODE_DIFFUSION, Batch
-from .model.network import block_fwd, block_index, embed_fwd
+from .model.network import block_fwd, block_index, embed_fwd, projection_key
 from .numerics import cholesky_upper_of_inverse
 from .quant import (DEFAULT_GROUP_SIZE, GroupQuantSpec, QuantizedWeight, QuantPlan,
                     dequantize, group_scales, quantized_copy, round_half_away_from_zero)
@@ -57,19 +56,6 @@ class LayerCalibration:
         x = np.asarray(x, dtype=np.float64)
         self.hessian += 2.0 * (x.T @ x)
         self.n_samples += x.shape[0]
-
-
-def calibration_inputs(ckpt: ModelCheckpoint, batch: Batch) -> np.ndarray:
-    """Model input for a calibration batch in the checkpoint's native mode.
-
-    Diffusion checkpoints are calibrated on masked inputs drawn from the
-    training distribution (the batch's own loss mask); AR checkpoints see
-    the clean tokens.
-    """
-    if ckpt.config.mode == MODE_DIFFUSION and batch.loss_mask.any():
-        input_ids, _, _ = prediction_targets(ckpt.config, batch)
-        return input_ids
-    return batch.token_ids
 
 
 def collect_calibration(ckpt: ModelCheckpoint, inputs, paths) -> dict:
@@ -176,12 +162,6 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, spec: Group
     return qw, recon_error
 
 
-def _stage_key(path: str):
-    # q/k/v share inputs and do not affect each other's inputs
-    layer = path.split(".")[-2]  # blocks.<i>.<attn|mlp>.<layer>.weight
-    return (block_index(path), {"q": 0, "k": 0, "v": 0, "o": 1, "fc_in": 2, "fc_out": 3}[layer])
-
-
 def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: GptqConfig):
     """Quantize each layer at its planned width in forward order; returns
     (checkpoint, per-layer report).
@@ -202,8 +182,9 @@ def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: Gp
     stages: dict = {}
     for p in ckpt.quantizable_paths():
         if not plan.spec(p).passthrough:
-            stages.setdefault(_stage_key(p), []).append(p)
-    inputs = [embed_fwd(out.params, out.config, calibration_inputs(out, b))[0] for b in batches]
+            stages.setdefault(projection_key(p)[:2], []).append(p)  # (block, stage)
+    inputs = [embed_fwd(out.params, out.config, prediction_targets(out.config, b)[0])[0]
+              for b in batches]
     block = 0
     report = []
     for key in sorted(stages):

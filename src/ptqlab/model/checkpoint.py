@@ -26,16 +26,12 @@ import numpy as np
 from ..errors import ContractError, ParameterError, ShapeError
 from ..files import write_atomic
 from .config import ModelConfig
-from .network import init_params
+from .network import PROJECTION_SUFFIXES, init_params, projection_key
 
 MAGIC = b"TOYCKPT1"
 
-# Parameter-path suffixes of the projection weights every quantization plan
-# covers; a plan may also cover the embedding paths.
-LINEAR_WEIGHT_SUFFIXES = (
-    ".attn.q.weight", ".attn.k.weight", ".attn.v.weight", ".attn.o.weight",
-    ".mlp.fc_in.weight", ".mlp.fc_out.weight",
-)
+# Every quantization plan covers the projection weights; a plan may also
+# cover the embedding paths.
 EMBEDDING_PATHS = ("embed.tok", "head.weight")
 
 
@@ -54,8 +50,8 @@ class ModelCheckpoint:
         Norm gains/biases and the positional table never quantize; the token
         embedding and output head only through a hand-written plan.
         """
-        paths = sorted((p for p in self.params if p.endswith(LINEAR_WEIGHT_SUFFIXES)),
-                       key=_forward_order_key)
+        paths = sorted((p for p in self.params if p.endswith(PROJECTION_SUFFIXES)),
+                       key=projection_key)
         for p in paths:
             if self.params[p].ndim != 2:
                 raise ShapeError(f"quantizable path {p} is not a 2-D weight")
@@ -133,13 +129,6 @@ class ModelCheckpoint:
         if off != len(view):
             raise ContractError(f"checkpoint has {len(view) - off} bytes after its last tensor")
         return cls(config, params, meta)
-
-
-def _forward_order_key(path: str):
-    parts = path.split(".")
-    block = int(parts[1]) if parts[0] == "blocks" else -1
-    stage = {"q": 0, "k": 1, "v": 2, "o": 3, "fc_in": 4, "fc_out": 5}.get(parts[-2], 0)
-    return (block, stage)
 
 
 def new_checkpoint(config: ModelConfig, seed: int) -> ModelCheckpoint:

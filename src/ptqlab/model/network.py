@@ -69,17 +69,30 @@ def block_index(path: str) -> int:
     return int(parts[1])
 
 
-_PROJECTIONS = ("q", "k", "v", "o", "fc_in", "fc_out")
+# A block's projection weights in forward order, as (sublayer, name, stage):
+# the projections of one stage read the same input.
+PROJECTIONS = (("attn", "q", 0), ("attn", "k", 0), ("attn", "v", 0), ("attn", "o", 1),
+               ("mlp", "fc_in", 2), ("mlp", "fc_out", 3))
+PROJECTION_SUFFIXES = tuple(f".{sub}.{name}.weight" for sub, name, _ in PROJECTIONS)
+
+
+def projection_key(path: str) -> tuple:
+    """(block, stage, position) of a projection weight ``blocks.<i>.<sublayer>.<name>.weight``.
+
+    Sorting by it gives forward order; projections with the same block and
+    stage read the same input.
+    """
+    for position, suffix in enumerate(PROJECTION_SUFFIXES):
+        if path.endswith(suffix):
+            return block_index(path), PROJECTIONS[position][2], position
+    raise ContractError(f"{path!r} is not a projection weight")
 
 
 def _stop_layer(stop: str | None, i: int) -> str | None:
     """The projection (q, k, v, o, fc_in or fc_out) ``stop`` names in block ``i``, if any."""
     if stop is None or block_index(stop) != i:
         return None
-    layer = stop.split(".")[-2]
-    if not stop.endswith(".weight") or layer not in _PROJECTIONS:
-        raise ContractError(f"{stop!r} is not a projection weight")
-    return layer
+    return PROJECTIONS[projection_key(stop)[2]][1]
 
 
 def embed_fwd(params: dict, config: ModelConfig, input_ids, dtype=np.float32):

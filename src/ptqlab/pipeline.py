@@ -10,8 +10,10 @@ cell, which is what makes ``reproduce`` idempotent.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import fcntl
 import hashlib
 import io
 import json
@@ -21,7 +23,7 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .allocator import BIT_LEVELS, SplitRatios, assign_precision, budget_plan
+from .allocator import BIT_LEVELS, assign_precision, bit_levels, budget_plan, split_ratios
 from .errors import ContractError, ParameterError
 from .evaluation import (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP, EvalResult, GridConfig,
                          LatencyConfig, TaskSuite, evaluate_tasks, measure_latency, plan_grid)
@@ -74,6 +76,8 @@ class PipelineConfig:
     def load(cls, path) -> "PipelineConfig":
         try:
             doc = json.loads(Path(path).read_text())
+        except (IsADirectoryError, PermissionError) as exc:
+            raise ParameterError(f"config {path} cannot be read: {exc}") from exc
         except ValueError as exc:
             raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
@@ -93,13 +97,10 @@ class PipelineConfig:
             for name, (section_cls, fixed) in SECTIONS.items():
                 keys = [f.name for f in dataclasses.fields(section_cls) if f.name not in fixed]
                 sections[name] = section_cls(**_section(doc, name, keys))
-            assign = _section(doc, "assign", ASSIGN_KEYS)
-            cfg = cls(workspace=doc["workspace"], seed=seed, **sections,
-                      assign_ratios=assign.get("ratios", (0.5, 0.5, 0.0)),
-                      assign_levels=assign.get("levels", (16, 8, 4)))
-            SplitRatios(*cfg.assign_ratios)  # validate eagerly
-            if any(type(b) is not int for b in cfg.assign_levels):  # plan widths are integers
-                raise ParameterError(f"assign levels must be integers, got {cfg.assign_levels}")
+            assign = {f"assign_{k}": v for k, v in _section(doc, "assign", ASSIGN_KEYS).items()}
+            cfg = cls(workspace=doc["workspace"], seed=seed, **sections, **assign)
+            split_ratios(cfg.assign_ratios)  # validate eagerly
+            bit_levels(cfg.assign_levels)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"malformed config value: {exc}") from exc
         return cfg
@@ -249,6 +250,10 @@ def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
     if budget is not None and ratios is not None:
         raise ParameterError("--budget chooses the ratios; pass --budget or --ratios, not both")
     cfg = ws.cfg
+    levels = bit_levels(levels or cfg.assign_levels)
+    if budget is not None and levels != BIT_LEVELS:  # the waterfill raises 4 -> 8 -> 16 bits
+        raise ParameterError(f"--budget assigns the levels {BIT_LEVELS}, not {levels}")
+    split = split_ratios(ratios or cfg.assign_ratios)
     json_path = ws.path("sensitivity", f"{mode}.json")
     if not json_path.exists():
         raise ContractError(f"missing sensitivity report {json_path}; "
@@ -259,15 +264,11 @@ def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
         raise ContractError(f"sensitivity report hash {got} does not match current config "
                             f"{want}; re-run `ptqlab sensitivity` or pass --force")
     ranked = rank_sensitivities(records, cfg.grid.rank_mode)
-    levels = tuple(levels or cfg.assign_levels)
     if budget is not None:
-        if levels != BIT_LEVELS:  # the waterfill raises modules 4 -> 8 -> 16 bits
-            raise ParameterError(f"--budget assigns the levels {BIT_LEVELS}, not {levels}")
         ckpt = ws.require_checkpoint(mode, force)
         sized = [(r.path, ckpt.n_params(r.path)) for r in ranked]
         plan, achieved = budget_plan(sized, budget, cfg.gptq.group_size)
     else:
-        split = SplitRatios(*(ratios or cfg.assign_ratios))
         plan = assign_precision(ranked, split, cfg.gptq.group_size, levels)
         achieved = None
     config_hash = cfg.plan_hash(mode, plan.ratios, levels)
@@ -329,50 +330,32 @@ def stage_bench(ws: Workspace, mode: str, force: bool = False) -> dict:
             "timed_runs": res.timed_runs, "timer_warning": res.timer_warning}
 
 
-class _bench_lock:
-    """File lock so only one latency benchmark runs in a workspace at a time.
+@contextlib.contextmanager
+def _bench_lock(ws: Workspace, timeout_s: float = 600.0):
+    """Hold an exclusive ``flock`` on ``bench.lock`` so that only one latency
+    benchmark runs in a workspace at a time.
 
-    The lock file holds its owner's pid, and a lock whose owner has exited
-    is taken over. Two processes that find the same stale lock at once may
-    both take it; the lock only keeps timing runs apart, so that costs
-    latency noise, never data.
+    The kernel drops the lock when its holder exits, however it exits, so a
+    lock never outlives its process. The file is never removed: after an
+    unlink, a third process could lock a new file while this one still holds
+    the old.
     """
-
-    def __init__(self, ws: Workspace, timeout_s: float = 600.0):
-        self.path = ws.path("bench.lock")
-        self.timeout_s = timeout_s
-
-    def __enter__(self):
-        deadline = time.monotonic() + self.timeout_s
+    path = ws.path("bench.lock")
+    fd = os.open(path, os.O_CREAT | os.O_RDWR)
+    try:
+        deadline = time.monotonic() + timeout_s
         while True:
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if _owner_exited(self.path):
-                    self.path.unlink(missing_ok=True)
-                    continue
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            except BlockingIOError:
                 if time.monotonic() > deadline:
-                    raise ContractError(f"benchmark lock {self.path} is held; remove it if stale")
+                    raise ContractError(f"benchmark lock {path} is still held by another "
+                                        f"run after {timeout_s} s") from None
                 time.sleep(0.05)
-                continue
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
-            return self
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
-
-
-def _owner_exited(lock: Path) -> bool:
-    """True when the lock file names a pid that is no longer running."""
-    try:
-        pid = int(lock.read_text())
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass  # released meanwhile, pid not written yet, or another user's process
-    return False
+        yield
+    finally:
+        os.close(fd)  # releases the lock
 
 
 def stage_eval(ws: Workspace, force: bool = False) -> dict:

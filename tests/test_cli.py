@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from ptqlab.sensitivity import SensitivityRecord, save_report
 from test_reporting import RENDERERS, refuse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 MICRO = {
     "seed": 0,
@@ -69,11 +72,21 @@ class TestCliContracts:
                                           {"suite": {"n_eval_prompts": 0}},
                                           {"suite": {"diffusion_steps": 0}},
                                           {"latency": {"seq_len": 0}},
-                                          {"assign": {"levels": [16, 8.0, 4]}}])
+                                          {"assign": {"levels": [16, 8.0, 4]}},
+                                          {"assign": {"levels": [16, 8]}},
+                                          {"assign": {"levels": [16, 8, 4, 2]}},
+                                          {"assign": {"ratios": [0.5, 0.5]}},
+                                          {"assign": {"ratios": [0.5, 0.5, 0, 0]}},
+                                          {"assign": {"levels": [4, 8, 16]}}])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+    def test_config_that_is_a_directory_is_a_json_error(self, tmp_path, capsys):
+        assert main(["train", "-c", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError" and str(tmp_path) in err["message"]
 
     def test_missing_prerequisite_names_producer(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -211,6 +224,24 @@ class TestPipelineStages:
         assert not (tmp_path / "ws" / "plans").exists()
         assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "10"]) == 0
 
+    @pytest.fixture(scope="class")
+    def scored(self, tmp_path_factory):
+        """A config whose workspace holds a trained pair and the AR sensitivity report."""
+        cfg = write_config(tmp_path_factory.mktemp("scored"))
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        return cfg
+
+    @pytest.mark.parametrize("args", [["--ratios", "0.5,x"], ["--levels", "8,4.5"],
+                                      ["--ratios", "0.5,0.5"], ["--ratios", "0.5,0.5,0,0"],
+                                      ["--ratios", "0.4,0.3,0.3", "--levels", "16,8"],
+                                      ["--levels", "16,8,4,2"], ["--levels", "4,8,16"]])
+    def test_malformed_assign_flags_are_a_json_error(self, scored, capsys, args):
+        capsys.readouterr()
+        assert main(["assign", "-c", scored, "--model", "ar", *args]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert not (Path(scored).parent / "ws" / "plans").exists()
+
     def test_assign_budget_rejects_ratios(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0
@@ -333,25 +364,63 @@ class TestPipelineStages:
         assert ckpt.read_bytes() == good
 
 
+# a process that holds the bench lock of the workspace in argv[1] until it is killed
+HOLDER = """
+import sys, time
+from ptqlab.pipeline import PipelineConfig, Workspace, _bench_lock
+with _bench_lock(Workspace(PipelineConfig(workspace=sys.argv[1]))):
+    print("held", flush=True)
+    time.sleep(600)
+"""
+
+
 class TestBenchLock:
     def workspace(self, tmp_path):
         return Workspace(PipelineConfig.from_dict({"workspace": str(tmp_path / "ws")}))
 
-    def test_lock_of_an_exited_process_is_taken_over(self, tmp_path):
-        ws = self.workspace(tmp_path)
-        exited = subprocess.Popen([sys.executable, "-c", "pass"])
-        exited.wait()
-        lock = ws.path("bench.lock")
-        lock.write_text(str(exited.pid))
-        with _bench_lock(ws, timeout_s=1):
-            assert lock.read_text() == str(os.getpid())
-        assert not lock.exists()
+    @pytest.fixture
+    def holder(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("PTQLAB_WORKSPACE", None)
+        proc = subprocess.Popen([sys.executable, "-c", HOLDER, str(tmp_path / "ws")],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            assert proc.stdout.readline() == "held\n"
+            yield proc
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
-    def test_lock_of_a_running_process_is_kept(self, tmp_path):
+    def test_lock_of_a_running_process_is_kept(self, tmp_path, holder):
+        ws = self.workspace(tmp_path)
+        start = time.monotonic()
+        with pytest.raises(ContractError, match="bench.lock"):
+            with _bench_lock(ws, timeout_s=0.3):
+                pass
+        assert time.monotonic() - start >= 0.3
+        assert holder.poll() is None
+
+    def test_lock_of_an_exited_process_is_taken_over(self, tmp_path, holder):
+        ws = self.workspace(tmp_path)
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(timeout=10)
+        with _bench_lock(ws, timeout_s=0):  # no wait: the kernel dropped the lock
+            pass
+        assert ws.path("bench.lock").exists()
+
+    def test_pid_file_of_an_older_version_is_no_lock(self, tmp_path):
         ws = self.workspace(tmp_path)
         lock = ws.path("bench.lock")
-        lock.write_text(str(os.getpid()))
-        with pytest.raises(ContractError):
-            with _bench_lock(ws, timeout_s=0.2):
-                pass
-        assert lock.read_text() == str(os.getpid())
+        lock.write_text(str(os.getpid()))  # a live pid, which the pid-file protocol waited on
+        with _bench_lock(ws, timeout_s=0):
+            pass
+
+    def test_lock_is_released_when_the_body_raises(self, tmp_path):
+        ws = self.workspace(tmp_path)
+        with pytest.raises(RuntimeError):
+            with _bench_lock(ws, timeout_s=0):
+                raise RuntimeError("timing failed")
+        # a second open file description conflicts with one still holding the lock
+        with _bench_lock(ws, timeout_s=0):
+            pass

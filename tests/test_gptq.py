@@ -7,9 +7,10 @@ import pytest
 import ptqlab.gptq as gptq_mod
 from ptqlab.errors import NotPositiveDefiniteError, ParameterError
 from ptqlab.gptq import (MAX_RETRIES, GptqConfig, LayerCalibration, _damped_inverse_factor,
-                         _stage_key, calibration_inputs, collect_calibration,
-                         gptq_quantize_layer, gptq_quantize_model)
-from ptqlab.model import Batch, ModelConfig, forward_logits, layers, network, new_checkpoint
+                         collect_calibration, gptq_quantize_layer, gptq_quantize_model)
+from ptqlab.model import (ModelConfig, forward_logits, layers, network, new_checkpoint,
+                          prediction_targets)
+from ptqlab.model.network import projection_key
 from ptqlab.numerics import make_rng
 from ptqlab.quant import (GroupQuantSpec, QuantizedWeight, QuantPlan, dequantize,
                           group_scales, quantize_weight, uniform_plan)
@@ -48,7 +49,7 @@ def full_forward_inputs(ckpt, batches) -> dict:
     layers.linear_fwd = recording
     try:
         for batch in batches:
-            forward_logits(ckpt.params, ckpt.config, calibration_inputs(ckpt, batch))
+            forward_logits(ckpt.params, ckpt.config, prediction_targets(ckpt.config, batch)[0])
     finally:
         layers.linear_fwd = real
     return seen
@@ -108,7 +109,9 @@ def reference_quantize_model(ckpt, plan, batches, cfg):
     """
     out = ckpt.copy()
     errors = []
-    for _, stage in itertools.groupby(ckpt.quantizable_paths(), key=_stage_key):
+    # (block, stage): the layers of a stage share an input
+    for _, stage in itertools.groupby(ckpt.quantizable_paths(),
+                                      key=lambda p: projection_key(p)[:2]):
         stage = [p for p in stage if plan.bits[p] != 16]
         seen = full_forward_inputs(out, batches)
         for p in stage:

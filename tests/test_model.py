@@ -361,6 +361,12 @@ class TestCheckpointIO:
             "blocks.0.attn.q.weight", "blocks.0.attn.k.weight", "blocks.0.attn.v.weight",
             "blocks.0.attn.o.weight", "blocks.0.mlp.fc_in.weight", "blocks.0.mlp.fc_out.weight",
         ]
+        # blocks in numeric order, not name order: block 10 comes after block 9
+        deep = new_checkpoint(ModelConfig(mode="ar", **{**TINY, "n_layers": 11}), 3)
+        assert deep.quantizable_paths() == [
+            f"blocks.{i}.{sub}.{name}.weight" for i in range(11)
+            for sub, name in (("attn", "q"), ("attn", "k"), ("attn", "v"), ("attn", "o"),
+                              ("mlp", "fc_in"), ("mlp", "fc_out"))]
 
     def test_truncated_or_padded_blob_is_contract_error(self):
         blob = tiny_ckpt().to_bytes()
