@@ -89,7 +89,7 @@ def assign_precision(ranked_modules, ratios: SplitRatios,
     ``levels`` swaps the bit tiers; (8, 4, 4) reproduces the 8/4 split where
     the p16 fraction gets 8 bits and the rest 4.
     """
-    paths = [r.path if hasattr(r, "path") else str(r) for r in ranked_modules]
+    paths = [r.path for r in ranked_modules]
     if not paths:
         raise ParameterError("no ranked modules to assign")
     bits = cutoff_bits(len(paths), ratios, levels)

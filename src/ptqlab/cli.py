@@ -92,7 +92,7 @@ def main(argv=None) -> int:
         elif args.command == "bench":
             out = stage_bench(ws, args.model, args.force)
         elif args.command == "report":
-            out = stage_report(ws)
+            out = stage_report(ws, stage_eval(ws, args.force)["results"])
         elif args.command == "reproduce":
             if args.dry_run:
                 out = _dry_run(ws)

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tasks
+from .allocator import bit_levels, split_ratios
 from .errors import ContractError, ParameterError
-from .model import (MASK_ID, MODE_AR, MODE_DIFFUSION, ModelCheckpoint, forward_logits,
-                    generate_ar, generate_diffusion)
+from .model import (MASK_ID, MODE_AR, MODE_DIFFUSION, Batch, ModelCheckpoint, forward_logits,
+                    generate_ar, generate_diffusion, prediction_targets)
 from .numerics import make_rng
+from .quant import GroupQuantSpec
+from .sensitivity import RANK_NORMALIZED, RANK_RAW
 
 GRID_BITS = (2, 3, 4, 8)
 CSV_FIELDS = ["model", "mode", "method", "bits_or_plan", "task", "score",
@@ -112,16 +115,11 @@ def _heldout_accuracy(ckpt: ModelCheckpoint, suite: TaskSuite) -> float:
     """Teacher-forced argmax accuracy over held-out answer regions."""
     rng = make_rng(_task_seed(suite.seed, "heldout_token_accuracy"))
     rows = tasks.sample_task_rows(rng, suite.n_eval_prompts)
-    answer_cols = np.arange(tasks.TASK_ROW_LEN - tasks.PAYLOAD_LEN, tasks.TASK_ROW_LEN)
-    if ckpt.config.mode == MODE_AR:
-        logits, _ = forward_logits(ckpt.params, ckpt.config, rows)
-        pred = np.argmax(logits[:, answer_cols - 1], axis=-1)
-    else:
-        corrupted = rows.copy()
-        corrupted[:, answer_cols] = MASK_ID
-        logits, _ = forward_logits(ckpt.params, ckpt.config, corrupted)
-        pred = np.argmax(logits[:, answer_cols], axis=-1)
-    return float(np.mean(pred == rows[:, answer_cols]))
+    answers = np.zeros(rows.shape, dtype=bool)
+    answers[:, tasks.TASK_ROW_LEN - tasks.PAYLOAD_LEN:] = True
+    input_ids, at, targets = prediction_targets(ckpt.config, Batch(rows, answers))
+    logits, _ = forward_logits(ckpt.params, ckpt.config, input_ids)
+    return float(np.mean(np.argmax(logits[at], axis=-1) == targets))
 
 
 def evaluate_tasks(ckpt: ModelCheckpoint, suite: TaskSuite) -> dict:
@@ -196,8 +194,24 @@ class GridConfig:
     bits: tuple = GRID_BITS
     hawq_splits: tuple = ((16, 8), (8, 4))  # 50/50 two-level splits
     hawq_ratio: float = 0.5
-    rank_mode: str = "raw"
+    rank_mode: str = RANK_RAW
     n_calibration_batches: int = 8
+
+    def __post_init__(self):
+        for split in self.hawq_splits:
+            if len(split) != 2:
+                raise ParameterError(f"a hawq split is two widths hi, lo, got {list(split)}")
+            bit_levels((*split, split[1]))  # integers, hi >= lo
+        for b in (*self.bits, *(b for split in self.hawq_splits for b in split)):
+            if type(b) is not int:
+                raise ParameterError(f"grid widths are integers, got {b!r}")
+            GroupQuantSpec(b)
+        split_ratios((self.hawq_ratio, 1.0 - self.hawq_ratio, 0.0))
+        if self.rank_mode not in (RANK_RAW, RANK_NORMALIZED):
+            raise ParameterError(f"unknown ranking mode {self.rank_mode!r}")
+        if self.n_calibration_batches < 1:
+            raise ParameterError(f"n_calibration_batches must be >= 1, "
+                                 f"got {self.n_calibration_batches}")
 
 
 def plan_grid(grid: GridConfig = GridConfig()) -> list:

@@ -3,11 +3,12 @@
 Per layer, H = 2 * sum_t x_t x_t^T over calibration token positions. The
 damped H is inverted through :func:`~ptqlab.numerics.cholesky_invert_spd`
 and the upper Cholesky factor U of that inverse (inv(H) = U^T U) drives the
-column loop: after quantizing column j, the not-yet-quantized columns are
-updated with err_j = (w_j - q_j) / U[j, j] and W[:, k] -= err_j * U[j, k],
-which reproduces the sequential optimal-brain-surgeon compensation exactly
-while factorizing only once. Group scales are taken from the current
-(already compensated) weights when a group is first visited.
+column loop, which walks the columns in index order: after quantizing
+column j, the not-yet-quantized columns are updated with
+err_j = (w_j - q_j) / U[j, j] and W[:, k] -= err_j * U[j, k], which
+reproduces the sequential optimal-brain-surgeon compensation exactly while
+factorizing only once. A group's scales are taken from its current (already
+compensated) weights when the loop reaches the group's first column.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .numerics import cholesky_upper_of_inverse
 from .quant import (DEFAULT_GROUP_SIZE, GroupQuantSpec, QuantizedWeight, QuantPlan,
                     dequantize, group_scales, quantized_copy, round_half_away_from_zero)
 
-ORDER_ASCENDING = "ascending"
-ORDER_BY_DIAG_DESC = "by_diag_desc"
 MAX_RETRIES = 3  # damping escalations (x10 each) before a layer fails
 
 
@@ -34,15 +33,12 @@ MAX_RETRIES = 3  # damping escalations (x10 each) before a layer fails
 class GptqConfig:
     group_size: int = DEFAULT_GROUP_SIZE  # of every plan the pipeline builds
     damping: float = 0.01  # fraction of mean(diag H)
-    column_order: str = ORDER_ASCENDING
 
     def __post_init__(self):
         if self.group_size < 1:
             raise ParameterError(f"group_size must be >= 1, got {self.group_size}")
         if self.damping <= 0:
             raise ParameterError("damping fraction must be > 0")
-        if self.column_order not in (ORDER_ASCENDING, ORDER_BY_DIAG_DESC):
-            raise ParameterError(f"unknown column order {self.column_order!r}")
 
 
 @dataclass
@@ -106,25 +102,16 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, spec: Group
     if h.shape != (d_in, d_in):
         raise ParameterError(f"Hessian shape {h.shape} does not match d_in={d_in}")
 
-    if cfg.column_order == ORDER_BY_DIAG_DESC:
-        perm = np.argsort(-np.diag(h), kind="stable")
-    else:
-        perm = np.arange(d_in)
-    # row j of the working copy is column perm[j]: each step reads one
-    # contiguous row and updates the contiguous rows below it
-    wt = np.ascontiguousarray(w_orig[:, perm].T)
-    hp = h[perm][:, perm]
+    # row j of the working copy is column j: each step reads one contiguous
+    # row and updates the contiguous rows below it (a copy even where the
+    # transpose of a one-row float64 weight is already contiguous)
+    wt = w_orig.T.copy()
 
-    upper = _damped_inverse_factor(hp, cfg.damping)
+    upper = _damped_inverse_factor(h, cfg.damping)
     qmax = spec.qmax
     gs = spec.group_size
-    n_groups = math.ceil(d_in / gs)
-    scales_t = np.zeros((n_groups, d_out), dtype=np.float64)
-    seen_group = np.zeros(n_groups, dtype=bool)
+    scales_t = np.zeros((math.ceil(d_in / gs), d_out), dtype=np.float64)
     codes_t = np.zeros((d_in, d_out), dtype=np.int16)
-
-    group_of = perm // gs  # original-index group of each processed column
-    col_in_group = {g: np.nonzero(group_of == g)[0] for g in range(n_groups)}
 
     # column buffers, allocated once: the scaled and the quantized column,
     # the scaled error, and the rank-1 update of the rows below
@@ -133,12 +120,10 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, spec: Group
     err = np.empty(d_out)
     update = np.empty((d_in, d_out))
     for j in range(d_in):
-        g = group_of[j]
-        s = scales_t[g]
-        if not seen_group[g]:
+        s = scales_t[j // gs]
+        if j % gs == 0:
             # scales from the current (compensated) weights of this group
-            s[:] = group_scales(wt[col_in_group[g]].T, qmax)
-            seen_group[g] = True
+            s[:] = group_scales(wt[j:j + gs].T, qmax)
         w_j = wt[j]
         np.divide(w_j, s, out=scaled)
         round_half_away_from_zero(scaled, out=q)
@@ -154,10 +139,9 @@ def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, spec: Group
             wt[j + 1:] -= rows
         w_j[:] = deq  # the working copy ends as the dequantized weight
 
-    inv_perm = np.argsort(perm)
     qw = QuantizedWeight((d_out, d_in), spec, np.ascontiguousarray(scales_t.T),
-                         np.ascontiguousarray(codes_t[inv_perm].T))
-    delta = w_orig - np.ascontiguousarray(wt[inv_perm].T)
+                         np.ascontiguousarray(codes_t.T))
+    delta = w_orig - np.ascontiguousarray(wt.T)
     recon_error = float(np.trace(delta.T @ delta @ h)) / 2.0
     return qw, recon_error
 

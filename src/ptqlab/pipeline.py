@@ -436,9 +436,7 @@ def _cache_store(ws: Workspace, config_hash: str, result: EvalResult) -> None:
                  json.dumps(result.to_dict(), sort_keys=True))
 
 
-def stage_report(ws: Workspace, results=None) -> dict:
-    if results is None:
-        results = stage_eval(ws)["results"]
+def stage_report(ws: Workspace, results) -> dict:
     written = emit(results, ws.path("report"))
     return {name: str(path) for name, path in written.items()}
 

@@ -58,7 +58,8 @@ class TestCliContracts:
     # unknown keys, and fields the pipeline sets itself
     @pytest.mark.parametrize("section, key", [
         ("train", "stepz"), ("gptq", "groupsize"), ("sensitivity", "granularity"),
-        ("train", "mode"), ("train", "log_path"), ("latency", "unit_of_work")])
+        ("train", "mode"), ("train", "log_path"), ("latency", "unit_of_work"),
+        ("gptq", "column_order")])
     def test_unknown_config_key_error(self, tmp_path, capsys, section, key):
         cfg = write_config(tmp_path, **{section: {**MICRO.get(section, {}), key: 32}})
         assert main(["train", "-c", cfg]) == 1
@@ -77,7 +78,14 @@ class TestCliContracts:
                                           {"assign": {"levels": [16, 8, 4, 2]}},
                                           {"assign": {"ratios": [0.5, 0.5]}},
                                           {"assign": {"ratios": [0.5, 0.5, 0, 0]}},
-                                          {"assign": {"levels": [4, 8, 16]}}])
+                                          {"assign": {"levels": [4, 8, 16]}},
+                                          {"grid": {"bits": [5]}},
+                                          {"grid": {"hawq_splits": [[4, 8]]}},
+                                          {"grid": {"hawq_ratio": 1.5}},
+                                          {"grid": {"rank_mode": "bogus"}},
+                                          {"grid": {"n_calibration_batches": 0}},
+                                          {"grid": {"bits": [3.0]}},
+                                          {"grid": {"hawq_splits": [[16, 8, 4]]}}])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
@@ -347,6 +355,16 @@ class TestPipelineStages:
         assert main(["reproduce", "-c", cfg]) == 0
         capsys.readouterr()
         assert {p: p.read_bytes() for p in (ws / "report").iterdir()} == report
+
+    def test_report_force_takes_a_stale_checkpoint(self, tmp_path, capsys):
+        assert main(["train", "-c", write_config(tmp_path)]) == 0
+        stale = write_config(tmp_path, train={**MICRO["train"], "steps": 3})
+        capsys.readouterr()
+        assert main(["report", "-c", stale]) == 1
+        assert "--force" in json.loads(capsys.readouterr().err)["message"]
+        assert main(["report", "-c", stale, "--force"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert Path(out["results.csv"]).read_text().count("\n") > 22
 
     def test_truncated_checkpoint_is_retrained(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -157,7 +157,7 @@ FLIPS = {
     "sensitivity": {"rho": 0.2, "n_power_iters": 2, "eps_scale": 1e-2, "n_batches": 2},
     "grid": {"bits": (4,), "hawq_splits": ((16, 4),), "hawq_ratio": 0.25,
              "rank_mode": "normalized", "n_calibration_batches": 2},
-    "gptq": {"group_size": 64, "damping": 0.1, "column_order": "by_diag_desc"},
+    "gptq": {"group_size": 64, "damping": 0.1},
 }
 
 

@@ -70,35 +70,23 @@ def reference_quantize_layer(weight, calib, spec, cfg):
     w_orig = np.asarray(weight, dtype=np.float64)
     d_out, d_in = w_orig.shape
     h = calib.hessian
-    if cfg.column_order == "by_diag_desc":
-        perm = np.argsort(-np.diag(h), kind="stable")
-    else:
-        perm = np.arange(d_in)
-    wp = w_orig[:, perm].copy()
-    upper = _damped_inverse_factor(h[perm][:, perm], cfg.damping)
-    qmax = spec.qmax
-    n_groups = math.ceil(d_in / spec.group_size)
-    scales = np.zeros((d_out, n_groups))
-    seen_group = np.zeros(n_groups, dtype=bool)
-    codes_perm = np.zeros((d_out, d_in), dtype=np.int16)
-    deq_perm = np.zeros((d_out, d_in))
-    group_of = perm // spec.group_size
+    w = w_orig.copy()
+    upper = _damped_inverse_factor(h, cfg.damping)
+    qmax, gs = spec.qmax, spec.group_size
+    scales = np.zeros((d_out, math.ceil(d_in / gs)))
+    codes = np.zeros((d_out, d_in), dtype=np.int16)
+    deq = np.zeros((d_out, d_in))
     for j in range(d_in):
-        g = group_of[j]
-        if not seen_group[g]:
-            scales[:, g] = group_scales(wp[:, np.nonzero(group_of == g)[0]], qmax)
-            seen_group[g] = True
-        s = scales[:, g]
-        codes = np.clip(round_half_away_from_zero(wp[:, j] / s), -qmax, qmax).astype(np.int16)
-        deq = codes.astype(np.float64) * s
-        codes_perm[:, j] = codes
-        deq_perm[:, j] = deq
+        if j % gs == 0:
+            scales[:, j // gs] = group_scales(w[:, j:j + gs], qmax)
+        s = scales[:, j // gs]
+        codes[:, j] = np.clip(round_half_away_from_zero(w[:, j] / s), -qmax, qmax)
+        deq[:, j] = codes[:, j].astype(np.float64) * s
         if j + 1 < d_in:
-            err = (wp[:, j] - deq) / upper[j, j]
-            wp[:, j + 1:] -= np.outer(err, upper[j, j + 1:])
-    inv_perm = np.argsort(perm)
-    delta = w_orig - deq_perm[:, inv_perm]
-    qw = QuantizedWeight((d_out, d_in), spec, scales, codes_perm[:, inv_perm])
+            err = (w[:, j] - deq[:, j]) / upper[j, j]
+            w[:, j + 1:] -= np.outer(err, upper[j, j + 1:])
+    delta = w_orig - deq
+    qw = QuantizedWeight((d_out, d_in), spec, scales, codes)
     return qw, float(np.trace(delta.T @ delta @ h)) / 2.0
 
 
@@ -205,21 +193,30 @@ class TestLayerQuantization:
         assert wins >= 90
         assert np.median(improvements) > 0
 
-    def test_ragged_groups_and_diag_order(self):
+    def test_ragged_groups_land_on_their_grid(self):
         rng = make_rng(7)
         w = rng.standard_normal((4, 10))
         x = rng.standard_normal((40, 10)) @ rng.standard_normal((10, 10))
         calib = calib_from_inputs(x)
-        for order in ("ascending", "by_diag_desc"):
-            qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(4, 4),
-                                          GptqConfig(column_order=order))
-            assert qw.codes.shape == w.shape
-            assert qw.scales.shape == (4, 3)  # 4,4,2 ragged split
-            assert err >= 0
-            # output sits on its own grid: re-quantizing is a fixed point
-            deq = dequantize(qw)
-            again = quantize_weight(deq, GroupQuantSpec(4, 4))
-            assert np.allclose(dequantize(again), deq, atol=1e-12)
+        qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(4, 4), GptqConfig())
+        assert qw.codes.shape == w.shape
+        assert qw.scales.shape == (4, 3)  # 4,4,2 ragged split
+        assert err >= 0
+        # output sits on its own grid: re-quantizing is a fixed point
+        deq = dequantize(qw)
+        again = quantize_weight(deq, GroupQuantSpec(4, 4))
+        assert np.allclose(dequantize(again), deq, atol=1e-12)
+
+    def test_one_row_float64_weight_is_left_unchanged(self):
+        # the transpose of a (1, d_in) float64 weight is already contiguous,
+        # so only an explicit copy keeps the loop off the caller's array
+        rng = make_rng(8)
+        w = rng.standard_normal((1, 9))
+        before = w.tobytes()
+        calib = calib_from_inputs(rng.standard_normal((20, 9)) @ rng.standard_normal((9, 9)))
+        qw, _ = gptq_quantize_layer(w, calib, GroupQuantSpec(2, 4), GptqConfig())
+        assert not np.array_equal(dequantize(qw), w)
+        assert w.tobytes() == before
 
     def test_damping_retries_then_hard_error(self):
         # [[0, a], [a, 0]] has a zero diagonal, so damping starts at 0.01 and
@@ -236,14 +233,13 @@ class TestLayerQuantization:
         with pytest.raises(NotPositiveDefiniteError):
             gptq_quantize_layer(w, indefinite(50.0), GroupQuantSpec(3), GptqConfig())
 
-    @pytest.mark.parametrize("order", ["ascending", "by_diag_desc"])
-    def test_transposed_loop_matches_reference_bytes(self, order):
+    def test_transposed_loop_matches_reference_bytes(self):
         rng = make_rng(21)
         for d_out, d_in, group in ((5, 12, 4), (7, 10, 128), (3, 9, 4)):
             w = rng.standard_normal((d_out, d_in))
             calib = calib_from_inputs(rng.standard_normal((30, d_in)) @
                                       rng.standard_normal((d_in, d_in)))
-            cfg = GptqConfig(column_order=order)
+            cfg = GptqConfig()
             for bits in (2, 3, 4, 8):
                 spec = GroupQuantSpec(bits, group)
                 qw, err = gptq_quantize_layer(w, calib, spec, cfg)
