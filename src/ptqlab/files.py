@@ -13,8 +13,9 @@ def write_atomic(path, data: bytes | str) -> None:
     then moves into place, so a crash or a failed write leaves the previous
     file whole and no partial one. A file that already holds exactly these
     bytes is left alone, mtime included, so a run that changes nothing
-    writes nothing. The temp file is not fsynced: this guards against a
-    process dying, not against losing power.
+    writes nothing; only a write makes a missing parent directory. The temp
+    file is not fsynced: this guards against a process dying, not against
+    losing power.
     """
     path = Path(path)
     blob = data.encode("utf-8") if isinstance(data, str) else data
@@ -23,6 +24,7 @@ def write_atomic(path, data: bytes | str) -> None:
             return
     except FileNotFoundError:
         pass
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(blob)

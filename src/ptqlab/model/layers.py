@@ -141,11 +141,12 @@ def attention_bwd(dout, cache):
     d_head = q.shape[-1]
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=q.dtype)
     dv = np.swapaxes(probs, -1, -2) @ dout
-    dprobs = dout @ np.swapaxes(v, -1, -2)
+    dscores = dout @ np.swapaxes(v, -1, -2)  # d probs, until the jacobian below
     # softmax jacobian: p * (dp - sum(dp * p))
-    dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True,
-                                       dtype=np.float64).astype(q.dtype))
-    dscores = dscores * scale
+    dscores -= np.sum(dscores * probs, axis=-1, keepdims=True,
+                      dtype=np.float64).astype(q.dtype)
+    dscores *= probs
+    dscores *= scale
     dq = dscores @ k
     dk = np.swapaxes(dscores, -1, -2) @ q
     return dq, dk, dv
@@ -169,11 +170,13 @@ def cross_entropy_from_logits(logits, targets):
     """
     n = logits.shape[0]
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    sums = np.sum(exps, axis=-1, keepdims=True, dtype=np.float64)
-    log_probs = shifted[np.arange(n), targets].astype(np.float64) - np.log(sums[:, 0])
+    log_probs = shifted[np.arange(n), targets].astype(np.float64)  # read before exp overwrites
+    np.exp(shifted, out=shifted)
+    sums = np.sum(shifted, axis=-1, keepdims=True, dtype=np.float64)
+    log_probs -= np.log(sums[:, 0])
     loss = float(-np.mean(log_probs))
-    dlogits = (exps / sums).astype(logits.dtype)
+    # the float64 quotient rounds into the compute dtype as .astype would
+    dlogits = np.divide(shifted, sums, out=shifted, casting="unsafe")
     dlogits[np.arange(n), targets] -= 1.0
     dlogits /= n
     return loss, dlogits

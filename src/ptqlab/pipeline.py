@@ -108,12 +108,12 @@ class PipelineConfig:
     # -- scope hashes -------------------------------------------------------
 
     def train_hash(self, mode: str) -> str:
-        cfg = dataclasses.replace(self.train, mode=mode, log_path=None)
-        return _hash({"train": dataclasses.asdict(cfg), "seed": self.seed})
+        # the train and sensitivity sections are flat: vars() is their asdict()
+        train = {**vars(self.train), "mode": mode, "log_path": None}
+        return _hash({"train": train, "seed": self.seed})
 
     def sensitivity_hash(self, mode: str) -> str:
-        return _hash({"parent": self.train_hash(mode),
-                      "sens": dataclasses.asdict(self.sensitivity)})
+        return _hash({"parent": self.train_hash(mode), "sens": vars(self.sensitivity)})
 
     def plan_hash(self, mode: str, ratios, levels) -> str:
         return _hash({"parent": self.sensitivity_hash(mode),
@@ -175,9 +175,7 @@ class Workspace:
         self.cfg = cfg
 
     def path(self, *parts) -> Path:
-        p = self.root.joinpath(*parts)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        return p
+        return self.root.joinpath(*parts)
 
     def checkpoint_path(self, mode: str) -> Path:
         return self.path("checkpoints", f"{mode}.ckpt")
@@ -206,21 +204,18 @@ def stage_train(ws: Workspace, force: bool = False) -> dict:
     for mode in MODELS:
         path = ws.checkpoint_path(mode)
         want = ws.cfg.train_hash(mode)
-        if path.exists() and not force:
-            try:
-                existing = ws.require_checkpoint(mode)
-                out[mode] = {"checkpoint": str(path), "reused": True,
-                             "train_hash": want,
-                             "heldout_loss_final": existing.meta["heldout_loss_final"]}
-                continue
-            except ContractError:
-                pass  # stale hash: retrain
-        cfg = dataclasses.replace(ws.cfg.train, mode=mode,
-                                  log_path=str(ws.path("logs", f"train_{mode}.csv")))
-        ckpt = train(cfg)
-        ckpt.meta["pipeline_train_hash"] = want
-        ckpt.save(path)
-        out[mode] = {"checkpoint": str(path), "reused": False, "train_hash": want,
+        ckpt = None
+        if not force:
+            with contextlib.suppress(ContractError):  # missing, corrupt or stale: retrain
+                ckpt = ws.require_checkpoint(mode)
+        reused = ckpt is not None
+        if not reused:
+            cfg = dataclasses.replace(ws.cfg.train, mode=mode,
+                                      log_path=str(ws.path("logs", f"train_{mode}.csv")))
+            ckpt = train(cfg)
+            ckpt.meta["pipeline_train_hash"] = want
+            ckpt.save(path)
+        out[mode] = {"checkpoint": str(path), "reused": reused, "train_hash": want,
                      "heldout_loss_final": ckpt.meta["heldout_loss_final"]}
     return out
 
@@ -340,6 +335,7 @@ def _bench_lock(ws: Workspace, timeout_s: float = 600.0):
     unlink, a third process could lock a new file while this one still holds
     the old.
     """
+    ws.root.mkdir(parents=True, exist_ok=True)
     path = ws.path("bench.lock")
     fd = os.open(path, os.O_CREAT | os.O_RDWR)
     try:
@@ -426,7 +422,7 @@ def stage_eval(ws: Workspace, force: bool = False) -> dict:
 def _cache_load(ws: Workspace, config_hash: str) -> EvalResult | None:
     """The cached cell, or None on a miss; an unreadable entry is a miss."""
     try:
-        return EvalResult(**json.loads((ws.root / "cache" / f"{config_hash}.json").read_text()))
+        return EvalResult(**json.loads(ws.path("cache", f"{config_hash}.json").read_text()))
     except (FileNotFoundError, ValueError, TypeError):
         return None
 

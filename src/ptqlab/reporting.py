@@ -294,7 +294,6 @@ def emit(results, out_dir) -> dict:
     that failed part way, makes the call render again.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / name for name in REPORT_FILES}
     inputs = _inputs_digest(results)
     try:

@@ -44,8 +44,10 @@ class SensitivityConfig:
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
             raise ParameterError(f"rho must be in (0, 1], got {self.rho}")
-        if self.n_power_iters < 1:
-            raise ParameterError("n_power_iters must be >= 1")
+        for name in ("n_power_iters", "n_batches"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
         if self.eps_scale <= 0:
             raise ParameterError("eps_scale must be > 0")
 

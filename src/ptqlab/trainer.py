@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -144,12 +143,10 @@ def train(cfg: TrainConfig) -> ModelCheckpoint:
         "heldout_loss_final": final_loss,
     })
     if cfg.log_path:
-        path = Path(cfg.log_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["step", "loss"])
         writer.writerows((step, f"{loss:.6f}") for step, loss in curve)
-        write_atomic(path, buf.getvalue())
+        write_atomic(cfg.log_path, buf.getvalue())
     return ckpt
 

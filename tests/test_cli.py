@@ -85,7 +85,11 @@ class TestCliContracts:
                                           {"grid": {"rank_mode": "bogus"}},
                                           {"grid": {"n_calibration_batches": 0}},
                                           {"grid": {"bits": [3.0]}},
-                                          {"grid": {"hawq_splits": [[16, 8, 4]]}}])
+                                          {"grid": {"hawq_splits": [[16, 8, 4]]}},
+                                          {"sensitivity": {"n_batches": 0}},
+                                          {"sensitivity": {"n_batches": -3}},
+                                          {"sensitivity": {"n_batches": 2.5}},
+                                          {"sensitivity": {"n_power_iters": 2.5}}])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
@@ -115,6 +119,23 @@ class TestCliContracts:
         assert direct == loaded
         assert direct.train_hash("ar") == loaded.train_hash("ar")
         assert direct.sensitivity_hash("ar") == loaded.sensitivity_hash("ar")
+
+    def test_scope_hashes_are_pinned(self):
+        # pinned: a change here makes every existing checkpoint and sensitivity report stale
+        cfg = PipelineConfig.from_dict({"workspace": "x", "seed": 3,
+                                        "train": {"steps": 40, "corpus_path": "/tmp/c.txt"}})
+        assert cfg.train_hash("ar") == "3a4d57f36e6fab09"
+        assert cfg.train_hash("diffusion") == "2c4d34b911ba0b18"
+        assert cfg.sensitivity_hash("ar") == "0fe70c241c44d149"
+
+    @pytest.mark.parametrize("command", [["eval"], ["bench", "--model", "ar"],
+                                         ["sensitivity", "--model", "ar"],
+                                         ["assign", "--model", "ar"], ["report"]])
+    def test_missing_workspace_is_left_missing(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        assert main([command[0], "-c", cfg, *command[1:]]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ContractError"
+        assert not (tmp_path / "ws").exists()
 
     def test_plan_hash_covers_rank_mode_and_group_size(self):
         cfg = PipelineConfig(workspace="w")
@@ -429,6 +450,7 @@ class TestBenchLock:
 
     def test_pid_file_of_an_older_version_is_no_lock(self, tmp_path):
         ws = self.workspace(tmp_path)
+        ws.root.mkdir()
         lock = ws.path("bench.lock")
         lock.write_text(str(os.getpid()))  # a live pid, which the pid-file protocol waited on
         with _bench_lock(ws, timeout_s=0):

@@ -60,3 +60,10 @@ def test_unchanged_bytes_are_not_rewritten(tmp_path):
     write_atomic(path, "[]\n")
     assert path.read_text() == "[]\n" and path.stat().st_mtime_ns != 10**18
     assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+
+def test_a_write_makes_its_missing_directories(tmp_path):
+    path = tmp_path / "ws" / "cache" / "a.json"
+    write_atomic(path, "{}\n")
+    assert path.read_text() == "{}\n"
+    assert [p.name for p in path.parent.iterdir()] == ["a.json"]
