@@ -29,7 +29,7 @@ class SplitRatios:
 
     def __post_init__(self):
         for name, value in (("p16", self.p16), ("p8", self.p8), ("p4", self.p4)):
-            if value < 0:
+            if not value >= 0:
                 raise ParameterError(f"{name} must be >= 0, got {value}")
         if abs(self.p16 + self.p8 + self.p4 - 1.0) > 1e-9:
             raise ParameterError(f"split ratios must sum to 1, got {self.p16 + self.p8 + self.p4}")

@@ -100,7 +100,7 @@ def main(argv=None) -> int:
                 out = reproduce(ws, args.force)
         else:  # pragma: no cover - argparse enforces choices
             raise AssertionError(args.command)
-    except (PtqLabError, FileNotFoundError) as exc:
+    except (PtqLabError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc),
                    "stage": getattr(args, "command", None)}, sys.stderr)
         sys.stderr.write("\n")

@@ -13,6 +13,15 @@ class ParameterError(PtqLabError):
     """A configuration value or argument is outside its allowed range."""
 
 
+def require_count(name: str, value, least: int = 1) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an ``int`` of at least ``least``.
+
+    A bool, a float such as 2.0, or a string such as "3" is not a count.
+    """
+    if type(value) is not int or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class NumericError(PtqLabError):
     """A computation produced NaN/Inf or otherwise left the finite domain."""
 

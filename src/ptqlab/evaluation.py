@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tasks
 from .allocator import bit_levels, split_ratios
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, require_count
 from .model import (MASK_ID, MODE_AR, MODE_DIFFUSION, Batch, ModelCheckpoint, forward_logits,
                     generate_ar, generate_diffusion, prediction_targets)
 from .numerics import make_rng
@@ -41,10 +41,9 @@ class TaskSuite:
     def __post_init__(self):
         if not self.tasks:
             raise ContractError("task suite is empty")
-        if self.n_eval_prompts < 1:
-            raise ParameterError(f"n_eval_prompts must be >= 1, got {self.n_eval_prompts}")
-        if self.diffusion_steps < 1:
-            raise ParameterError(f"diffusion_steps must be >= 1, got {self.diffusion_steps}")
+        require_count("n_eval_prompts", self.n_eval_prompts)
+        require_count("diffusion_steps", self.diffusion_steps)
+        require_count("seed", self.seed, 0)
         unknown = [t for t in self.tasks if t not in tasks.ALL_TASKS]
         if unknown:
             raise ParameterError(f"unknown tasks: {unknown}")
@@ -58,12 +57,9 @@ class LatencyConfig:
     unit_of_work: str = UNIT_AR_TOKEN
 
     def __post_init__(self):
-        if self.warmup_runs < 0:
-            raise ParameterError("warmup_runs must be >= 0")
-        if self.timed_runs < 2:
-            raise ParameterError("timed_runs must be >= 2")
-        if self.seq_len < 1:
-            raise ParameterError(f"seq_len must be >= 1, got {self.seq_len}")
+        require_count("warmup_runs", self.warmup_runs, 0)
+        require_count("timed_runs", self.timed_runs, 2)
+        require_count("seq_len", self.seq_len)
         if self.unit_of_work not in (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP):
             raise ParameterError(f"unknown unit_of_work {self.unit_of_work!r}")
 
@@ -203,15 +199,11 @@ class GridConfig:
                 raise ParameterError(f"a hawq split is two widths hi, lo, got {list(split)}")
             bit_levels((*split, split[1]))  # integers, hi >= lo
         for b in (*self.bits, *(b for split in self.hawq_splits for b in split)):
-            if type(b) is not int:
-                raise ParameterError(f"grid widths are integers, got {b!r}")
             GroupQuantSpec(b)
         split_ratios((self.hawq_ratio, 1.0 - self.hawq_ratio, 0.0))
         if self.rank_mode not in (RANK_RAW, RANK_NORMALIZED):
             raise ParameterError(f"unknown ranking mode {self.rank_mode!r}")
-        if self.n_calibration_batches < 1:
-            raise ParameterError(f"n_calibration_batches must be >= 1, "
-                                 f"got {self.n_calibration_batches}")
+        require_count("n_calibration_batches", self.n_calibration_batches)
 
 
 def plan_grid(grid: GridConfig = GridConfig()) -> list:

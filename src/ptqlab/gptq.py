@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, NotPositiveDefiniteError, ParameterError
+from .errors import ContractError, NotPositiveDefiniteError, ParameterError, require_count
 from .model import ModelCheckpoint, prediction_targets
 from .model.checkpoint import EMBEDDING_PATHS
 from .model.network import block_fwd, block_index, embed_fwd, projection_key
@@ -35,9 +35,8 @@ class GptqConfig:
     damping: float = 0.01  # fraction of mean(diag H)
 
     def __post_init__(self):
-        if self.group_size < 1:
-            raise ParameterError(f"group_size must be >= 1, got {self.group_size}")
-        if self.damping <= 0:
+        require_count("group_size", self.group_size)
+        if not self.damping > 0:
             raise ParameterError("damping fraction must be > 0")
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ContractError, ParameterError
+from ..errors import ContractError, ParameterError, require_count
 
 # Byte-level vocabulary: 256 raw bytes followed by the specials.
 MASK_ID = 256
@@ -38,11 +38,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in (MODE_AR, MODE_DIFFUSION):
             raise ParameterError(f"mode must be '{MODE_AR}' or '{MODE_DIFFUSION}', got {self.mode!r}")
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
+            require_count(name, getattr(self, name))
         if self.d_model % self.n_heads != 0:
             raise ParameterError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
 
     @property
     def causal(self) -> bool:

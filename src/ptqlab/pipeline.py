@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .allocator import BIT_LEVELS, assign_precision, bit_levels, budget_plan, split_ratios
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, require_count
 from .evaluation import (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP, EvalResult, GridConfig,
                          LatencyConfig, TaskSuite, evaluate_tasks, measure_latency, plan_grid)
 from .files import write_atomic
@@ -36,7 +36,6 @@ from .sensitivity import (SensitivityConfig, compute_sensitivities, load_report,
                           rank_sensitivities, save_report)
 from .trainer import TrainConfig, calibration_batches, train
 
-ENV_WORKSPACE = "PTQLAB_WORKSPACE"
 MODELS = (MODE_AR, MODE_DIFFUSION)
 LATENCY_UNIT = {MODE_AR: UNIT_AR_TOKEN, MODE_DIFFUSION: UNIT_DIFFUSION_STEP}
 
@@ -68,6 +67,7 @@ class PipelineConfig:
     assign_levels: tuple = (16, 8, 4)
 
     def __post_init__(self):
+        require_count("seed", self.seed, 0)
         # the run seed is the one owner of the section seeds
         self.train = dataclasses.replace(self.train, seed=self.seed)
         self.sensitivity = dataclasses.replace(self.sensitivity, seed=self.seed)
@@ -92,13 +92,12 @@ class PipelineConfig:
         if "workspace" not in doc:
             raise ParameterError("config needs a 'workspace' entry")
         try:  # a value of the wrong type fails inside the dataclasses
-            seed = int(doc.get("seed", 0))
             sections = {}
             for name, (section_cls, fixed) in SECTIONS.items():
                 keys = [f.name for f in dataclasses.fields(section_cls) if f.name not in fixed]
                 sections[name] = section_cls(**_section(doc, name, keys))
             assign = {f"assign_{k}": v for k, v in _section(doc, "assign", ASSIGN_KEYS).items()}
-            cfg = cls(workspace=doc["workspace"], seed=seed, **sections, **assign)
+            cfg = cls(workspace=doc["workspace"], seed=doc.get("seed", 0), **sections, **assign)
             split_ratios(cfg.assign_ratios)  # validate eagerly
             bit_levels(cfg.assign_levels)
         except (TypeError, ValueError) as exc:
@@ -170,8 +169,7 @@ def _frozen(value):
 
 class Workspace:
     def __init__(self, cfg: PipelineConfig):
-        root = os.environ.get(ENV_WORKSPACE) or cfg.workspace
-        self.root = Path(root)
+        self.root = Path(cfg.workspace)
         self.cfg = cfg
 
     def path(self, *parts) -> Path:
@@ -389,7 +387,7 @@ def stage_eval(ws: Workspace, force: bool = False) -> dict:
         if method == "gptq" and mode not in batches:
             batches[mode] = _calibration(ckpt, cfg.grid.n_calibration_batches)
         quantized, _ = quantize(cfg, ckpt, method, plan, batches.get(mode))
-        raw_bits, eff_bits, _ = memory_footprint(plan, ckpt)
+        raw_bits, eff_bits = memory_footprint(plan, ckpt)
         return quantized, raw_bits, eff_bits
 
     results = []

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, CoverageError, NumericError, ParameterError
+from .errors import ContractError, CoverageError, NumericError, ParameterError, require_count
 from .files import write_atomic
 from .model.checkpoint import EMBEDDING_PATHS, ModelCheckpoint
 
@@ -36,10 +36,9 @@ class GroupQuantSpec:
     group_size: int = DEFAULT_GROUP_SIZE
 
     def __post_init__(self):
-        if self.bits not in SUPPORTED_BITS:
-            raise ParameterError(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
-        if self.group_size < 1:
-            raise ParameterError(f"group_size must be >= 1, got {self.group_size}")
+        if type(self.bits) is not int or self.bits not in SUPPORTED_BITS:
+            raise ParameterError(f"bits must be an integer in {SUPPORTED_BITS}, got {self.bits!r}")
+        require_count("group_size", self.group_size)
 
     @property
     def passthrough(self) -> bool:
@@ -146,20 +145,11 @@ class QuantPlan:
     def load(cls, path) -> "QuantPlan":
         try:
             doc = json.loads(Path(path).read_text())
-            bits = {m["path"]: _integer(m, "bits") for m in doc["modules"]}
+            bits = {m["path"]: m["bits"] for m in doc["modules"]}
             ratios = tuple(doc["ratios"]) if "ratios" in doc else None
-            return cls(bits, _integer(doc, "group_size"),
-                       doc.get("provenance", PROVENANCE_MANUAL), ratios)
-        except (ValueError, KeyError, TypeError) as exc:
+            return cls(bits, doc["group_size"], doc.get("provenance", PROVENANCE_MANUAL), ratios)
+        except (ValueError, KeyError, TypeError, ParameterError) as exc:
             raise ContractError(f"plan {path} is malformed: {type(exc).__name__}: {exc}") from exc
-
-
-def _integer(doc: dict, key: str) -> int:
-    """``doc[key]`` when it is a JSON integer; 8.9, "8" or true is a TypeError naming ``key``."""
-    value = doc[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def uniform_plan(ckpt: ModelCheckpoint, bits: int,
@@ -201,7 +191,7 @@ def rtn_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan) -> ModelCheckpoin
 
 
 def memory_footprint(plan: QuantPlan, ckpt: ModelCheckpoint):
-    """(raw_avg_bits, effective_avg_bits, total_bytes_effective) over plan modules.
+    """(raw_avg_bits, effective_avg_bits) over plan modules.
 
     Effective bits add the per-group scale overhead 16/group_size for
     quantized modules; passthrough modules carry no scale storage.
@@ -217,4 +207,4 @@ def memory_footprint(plan: QuantPlan, ckpt: ModelCheckpoint):
         total_n += n
         raw_sum += n * spec.bits
         eff_sum += n * eff
-    return raw_sum / total_n, eff_sum / total_n, eff_sum / 8.0
+    return raw_sum / total_n, eff_sum / total_n

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ParameterError
+from .errors import ContractError, NumericError, ParameterError, require_count
 from .files import write_atomic
 from .model import ModelCheckpoint, forward_logits, loss_and_grads, prediction_targets
 from .model.network import block_index
@@ -44,11 +44,9 @@ class SensitivityConfig:
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
             raise ParameterError(f"rho must be in (0, 1], got {self.rho}")
-        for name in ("n_power_iters", "n_batches"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.eps_scale <= 0:
+        require_count("n_power_iters", self.n_power_iters)
+        require_count("n_batches", self.n_batches)
+        if not self.eps_scale > 0:
             raise ParameterError("eps_scale must be > 0")
 
 

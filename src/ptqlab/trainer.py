@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tasks
-from .errors import DivergenceError, NumericError, ParameterError
+from .errors import DivergenceError, NumericError, ParameterError, require_count
 from .files import write_atomic
 from .model import Batch, ModelCheckpoint, ModelConfig, loss_and_grads, new_checkpoint
 from .model.config import MODE_AR, MODE_DIFFUSION
@@ -36,17 +36,16 @@ class TrainConfig:
     max_seq_len: int = 128
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if self.learning_rate <= 0:
+        require_count("steps", self.steps)
+        require_count("batch_size", self.batch_size)
+        if not self.learning_rate > 0:
             raise ParameterError("learning rate must be > 0")
         if not (0.0 <= self.text_fraction < 1.0):
             raise ParameterError("text_fraction must be in [0, 1)")
-        if self.text_fraction > 0 and self.max_seq_len < tasks.TEXT_ROW_LEN:
-            raise ParameterError(f"max_seq_len must be >= {tasks.TEXT_ROW_LEN} "
-                                 "to fit text rows (or set text_fraction=0)")
-        if self.max_seq_len < tasks.TASK_ROW_LEN:
-            raise ParameterError(f"max_seq_len must be >= {tasks.TASK_ROW_LEN} to fit task rows")
+        self.model_config()  # the architecture fails here, not once training starts
+        # a task row always fits, and a text row too while text_fraction > 0
+        require_count("max_seq_len", self.max_seq_len,
+                      max(tasks.TASK_ROW_LEN, tasks.TEXT_ROW_LEN if self.text_fraction > 0 else 0))
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(d_model=self.d_model, n_layers=self.n_layers,

@@ -33,6 +33,22 @@ MICRO = {
 }
 
 
+# every integer field of the config, by section (None: the top level), with its least value
+COUNTS = [(None, "seed", 0), ("suite", "seed", 0), ("suite", "n_eval_prompts", 1),
+          ("suite", "diffusion_steps", 1), ("latency", "warmup_runs", 0),
+          ("latency", "timed_runs", 2), ("latency", "seq_len", 1),
+          ("grid", "n_calibration_batches", 1), ("gptq", "group_size", 1),
+          ("sensitivity", "n_power_iters", 1), ("sensitivity", "n_batches", 1),
+          ("train", "steps", 1), ("train", "batch_size", 1), ("train", "d_model", 1),
+          ("train", "n_layers", 1), ("train", "n_heads", 1), ("train", "d_ff", 1),
+          ("train", "max_seq_len", 32)]  # a text row needs 32 while text_fraction > 0
+
+
+def config_with(section, key, value):
+    """write_config overrides that set ``key`` of ``section`` (None: the top level) to ``value``."""
+    return {key: value} if section is None else {section: {**MICRO.get(section, {}), key: value}}
+
+
 def write_config(tmp_path, **overrides):
     doc = dict(MICRO, workspace=str(tmp_path / "ws"), **overrides)
     path = tmp_path / "config.json"
@@ -89,11 +105,34 @@ class TestCliContracts:
                                           {"sensitivity": {"n_batches": 0}},
                                           {"sensitivity": {"n_batches": -3}},
                                           {"sensitivity": {"n_batches": 2.5}},
-                                          {"sensitivity": {"n_power_iters": 2.5}}])
+                                          {"sensitivity": {"n_power_iters": 2.5}},
+                                          *(config_with(section, key, value)
+                                            for section, key, least in COUNTS
+                                            for value in (2.5, True, least - 1)),
+                                          *(config_with(section, key, float("nan"))
+                                            for section, key in [("grid", "hawq_ratio"),
+                                                                 ("gptq", "damping"),
+                                                                 ("sensitivity", "eps_scale"),
+                                                                 ("train", "learning_rate")])])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "batch_size", 0), ("train", "batch_size", 2.5), ("train", "d_model", 16.0),
+        (None, "seed", -1), (None, "seed", 2.7)])
+    def test_bad_count_fails_train_before_it_writes(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path, **config_with(section, key, value))
+        assert main(["train", "-c", cfg]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError" and key in err["message"]
+        assert not (tmp_path / "ws").exists()
+
+    def test_corpus_that_is_a_directory_is_a_json_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **config_with("train", "corpus_path", str(tmp_path)))
+        assert main(["train", "-c", cfg]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
     def test_config_that_is_a_directory_is_a_json_error(self, tmp_path, capsys):
         assert main(["train", "-c", str(tmp_path)]) == 1
@@ -264,7 +303,8 @@ class TestPipelineStages:
     @pytest.mark.parametrize("args", [["--ratios", "0.5,x"], ["--levels", "8,4.5"],
                                       ["--ratios", "0.5,0.5"], ["--ratios", "0.5,0.5,0,0"],
                                       ["--ratios", "0.4,0.3,0.3", "--levels", "16,8"],
-                                      ["--levels", "16,8,4,2"], ["--levels", "4,8,16"]])
+                                      ["--levels", "16,8,4,2"], ["--levels", "4,8,16"],
+                                      ["--ratios", "nan,0.5,0.5"]])
     def test_malformed_assign_flags_are_a_json_error(self, scored, capsys, args):
         capsys.readouterr()
         assert main(["assign", "-c", scored, "--model", "ar", *args]) == 1
@@ -331,6 +371,12 @@ class TestPipelineStages:
                      "--plan", str(plan)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ContractError" and str(plan) in err["message"]
+
+    def test_plan_that_is_a_directory_is_a_json_error(self, scored, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["quantize", "-c", scored, "--model", "ar", "--method", "rtn",
+                     "--plan", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
     def test_malformed_sensitivity_report_is_a_json_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -419,10 +465,9 @@ class TestBenchLock:
 
     @pytest.fixture
     def holder(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        env.pop("PTQLAB_WORKSPACE", None)
         proc = subprocess.Popen([sys.executable, "-c", HOLDER, str(tmp_path / "ws")],
-                                stdout=subprocess.PIPE, text=True, env=env)
+                                stdout=subprocess.PIPE, text=True,
+                                env={**os.environ, "PYTHONPATH": str(SRC)})
         try:
             assert proc.stdout.readline() == "held\n"
             yield proc

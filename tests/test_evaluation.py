@@ -13,7 +13,7 @@ from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure
                                plan_grid)
 from ptqlab.model import ModelConfig, new_checkpoint
 import ptqlab.reporting as reporting
-from ptqlab.pipeline import (ENV_WORKSPACE, LATENCY_UNIT, SECTIONS, PipelineConfig, Workspace,
+from ptqlab.pipeline import (LATENCY_UNIT, SECTIONS, PipelineConfig, Workspace,
                              _hash, cell_hasher, reproduce, stage_eval, stage_train)
 from ptqlab.quant import QuantPlan, memory_footprint
 from ptqlab.trainer import TrainConfig, train
@@ -106,11 +106,6 @@ GRID_DOC = {
 
 def workspace(root, **overrides) -> Workspace:
     return Workspace(PipelineConfig.from_dict({**GRID_DOC, "workspace": str(root), **overrides}))
-
-
-@pytest.fixture(autouse=True)
-def no_workspace_override(monkeypatch):
-    monkeypatch.delenv(ENV_WORKSPACE, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +225,7 @@ class TestGrid:
             for label, levels in (("hawq-16/8", (16, 8, 8)), ("hawq-8/4", (8, 4, 4))):
                 name = f"{mode}_{ws.cfg.plan_hash(mode, split, levels)}.json"
                 plan = QuantPlan.load(ws.root / "plans" / name)
-                raw, eff, _ = memory_footprint(plan, ckpt)
+                raw, eff = memory_footprint(plan, ckpt)
                 row = rows[(f"toy-{mode}", "hawq", label)]
                 assert (row.raw_bits, row.eff_bits) == (raw, eff)
 
