@@ -19,6 +19,7 @@ from .errors import ParameterError
 from .quant import DEFAULT_GROUP_SIZE, PROVENANCE_HAWQ, QuantPlan
 
 BIT_LEVELS = (16, 8, 4)
+DEFAULT_SPLIT = (0.5, 0.5, 0.0)  # p16, p8, p4 of `assign` without --ratios or --budget
 
 
 @dataclass(frozen=True)

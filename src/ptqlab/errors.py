@@ -40,11 +40,6 @@ class ContractError(PtqLabError):
 class CoverageError(PtqLabError):
     """A quantization plan does not cover the checkpoint it is applied to."""
 
-    def __init__(self, message: str, missing=(), unknown=()):
-        super().__init__(message)
-        self.missing = tuple(missing)
-        self.unknown = tuple(unknown)
-
 
 class DivergenceError(PtqLabError):
     """Training loss became non-finite; the message names the step."""

@@ -23,7 +23,8 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .allocator import BIT_LEVELS, assign_precision, bit_levels, budget_plan, split_ratios
+from .allocator import (BIT_LEVELS, DEFAULT_SPLIT, assign_precision, bit_levels, budget_plan,
+                        split_ratios)
 from .errors import ContractError, ParameterError, require_count
 from .evaluation import (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP, EvalResult, GridConfig,
                          LatencyConfig, TaskSuite, evaluate_tasks, measure_latency, plan_grid)
@@ -40,17 +41,17 @@ MODELS = (MODE_AR, MODE_DIFFUSION)
 LATENCY_UNIT = {MODE_AR: UNIT_AR_TOKEN, MODE_DIFFUSION: UNIT_DIFFUSION_STEP}
 
 # Config sections built from a dataclass, with the fields the file may not
-# set because the pipeline sets them: seeds come from the top-level seed, and
-# the training mode, log path and latency unit from the model at hand.
+# set. The pipeline sets the seeds (from the top-level seed) and the training
+# mode, log path and latency unit (from the model at hand); the Adam
+# constants and the suite seed are fixed.
 SECTIONS = {
-    "train": (TrainConfig, ("seed", "mode", "log_path")),
-    "suite": (TaskSuite, ()),
+    "train": (TrainConfig, ("seed", "mode", "log_path", "beta1", "beta2", "adam_eps")),
+    "suite": (TaskSuite, ("seed",)),
     "latency": (LatencyConfig, ("unit_of_work",)),
     "sensitivity": (SensitivityConfig, ("seed",)),
     "grid": (GridConfig, ()),
     "gptq": (GptqConfig, ()),
 }
-ASSIGN_KEYS = ("ratios", "levels")
 
 
 @dataclass
@@ -63,8 +64,6 @@ class PipelineConfig:
     sensitivity: SensitivityConfig = field(default_factory=SensitivityConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     gptq: GptqConfig = field(default_factory=GptqConfig)
-    assign_ratios: tuple = (0.5, 0.5, 0.0)
-    assign_levels: tuple = (16, 8, 4)
 
     def __post_init__(self):
         require_count("seed", self.seed, 0)
@@ -86,7 +85,7 @@ class PipelineConfig:
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         if not isinstance(doc, dict):
             raise ParameterError("config must be a JSON object")
-        unknown = set(doc) - {"workspace", "seed", "assign", *SECTIONS}
+        unknown = set(doc) - {"workspace", "seed", *SECTIONS}
         if unknown:
             raise ParameterError(f"unknown config sections: {sorted(unknown)}")
         if "workspace" not in doc:
@@ -96,13 +95,9 @@ class PipelineConfig:
             for name, (section_cls, fixed) in SECTIONS.items():
                 keys = [f.name for f in dataclasses.fields(section_cls) if f.name not in fixed]
                 sections[name] = section_cls(**_section(doc, name, keys))
-            assign = {f"assign_{k}": v for k, v in _section(doc, "assign", ASSIGN_KEYS).items()}
-            cfg = cls(workspace=doc["workspace"], seed=doc.get("seed", 0), **sections, **assign)
-            split_ratios(cfg.assign_ratios)  # validate eagerly
-            bit_levels(cfg.assign_levels)
+            return cls(workspace=doc["workspace"], seed=doc.get("seed", 0), **sections)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"malformed config value: {exc}") from exc
-        return cfg
 
     # -- scope hashes -------------------------------------------------------
 
@@ -243,10 +238,10 @@ def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
     if budget is not None and ratios is not None:
         raise ParameterError("--budget chooses the ratios; pass --budget or --ratios, not both")
     cfg = ws.cfg
-    levels = bit_levels(levels or cfg.assign_levels)
+    levels = bit_levels(levels or BIT_LEVELS)
     if budget is not None and levels != BIT_LEVELS:  # the waterfill raises 4 -> 8 -> 16 bits
         raise ParameterError(f"--budget assigns the levels {BIT_LEVELS}, not {levels}")
-    split = split_ratios(ratios or cfg.assign_ratios)
+    split = split_ratios(ratios or DEFAULT_SPLIT)
     json_path = ws.path("sensitivity", f"{mode}.json")
     if not json_path.exists():
         raise ContractError(f"missing sensitivity report {json_path}; "

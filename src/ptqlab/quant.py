@@ -167,8 +167,7 @@ def check_coverage(ckpt: ModelCheckpoint, plan: QuantPlan) -> None:
     unknown = sorted(have - allowed)
     if missing or unknown:
         raise CoverageError(
-            f"plan does not match checkpoint: missing={missing} unknown={unknown}",
-            missing=missing, unknown=unknown)
+            f"plan does not match checkpoint: missing={missing} unknown={unknown}")
 
 
 def quantized_copy(ckpt: ModelCheckpoint, plan: QuantPlan, method: str) -> ModelCheckpoint:

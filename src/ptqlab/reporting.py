@@ -47,7 +47,6 @@ class ParetoPoint:
     label: str
     effective_avg_bits: float
     score: float
-    dominated: bool = False
 
 
 def pareto_frontier(points):
@@ -63,8 +62,7 @@ def pareto_frontier(points):
         raise ParameterError("need at least one point")
     frontier, dominated = [], []
     for p in sorted(points, key=lambda p: (p.effective_avg_bits, -p.score, p.label)):
-        p.dominated = bool(frontier) and p.score <= frontier[-1].score
-        (dominated if p.dominated else frontier).append(p)
+        (dominated if frontier and p.score <= frontier[-1].score else frontier).append(p)
     return frontier, dominated
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 import ptqlab.reporting as reporting
 from ptqlab.cli import main
 from ptqlab.errors import ContractError
-from ptqlab.pipeline import PipelineConfig, Workspace, _bench_lock
+from ptqlab.pipeline import SECTIONS, PipelineConfig, Workspace, _bench_lock
 from ptqlab.model import ModelCheckpoint
 from ptqlab.quant import QuantPlan, uniform_plan
 from ptqlab.sensitivity import SensitivityRecord, save_report
@@ -34,7 +35,7 @@ MICRO = {
 
 
 # every integer field of the config, by section (None: the top level), with its least value
-COUNTS = [(None, "seed", 0), ("suite", "seed", 0), ("suite", "n_eval_prompts", 1),
+COUNTS = [(None, "seed", 0), ("suite", "n_eval_prompts", 1),
           ("suite", "diffusion_steps", 1), ("latency", "warmup_runs", 0),
           ("latency", "timed_runs", 2), ("latency", "seq_len", 1),
           ("grid", "n_calibration_batches", 1), ("gptq", "group_size", 1),
@@ -65,17 +66,21 @@ class TestCliContracts:
 
     def test_invalid_config_json_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"workspace": str(tmp_path / "ws"), "bogus": {}}))
+        path.write_text(json.dumps({"workspace": str(tmp_path / "ws"), "bogus": {},
+                                    "assign": {"ratios": [1, 0, 0]}}))
         assert main(["train", "-c", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
         assert err["stage"] == "train"
+        assert "unknown config sections: ['assign', 'bogus']" in err["message"]
+        assert not (tmp_path / "ws").exists()
 
-    # unknown keys, and fields the pipeline sets itself
+    # unknown keys, fields the pipeline sets itself, and fixed fields
     @pytest.mark.parametrize("section, key", [
         ("train", "stepz"), ("gptq", "groupsize"), ("sensitivity", "granularity"),
         ("train", "mode"), ("train", "log_path"), ("latency", "unit_of_work"),
-        ("gptq", "column_order")])
+        ("gptq", "column_order"), ("train", "beta1"), ("train", "beta2"),
+        ("train", "adam_eps"), ("suite", "seed")])
     def test_unknown_config_key_error(self, tmp_path, capsys, section, key):
         cfg = write_config(tmp_path, **{section: {**MICRO.get(section, {}), key: 32}})
         assert main(["train", "-c", cfg]) == 1
@@ -85,16 +90,9 @@ class TestCliContracts:
         assert not (tmp_path / "ws" / "checkpoints").exists()
 
     @pytest.mark.parametrize("override", [{"seed": "abc"}, {"train": {"steps": "3"}},
-                                          {"assign": {"ratios": 5}},
                                           {"suite": {"n_eval_prompts": 0}},
                                           {"suite": {"diffusion_steps": 0}},
                                           {"latency": {"seq_len": 0}},
-                                          {"assign": {"levels": [16, 8.0, 4]}},
-                                          {"assign": {"levels": [16, 8]}},
-                                          {"assign": {"levels": [16, 8, 4, 2]}},
-                                          {"assign": {"ratios": [0.5, 0.5]}},
-                                          {"assign": {"ratios": [0.5, 0.5, 0, 0]}},
-                                          {"assign": {"levels": [4, 8, 16]}},
                                           {"grid": {"bits": [5]}},
                                           {"grid": {"hawq_splits": [[4, 8]]}},
                                           {"grid": {"hawq_ratio": 1.5}},
@@ -106,6 +104,14 @@ class TestCliContracts:
                                           {"sensitivity": {"n_batches": -3}},
                                           {"sensitivity": {"n_batches": 2.5}},
                                           {"sensitivity": {"n_power_iters": 2.5}},
+                                          {"train": 5},
+                                          {"suite": {"tasks": ["bogus"]}},
+                                          config_with("train", "n_heads", 3),
+                                          config_with("train", "learning_rate", -1.0),
+                                          config_with("train", "text_fraction", 1.0),
+                                          config_with("sensitivity", "rho", 0.0),
+                                          config_with("sensitivity", "eps_scale", 0.0),
+                                          config_with("gptq", "damping", 0.0),
                                           *(config_with(section, key, value)
                                             for section, key, least in COUNTS
                                             for value in (2.5, True, least - 1)),
@@ -113,7 +119,9 @@ class TestCliContracts:
                                             for section, key in [("grid", "hawq_ratio"),
                                                                  ("gptq", "damping"),
                                                                  ("sensitivity", "eps_scale"),
-                                                                 ("train", "learning_rate")])])
+                                                                 ("sensitivity", "rho"),
+                                                                 ("train", "learning_rate"),
+                                                                 ("train", "text_fraction")])])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
@@ -121,7 +129,10 @@ class TestCliContracts:
 
     @pytest.mark.parametrize("section, key, value", [
         ("train", "batch_size", 0), ("train", "batch_size", 2.5), ("train", "d_model", 16.0),
-        (None, "seed", -1), (None, "seed", 2.7)])
+        (None, "seed", -1), (None, "seed", 2.7),
+        # fixed fields, whatever value the file gives
+        ("train", "beta1", float("nan")), ("train", "beta2", 1.5), ("train", "adam_eps", -1.0),
+        ("suite", "seed", 7)])
     def test_bad_count_fails_train_before_it_writes(self, tmp_path, capsys, section, key, value):
         cfg = write_config(tmp_path, **config_with(section, key, value))
         assert main(["train", "-c", cfg]) == 1
@@ -150,6 +161,11 @@ class TestCliContracts:
         block = block.split("```jsonc\n")[1].split("```")[0]
         doc = json.loads(re.sub(r"//[^\n]*", "", block))
         assert PipelineConfig.from_dict(doc) == PipelineConfig(workspace=doc["workspace"])
+        # the reference lists exactly the keys the file may set
+        assert set(doc) == {"workspace", "seed", *SECTIONS}
+        for name, (section_cls, fixed) in SECTIONS.items():
+            fields = {f.name for f in dataclasses.fields(section_cls)}
+            assert set(doc[name]) == fields - set(fixed), name
 
     def test_run_seed_sets_the_section_seeds(self):
         direct = PipelineConfig(workspace="w", seed=5)

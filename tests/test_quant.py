@@ -173,7 +173,7 @@ class TestModelQuantization:
         del plan.bits[dropped]
         with pytest.raises(CoverageError) as exc:
             rtn_quantize_model(ckpt, plan)
-        assert dropped in exc.value.missing
+        assert dropped in str(exc.value)
 
     def test_coverage_error_on_unknown_path(self):
         ckpt = small_ckpt()
