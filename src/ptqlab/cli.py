@@ -14,8 +14,6 @@ from .pipeline import MODELS, PipelineConfig, Workspace, reproduce, stage_assign
 
 def _add_common(p):
     p.add_argument("-c", "--config", required=True, help="pipeline config JSON")
-    p.add_argument("--force", action="store_true",
-                   help="consume artifacts even if their config hash mismatches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(b)
     b.add_argument("--model", choices=MODELS, required=True)
 
-    _add_common(sub.add_parser("report", help="emit tables and charts from the grid"))
+    _add_common(sub.add_parser("report", help="run the grid, reuse cached cells, write the report"))
 
     r = sub.add_parser("reproduce", help="end-to-end: train, grid, report")
     _add_common(r)
@@ -74,30 +72,30 @@ def main(argv=None) -> int:
         cfg = PipelineConfig.load(args.config)
         ws = Workspace(cfg)
         if args.command == "train":
-            out = stage_train(ws, args.force)
+            out = stage_train(ws)
         elif args.command == "quantize":
             out = stage_quantize(ws, args.model, args.method, bits=args.bits,
-                                 plan_path=args.plan, force=args.force)
+                                 plan_path=args.plan)
         elif args.command == "sensitivity":
-            out = stage_sensitivity(ws, args.model, args.force)
+            out = stage_sensitivity(ws, args.model)
         elif args.command == "assign":
             out = stage_assign(ws, args.model,
                                ratios=_parse_list(args.ratios, float, "--ratios"),
                                levels=_parse_list(args.levels, int, "--levels"),
-                               budget=args.budget, force=args.force)
+                               budget=args.budget)
         elif args.command == "eval":
-            evaled = stage_eval(ws, args.force)
+            evaled = stage_eval(ws)
             out = {"n_cells": evaled["n_cells"], "n_failed": evaled["n_failed"],
                    "report": stage_report(ws, evaled["results"])}
         elif args.command == "bench":
-            out = stage_bench(ws, args.model, args.force)
+            out = stage_bench(ws, args.model)
         elif args.command == "report":
-            out = stage_report(ws, stage_eval(ws, args.force)["results"])
+            out = stage_report(ws, stage_eval(ws)["results"])
         elif args.command == "reproduce":
             if args.dry_run:
                 out = _dry_run(ws)
             else:
-                out = reproduce(ws, args.force)
+                out = reproduce(ws)
         else:  # pragma: no cover - argparse enforces choices
             raise AssertionError(args.command)
     except (PtqLabError, OSError) as exc:

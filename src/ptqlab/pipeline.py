@@ -1,11 +1,11 @@
 """Workspace-as-database orchestration for the CLI.
 
 The pipeline config is one JSON file validated as a whole before any stage
-runs. Every artifact embeds the hash of the config scope that produced it
-(training hash for checkpoints, sensitivity hash for reports, ...), and
-stages refuse to consume artifacts whose recorded hash no longer matches
-the active config unless forced. The eval grid is content-addressed per
-cell, which is what makes ``reproduce`` idempotent.
+runs. A checkpoint embeds the hash of its training config; a sensitivity
+report, plan or grid cell embeds the fingerprint of the checkpoint bytes it
+came from plus its own config scope. Stages refuse artifacts whose recorded
+hash no longer matches and name the stage to re-run. The eval grid is
+content-addressed per cell, which is what makes ``reproduce`` idempotent.
 """
 
 from __future__ import annotations
@@ -106,11 +106,11 @@ class PipelineConfig:
         train = {**vars(self.train), "mode": mode, "log_path": None}
         return _hash({"train": train, "seed": self.seed})
 
-    def sensitivity_hash(self, mode: str) -> str:
-        return _hash({"parent": self.train_hash(mode), "sens": vars(self.sensitivity)})
+    def sensitivity_hash(self, fingerprint: str) -> str:
+        return _hash({"parent": fingerprint, "sens": vars(self.sensitivity)})
 
-    def plan_hash(self, mode: str, ratios, levels) -> str:
-        return _hash({"parent": self.sensitivity_hash(mode),
+    def plan_hash(self, fingerprint: str, ratios, levels) -> str:
+        return _hash({"parent": self.sensitivity_hash(fingerprint),
                       "ratios": list(ratios), "levels": list(levels),
                       "rank_mode": self.grid.rank_mode, "group_size": self.gptq.group_size})
 
@@ -173,39 +173,44 @@ class Workspace:
     def checkpoint_path(self, mode: str) -> Path:
         return self.path("checkpoints", f"{mode}.ckpt")
 
-    def require_checkpoint(self, mode: str, force: bool = False) -> ModelCheckpoint:
+    def _existing_checkpoint(self, mode: str) -> Path:
         path = self.checkpoint_path(mode)
         if not path.exists():
             raise ContractError(f"missing checkpoint {path}; run `ptqlab train` first")
+        return path
+
+    def require_checkpoint(self, mode: str) -> ModelCheckpoint:
+        path = self._existing_checkpoint(mode)
         ckpt = ModelCheckpoint.load(path)
         want = self.cfg.train_hash(mode)
         got = ckpt.meta.get("pipeline_train_hash")
-        if got != want and not force:
+        if got != want:
             raise ContractError(
                 f"checkpoint {path} was produced by train hash {got}, current config "
-                f"gives {want}; re-run `ptqlab train` or pass --force")
+                f"gives {want}; re-run `ptqlab train`")
         return ckpt
+
+    def fingerprint(self, mode: str) -> str:
+        """sha256[:16] of ``mode``'s checkpoint file, the parent of its reports, plans and cells."""
+        return hashlib.sha256(self._existing_checkpoint(mode).read_bytes()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
 
-def stage_train(ws: Workspace, force: bool = False) -> dict:
-    """Train the AR/diffusion pair (skipped when hashes already match)."""
+def stage_train(ws: Workspace) -> dict:
+    """Train each model whose checkpoint is missing, corrupt or stale."""
     out = {}
     for mode in MODELS:
         path = ws.checkpoint_path(mode)
         want = ws.cfg.train_hash(mode)
-        ckpt = None
-        if not force:
-            with contextlib.suppress(ContractError):  # missing, corrupt or stale: retrain
-                ckpt = ws.require_checkpoint(mode)
-        reused = ckpt is not None
-        if not reused:
+        try:
+            ckpt, reused = ws.require_checkpoint(mode), True
+        except ContractError:
             cfg = dataclasses.replace(ws.cfg.train, mode=mode,
                                       log_path=str(ws.path("logs", f"train_{mode}.csv")))
-            ckpt = train(cfg)
+            ckpt, reused = train(cfg), False
             ckpt.meta["pipeline_train_hash"] = want
             ckpt.save(path)
         out[mode] = {"checkpoint": str(path), "reused": reused, "train_hash": want,
@@ -217,24 +222,23 @@ def _calibration(ckpt: ModelCheckpoint, n_batches: int) -> list:
     return calibration_batches(TrainConfig(**ckpt.meta["train_config"]), n_batches)
 
 
-def stage_sensitivity(ws: Workspace, mode: str, force: bool = False,
-                      ckpt: ModelCheckpoint | None = None) -> dict:
+def stage_sensitivity(ws: Workspace, mode: str, ckpt: ModelCheckpoint | None = None) -> dict:
     """Score every module of ``mode``'s checkpoint (``ckpt`` when already loaded)."""
     if ckpt is None:
-        ckpt = ws.require_checkpoint(mode, force)
+        ckpt = ws.require_checkpoint(mode)
     cfg = ws.cfg
     records = compute_sensitivities(ckpt, _calibration(ckpt, cfg.sensitivity.n_batches),
                                     cfg.sensitivity)
     json_path = ws.path("sensitivity", f"{mode}.json")
     csv_path = ws.path("sensitivity", f"{mode}.csv")
-    config_hash = cfg.sensitivity_hash(mode)
+    config_hash = cfg.sensitivity_hash(ws.fingerprint(mode))
     save_report(records, cfg.sensitivity, json_path, csv_path, config_hash)
     return {"report": str(json_path), "csv": str(csv_path),
             "n_records": len(records), "config_hash": config_hash}
 
 
 def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
-                 budget: float | None = None, force: bool = False) -> dict:
+                 budget: float | None = None) -> dict:
     if budget is not None and ratios is not None:
         raise ParameterError("--budget chooses the ratios; pass --budget or --ratios, not both")
     cfg = ws.cfg
@@ -242,24 +246,25 @@ def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
     if budget is not None and levels != BIT_LEVELS:  # the waterfill raises 4 -> 8 -> 16 bits
         raise ParameterError(f"--budget assigns the levels {BIT_LEVELS}, not {levels}")
     split = split_ratios(ratios or DEFAULT_SPLIT)
+    ckpt = ws.require_checkpoint(mode)
     json_path = ws.path("sensitivity", f"{mode}.json")
     if not json_path.exists():
         raise ContractError(f"missing sensitivity report {json_path}; "
                             f"run `ptqlab sensitivity --model {mode}` first")
     records, got = load_report(json_path)
-    want = cfg.sensitivity_hash(mode)
-    if got != want and not force:
-        raise ContractError(f"sensitivity report hash {got} does not match current config "
-                            f"{want}; re-run `ptqlab sensitivity` or pass --force")
+    fingerprint = ws.fingerprint(mode)
+    want = cfg.sensitivity_hash(fingerprint)
+    if got != want:
+        raise ContractError(f"sensitivity report hash {got} does not match the checkpoint "
+                            f"and config ({want}); re-run `ptqlab sensitivity --model {mode}`")
     ranked = rank_sensitivities(records, cfg.grid.rank_mode)
     if budget is not None:
-        ckpt = ws.require_checkpoint(mode, force)
         sized = [(r.path, ckpt.n_params(r.path)) for r in ranked]
         plan, achieved = budget_plan(sized, budget, cfg.gptq.group_size)
     else:
         plan = assign_precision(ranked, split, cfg.gptq.group_size, levels)
         achieved = None
-    config_hash = cfg.plan_hash(mode, plan.ratios, levels)
+    config_hash = cfg.plan_hash(fingerprint, plan.ratios, levels)
     plan_path = ws.path("plans", f"{mode}_{config_hash}.json")
     plan.save(plan_path, config_hash)
     out = {"plan": str(plan_path), "ratios": list(plan.ratios), "config_hash": config_hash}
@@ -283,10 +288,10 @@ def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, plan: Quan
 
 
 def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = None,
-                   plan_path=None, force: bool = False) -> dict:
+                   plan_path=None) -> dict:
     if (bits is None) == (plan_path is None):
         raise ParameterError("quantize takes exactly one of --bits and --plan")
-    ckpt = ws.require_checkpoint(mode, force)
+    ckpt = ws.require_checkpoint(mode)
     if plan_path is None:
         plan, label = uniform_plan(ckpt, bits, ws.cfg.gptq.group_size), f"{bits}bit"
     else:
@@ -308,8 +313,8 @@ def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = Non
     return result
 
 
-def stage_bench(ws: Workspace, mode: str, force: bool = False) -> dict:
-    ckpt = ws.require_checkpoint(mode, force)
+def stage_bench(ws: Workspace, mode: str) -> dict:
+    ckpt = ws.require_checkpoint(mode)
     cfg = _latency(ws.cfg, mode)
     with _bench_lock(ws):
         res = measure_latency(ckpt, cfg)
@@ -347,7 +352,7 @@ def _bench_lock(ws: Workspace, timeout_s: float = 600.0):
         os.close(fd)  # releases the lock
 
 
-def stage_eval(ws: Workspace, force: bool = False) -> dict:
+def stage_eval(ws: Workspace) -> dict:
     """One EvalResult per :func:`plan_grid` cell, each cached under a hash of
     everything that decides it; failed cells are recorded, never cached.
 
@@ -360,23 +365,19 @@ def stage_eval(ws: Workspace, force: bool = False) -> dict:
     forward.
     """
     cfg = ws.cfg
-    ckpts = {mode: ws.require_checkpoint(mode, force) for mode in MODELS}
-    # the checkpoint file holds ckpt.to_bytes(), so its sha256 is the same
-    # fingerprint without serializing the model again
-    keys = {mode: cell_hasher(cfg, mode, hashlib.sha256(
-                ws.checkpoint_path(mode).read_bytes()).hexdigest()[:16])
-            for mode in MODELS}
+    ckpts = {mode: ws.require_checkpoint(mode) for mode in MODELS}
+    keys = {mode: cell_hasher(cfg, mode, ws.fingerprint(mode)) for mode in MODELS}
     batches, scored = {}, set()  # per mode: GPTQ calibration, sensitivity report written
 
     def build(mode, method, label):
         ckpt = ckpts[mode]
         if method == "hawq":
             if mode not in scored:
-                stage_sensitivity(ws, mode, force, ckpt)
+                stage_sensitivity(ws, mode, ckpt)
                 scored.add(mode)
             hi, lo = (int(b) for b in label.removeprefix("hawq-").split("/"))
             split = (cfg.grid.hawq_ratio, 1.0 - cfg.grid.hawq_ratio, 0.0)
-            plan = QuantPlan.load(stage_assign(ws, mode, split, (hi, lo, lo), force=force)["plan"])
+            plan = QuantPlan.load(stage_assign(ws, mode, split, (hi, lo, lo))["plan"])
         else:  # the baseline is the 16-bit plan
             plan = uniform_plan(ckpt, int(label.removesuffix("bit")), cfg.gptq.group_size)
         if method == "gptq" and mode not in batches:
@@ -430,10 +431,10 @@ def stage_report(ws: Workspace, results) -> dict:
     return {name: str(path) for name, path in written.items()}
 
 
-def reproduce(ws: Workspace, force: bool = False) -> dict:
+def reproduce(ws: Workspace) -> dict:
     """train -> grid -> report, idempotent through the eval cache."""
-    trained = stage_train(ws, force)
-    evaled = stage_eval(ws, force)
+    trained = stage_train(ws)
+    evaled = stage_eval(ws)
     report = stage_report(ws, evaled["results"])
     return {"train": trained,
             "eval": {"n_cells": evaled["n_cells"], "n_failed": evaled["n_failed"]},

@@ -173,7 +173,7 @@ class TestCliContracts:
         assert direct.train.seed == direct.sensitivity.seed == 5
         assert direct == loaded
         assert direct.train_hash("ar") == loaded.train_hash("ar")
-        assert direct.sensitivity_hash("ar") == loaded.sensitivity_hash("ar")
+        assert direct.sensitivity_hash("fingerprint") == loaded.sensitivity_hash("fingerprint")
 
     def test_scope_hashes_are_pinned(self):
         # pinned: a change here makes every existing checkpoint and sensitivity report stale
@@ -181,7 +181,7 @@ class TestCliContracts:
                                         "train": {"steps": 40, "corpus_path": "/tmp/c.txt"}})
         assert cfg.train_hash("ar") == "3a4d57f36e6fab09"
         assert cfg.train_hash("diffusion") == "2c4d34b911ba0b18"
-        assert cfg.sensitivity_hash("ar") == "0fe70c241c44d149"
+        assert cfg.sensitivity_hash("0123456789abcdef") == "c42c9cd4c5fbeb1c"
 
     @pytest.mark.parametrize("command", [["eval"], ["bench", "--model", "ar"],
                                          ["sensitivity", "--model", "ar"],
@@ -196,8 +196,22 @@ class TestCliContracts:
         cfg = PipelineConfig(workspace="w")
         changed = [replace(cfg, grid=replace(cfg.grid, rank_mode="normalized")),
                    replace(cfg, gptq=replace(cfg.gptq, group_size=64))]
-        hashes = {c.plan_hash("ar", (0.5, 0.5, 0.0), (16, 8, 4)) for c in [cfg, *changed]}
-        assert len(hashes) == 3
+        hashes = {c.plan_hash("fingerprint", (0.5, 0.5, 0.0), (16, 8, 4))
+                  for c in [cfg, *changed]}
+        hashes.add(cfg.plan_hash("other fingerprint", (0.5, 0.5, 0.0), (16, 8, 4)))
+        assert len(hashes) == 4
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["quantize", "--model", "ar", "--method", "rtn", "--bits", "4"],
+        ["sensitivity", "--model", "ar"], ["assign", "--model", "ar"], ["eval"],
+        ["bench", "--model", "ar"], ["report"], ["reproduce"]], ids=lambda command: command[0])
+    def test_force_is_not_an_option(self, tmp_path, command):
+        # no flag overrides a stale artifact: `train` retrains what is stale
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "-c", cfg, *command[1:], "--force"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "ws").exists()
 
     def test_dry_run_plans_22_cells(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -286,7 +300,7 @@ class TestPipelineStages:
         records = [SensitivityRecord(p, float(100 - i), ckpt.n_params(p), 1, True)
                    for i, p in enumerate(ranked)]
         save_report(records, ws.cfg.sensitivity, ws.path("sensitivity", "ar.json"),
-                    ws.path("sensitivity", "ar.csv"), ws.cfg.sensitivity_hash("ar"))
+                    ws.path("sensitivity", "ar.csv"), ws.cfg.sensitivity_hash(ws.fingerprint("ar")))
         capsys.readouterr()
         assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "5.1"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -403,7 +417,7 @@ class TestPipelineStages:
         del doc["records"][0]["lambda"]
         report.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["assign", "-c", cfg, "--model", "ar", "--force"]) == 1
+        assert main(["assign", "-c", cfg, "--model", "ar"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ContractError" and "lambda" in err["message"]
 
@@ -417,9 +431,47 @@ class TestPipelineStages:
                                                     "n_batches": 1})
         assert main(["assign", "-c", stale, "--model", "ar"]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert "sensitivity" in err["message"]
+        assert "`ptqlab sensitivity --model ar`" in err["message"]
+        assert not (tmp_path / "ws" / "plans").exists()
+        assert main(["sensitivity", "-c", stale, "--model", "ar"]) == 0
+        assert main(["assign", "-c", stale, "--model", "ar"]) == 0
+
+    def test_assign_rejects_a_report_of_a_retrained_checkpoint(self, tmp_path, capsys):
+        # a report of checkpoint bytes that were since retrained is stale,
+        # though its sensitivity section matches the active config
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        other = write_config(tmp_path, train={**MICRO["train"], "steps": 3})
+        with pytest.raises(SystemExit) as exc:
+            main(["sensitivity", "-c", other, "--model", "ar", "--force"])
+        assert exc.value.code == 2
         capsys.readouterr()
-        assert main(["assign", "-c", stale, "--model", "ar", "--force"]) == 0
+        for command in (["sensitivity"], ["assign"]):  # the checkpoint is stale
+            assert main([*command, "-c", other, "--model", "ar"]) == 1
+            assert "`ptqlab train`" in json.loads(capsys.readouterr().err)["message"]
+        assert main(["train", "-c", other]) == 0
+        capsys.readouterr()
+        assert main(["assign", "-c", other, "--model", "ar"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError" and "ptqlab sensitivity" in err["message"]
+        assert not (tmp_path / "ws" / "plans").exists()
+
+    def test_assign_rejects_a_report_of_rewritten_checkpoint_bytes(self, tmp_path, capsys):
+        # the checkpoint header, and with it the train hash, is kept: only its bytes tell
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        path = tmp_path / "ws" / "checkpoints" / "ar.ckpt"
+        ckpt = ModelCheckpoint.load(path)
+        name = ckpt.quantizable_paths()[0]
+        ckpt.params[name] = ckpt.params[name] * 2
+        ckpt.save(path)
+        capsys.readouterr()
+        assert main(["assign", "-c", cfg, "--model", "ar"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError" and "ptqlab sensitivity" in err["message"]
+        assert not (tmp_path / "ws" / "plans").exists()
 
     def test_reproduce_idempotent_and_deterministic(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
@@ -439,13 +491,15 @@ class TestPipelineStages:
         capsys.readouterr()
         assert {p: p.read_bytes() for p in (ws / "report").iterdir()} == report
 
-    def test_report_force_takes_a_stale_checkpoint(self, tmp_path, capsys):
+    def test_report_refuses_a_stale_checkpoint(self, tmp_path, capsys):
         assert main(["train", "-c", write_config(tmp_path)]) == 0
         stale = write_config(tmp_path, train={**MICRO["train"], "steps": 3})
         capsys.readouterr()
         assert main(["report", "-c", stale]) == 1
-        assert "--force" in json.loads(capsys.readouterr().err)["message"]
-        assert main(["report", "-c", stale, "--force"]) == 0
+        assert "`ptqlab train`" in json.loads(capsys.readouterr().err)["message"]
+        assert main(["train", "-c", stale]) == 0
+        capsys.readouterr()
+        assert main(["report", "-c", stale]) == 0
         out = json.loads(capsys.readouterr().out)
         assert Path(out["results.csv"]).read_text().count("\n") > 22
 

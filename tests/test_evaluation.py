@@ -223,7 +223,7 @@ class TestGrid:
             ckpt = ws.require_checkpoint(mode)
             split = (ws.cfg.grid.hawq_ratio, 1.0 - ws.cfg.grid.hawq_ratio, 0.0)
             for label, levels in (("hawq-16/8", (16, 8, 8)), ("hawq-8/4", (8, 4, 4))):
-                name = f"{mode}_{ws.cfg.plan_hash(mode, split, levels)}.json"
+                name = f"{mode}_{ws.cfg.plan_hash(ws.fingerprint(mode), split, levels)}.json"
                 plan = QuantPlan.load(ws.root / "plans" / name)
                 raw, eff = memory_footprint(plan, ckpt)
                 row = rows[(f"toy-{mode}", "hawq", label)]
@@ -318,5 +318,5 @@ class TestGrid:
         assert after[("toy-ar", "rtn", "4bit")].eff_bits == 4 + 16 / 32
         assert after[("toy-diffusion", "gptq", "4bit")].eff_bits == 4 + 16 / 32
         split = (ws.cfg.grid.hawq_ratio, 1.0 - ws.cfg.grid.hawq_ratio, 0.0)
-        name = f"ar_{ws.cfg.plan_hash('ar', split, (16, 8, 8))}.json"
+        name = f"ar_{ws.cfg.plan_hash(ws.fingerprint('ar'), split, (16, 8, 8))}.json"
         assert json.loads((ws.root / "plans" / name).read_text())["group_size"] == 32
