@@ -12,13 +12,20 @@ from .pipeline import MODELS, PipelineConfig, Workspace, reproduce, stage_assign
     stage_bench, stage_eval, stage_quantize, stage_report, stage_sensitivity, stage_train
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are :class:`ParameterError`, reported as JSON."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _add_common(p):
     p.add_argument("-c", "--config", required=True, help="pipeline config JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ptqlab",
-                                     description="Mixed-precision PTQ lab for a toy AR/diffusion transformer")
+    parser = _Parser(prog="ptqlab",
+                     description="Mixed-precision PTQ lab for a toy AR/diffusion transformer")
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_common(sub.add_parser("train", help="train the paired AR/diffusion checkpoints"))
@@ -67,8 +74,10 @@ def _parse_list(text, kind, flag):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """0 on success, 1 when a stage fails, 2 on a usage error; errors are JSON on stderr."""
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         cfg = PipelineConfig.load(args.config)
         ws = Workspace(cfg)
         if args.command == "train":
@@ -102,7 +111,7 @@ def main(argv=None) -> int:
         json.dump({"error": type(exc).__name__, "message": str(exc),
                    "stage": getattr(args, "command", None)}, sys.stderr)
         sys.stderr.write("\n")
-        return 1
+        return 2 if args is None else 1
     json.dump(out, sys.stdout, indent=2, sort_keys=True, default=str)
     sys.stdout.write("\n")
     return 0

@@ -200,6 +200,11 @@ class GridConfig:
             bit_levels((*split, split[1]))  # integers, hi >= lo
         for b in (*self.bits, *(b for split in self.hawq_splits for b in split)):
             GroupQuantSpec(b)
+        # a repeated width or split repeats cells that share one cache key
+        if len(set(self.bits)) < len(self.bits):
+            raise ParameterError(f"grid.bits lists a width twice: {list(self.bits)}")
+        if len({tuple(split) for split in self.hawq_splits}) < len(self.hawq_splits):
+            raise ParameterError(f"grid.hawq_splits lists a split twice: {list(self.hawq_splits)}")
         split_ratios((self.hawq_ratio, 1.0 - self.hawq_ratio, 0.0))
         if self.rank_mode not in (RANK_RAW, RANK_NORMALIZED):
             raise ParameterError(f"unknown ranking mode {self.rank_mode!r}")

@@ -1,20 +1,22 @@
 """Layer-wise GPTQ: calibration Hessians plus error-compensated rounding.
 
-Per layer, H = 2 * sum_t x_t x_t^T over calibration token positions. The
-damped H is inverted through :func:`~ptqlab.numerics.cholesky_invert_spd`
-and the upper Cholesky factor U of that inverse (inv(H) = U^T U) drives the
-column loop, which walks the columns in index order: after quantizing
-column j, the not-yet-quantized columns are updated with
-err_j = (w_j - q_j) / U[j, j] and W[:, k] -= err_j * U[j, k], which
-reproduces the sequential optimal-brain-surgeon compensation exactly while
-factorizing only once. A group's scales are taken from its current (already
-compensated) weights when the loop reaches the group's first column.
+Per stage (the layers that read one input), H = 2 * sum_t x_t x_t^T over
+calibration token positions, in float64. The damped H is inverted through
+:func:`~ptqlab.numerics.cholesky_invert_spd` and the upper Cholesky factor
+U of that inverse (inv(H) = U^T U) drives the column loop, which walks the
+columns in index order: after quantizing column j, the not-yet-quantized
+columns are updated with err_j = (w_j - q_j) / U[j, j] and
+W[:, k] -= err_j * U[j, k], which reproduces the sequential
+optimal-brain-surgeon compensation exactly while factorizing only once. A
+group's scales are taken from its current (already compensated) weights
+when the loop reaches the group's first column, and codes are rounded by
+:func:`~ptqlab.quant.grid_codes`, as RTN rounds them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .model.checkpoint import EMBEDDING_PATHS
 from .model.network import block_fwd, block_index, embed_fwd, projection_key
 from .numerics import cholesky_upper_of_inverse
 from .quant import (DEFAULT_GROUP_SIZE, GroupQuantSpec, QuantizedWeight, QuantPlan,
-                    dequantize, group_scales, quantized_copy, round_half_away_from_zero)
+                    dequantize, grid_codes, group_scales, quantized_copy)
 
 MAX_RETRIES = 3  # damping escalations (x10 each) before a layer fails
 
@@ -40,33 +42,20 @@ class GptqConfig:
             raise ParameterError("damping fraction must be > 0")
 
 
-@dataclass
-class LayerCalibration:
-    path: str
-    hessian: np.ndarray  # (d_in, d_in) float64, 2 * sum x x^T
-    n_samples: int = 0
-
-    def add(self, x: np.ndarray) -> None:
-        """Accumulate a (tokens, d_in) block of layer inputs."""
-        x = np.asarray(x, dtype=np.float64)
-        self.hessian += 2.0 * (x.T @ x)
-        self.n_samples += x.shape[0]
-
-
-def collect_calibration(ckpt: ModelCheckpoint, inputs, paths) -> dict:
-    """Accumulate the Hessians of the layers at ``paths`` from their block's cached inputs.
+def collect_calibration(ckpt: ModelCheckpoint, inputs, paths) -> np.ndarray:
+    """The float64 Hessian ``2 Σ xᵀx`` that the layers at ``paths`` share.
 
     The layers share one input, as the layers of a stage of
     :func:`gptq_quantize_model` do: the block runs from each cached input
     (one per calibration batch) up to that input and no further, and one
-    ``2 xᵀx`` per batch serves every layer. The layers' calibrations share
-    that Hessian array.
+    ``2 xᵀx`` per batch is added to the sum.
     """
     i = block_index(paths[0])
-    calib = LayerCalibration(paths[0], np.zeros((ckpt.params[paths[0]].shape[1],) * 2))
+    h = np.zeros((ckpt.params[paths[0]].shape[1],) * 2)
     for x in inputs:
-        calib.add(block_fwd(ckpt.params, ckpt.config, i, x, stop=paths[0]))
-    return {p: replace(calib, path=p) for p in paths}
+        layer_in = block_fwd(ckpt.params, ckpt.config, i, x, stop=paths[0]).astype(np.float64)
+        h += 2.0 * (layer_in.T @ layer_in)
+    return h
 
 
 def _damped_inverse_factor(h: np.ndarray, damping: float):
@@ -84,64 +73,45 @@ def _damped_inverse_factor(h: np.ndarray, damping: float):
     raise AssertionError("unreachable")
 
 
-def gptq_quantize_layer(weight: np.ndarray, calib: LayerCalibration, spec: GroupQuantSpec,
+def gptq_quantize_layer(weight: np.ndarray, hessian: np.ndarray, spec: GroupQuantSpec,
                         cfg: GptqConfig):
     """(QuantizedWeight, recon_error) for one layer on ``spec``'s grid (2-8 bits).
 
-    recon_error is tr(D^T D H) / 2 with D the weight change and H the raw
-    calibration Hessian, i.e. the ||D X||_F^2 reconstruction objective.
+    ``hessian`` is the layer's calibration Hessian ``2 Σ xᵀx`` (float64).
+    recon_error is tr(D^T D H) / 2 with D the weight change and H that raw
+    Hessian, i.e. the ||D X||_F^2 reconstruction objective.
     """
     if spec.passthrough:
         raise ParameterError("16 bits is passthrough: the weight is kept, not quantized")
-    if calib.n_samples <= 0:
-        raise ContractError(f"layer {calib.path}: no calibration samples")
     w_orig = np.asarray(weight, dtype=np.float64)
     d_out, d_in = w_orig.shape
-    h = calib.hessian
-    if h.shape != (d_in, d_in):
-        raise ParameterError(f"Hessian shape {h.shape} does not match d_in={d_in}")
+    if hessian.shape != (d_in, d_in):
+        raise ParameterError(f"Hessian shape {hessian.shape} does not match d_in={d_in}")
 
     # row j of the working copy is column j: each step reads one contiguous
     # row and updates the contiguous rows below it (a copy even where the
     # transpose of a one-row float64 weight is already contiguous)
     wt = w_orig.T.copy()
 
-    upper = _damped_inverse_factor(h, cfg.damping)
+    upper = _damped_inverse_factor(hessian, cfg.damping)
     qmax = spec.qmax
     gs = spec.group_size
     scales_t = np.zeros((math.ceil(d_in / gs), d_out), dtype=np.float64)
     codes_t = np.zeros((d_in, d_out), dtype=np.int16)
-
-    # column buffers, allocated once: the scaled and the quantized column,
-    # the scaled error, and the rank-1 update of the rows below
-    scaled = np.empty(d_out)
-    q = np.empty(d_out)
-    err = np.empty(d_out)
-    update = np.empty((d_in, d_out))
     for j in range(d_in):
         s = scales_t[j // gs]
         if j % gs == 0:
             # scales from the current (compensated) weights of this group
             s[:] = group_scales(wt[j:j + gs].T, qmax)
-        w_j = wt[j]
-        np.divide(w_j, s, out=scaled)
-        round_half_away_from_zero(scaled, out=q)
-        np.maximum(q, -qmax, out=q)
-        np.minimum(q, qmax, out=q)
-        codes_t[j] = q
-        deq = np.multiply(codes_t[j], s, out=q)
-        if j + 1 < d_in:
-            np.subtract(w_j, deq, out=err)
-            err /= upper[j, j]
-            rows = update[:d_in - j - 1]
-            np.multiply(upper[j, j + 1:, None], err, out=rows)
-            wt[j + 1:] -= rows
-        w_j[:] = deq  # the working copy ends as the dequantized weight
+        codes_t[j] = grid_codes(wt[j], s, qmax)
+        deq = codes_t[j] * s
+        wt[j + 1:] -= upper[j, j + 1:, None] * ((wt[j] - deq) / upper[j, j])
+        wt[j] = deq  # the working copy ends as the dequantized weight
 
     qw = QuantizedWeight((d_out, d_in), spec, np.ascontiguousarray(scales_t.T),
                          np.ascontiguousarray(codes_t.T))
     delta = w_orig - np.ascontiguousarray(wt.T)
-    recon_error = float(np.trace(delta.T @ delta @ h)) / 2.0
+    recon_error = float(np.trace(delta.T @ delta @ hessian)) / 2.0
     return qw, recon_error
 
 
@@ -174,16 +144,12 @@ def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: Gp
         while block < key[0]:
             inputs = [block_fwd(out.params, out.config, block, x)[0] for x in inputs]
             block += 1
-        calibs = collect_calibration(out, inputs, stages[key])
+        hessian = collect_calibration(out, inputs, stages[key])
         for p in stages[key]:
-            qw, err = gptq_quantize_layer(out.params[p], calibs[p], plan.spec(p), cfg)
-            out.params[p] = _deq32(qw)
+            qw, err = gptq_quantize_layer(out.params[p], hessian, plan.spec(p), cfg)
+            out.params[p] = dequantize(qw).astype(np.float32)
             report.append(_report_row(p, err, qw))
     return out, report
-
-
-def _deq32(qw: QuantizedWeight) -> np.ndarray:
-    return dequantize(qw).astype(np.float32)
 
 
 def _report_row(path: str, recon_error: float, qw: QuantizedWeight) -> dict:

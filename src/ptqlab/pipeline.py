@@ -66,6 +66,8 @@ class PipelineConfig:
     gptq: GptqConfig = field(default_factory=GptqConfig)
 
     def __post_init__(self):
+        if not isinstance(self.workspace, str) or not self.workspace:
+            raise ParameterError(f"workspace must be a non-empty string, got {self.workspace!r}")
         require_count("seed", self.seed, 0)
         # the run seed is the one owner of the section seeds
         self.train = dataclasses.replace(self.train, seed=self.seed)

@@ -57,14 +57,14 @@ class QuantizedWeight:
     codes: np.ndarray   # (d_out, d_in) int16
 
 
-def round_half_away_from_zero(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """trunc(x + copysign(0.5, x)), which is sign(x) * floor(|x| + 0.5) for finite x.
+def round_half_away_from_zero(x: np.ndarray) -> np.ndarray:
+    """trunc(x + copysign(0.5, x)), which is sign(x) * floor(|x| + 0.5) for finite x."""
+    return np.trunc(x + np.copysign(0.5, x))
 
-    ``out``, if given, must not be ``x``.
-    """
-    out = np.copysign(0.5, x, out=out)
-    out += x
-    return np.trunc(out, out=out)
+
+def grid_codes(values: np.ndarray, scales: np.ndarray, qmax: int) -> np.ndarray:
+    """int16 codes of ``values`` on the grid of ``scales``, clipped to ±qmax (RTN's and GPTQ's)."""
+    return np.clip(round_half_away_from_zero(values / scales), -qmax, qmax).astype(np.int16)
 
 
 def group_scales(blocks: np.ndarray, qmax: int) -> np.ndarray:
@@ -98,8 +98,7 @@ def quantize_weight(weight: np.ndarray, spec: GroupQuantSpec) -> QuantizedWeight
         raise NumericError("non-finite values in weight")
     blocks = _grouped(w, spec.group_size)  # zero padding leaves every peak unchanged
     scales = group_scales(blocks, spec.qmax)
-    codes = np.clip(round_half_away_from_zero(blocks / scales[..., None]),
-                    -spec.qmax, spec.qmax).astype(np.int16)
+    codes = grid_codes(blocks, scales[..., None], spec.qmax)
     return QuantizedWeight(weight.shape, spec, scales, _ungrouped(codes, w.shape[1]))
 
 

@@ -42,6 +42,8 @@ class TrainConfig:
             raise ParameterError("learning rate must be > 0")
         if not (0.0 <= self.text_fraction < 1.0):
             raise ParameterError("text_fraction must be in [0, 1)")
+        if not isinstance(self.corpus_path, (str, type(None))):  # an int would be a file descriptor
+            raise ParameterError(f"corpus_path must be a string or null, got {self.corpus_path!r}")
         self.model_config()  # the architecture fails here, not once training starts
         # a task row always fits, and a text row too while text_fraction > 0
         require_count("max_seq_len", self.max_seq_len,

@@ -23,7 +23,7 @@ from scipy import stats
 
 from ptqlab.allocator import SplitRatios, cutoff_bits
 from ptqlab.evaluation import EvalResult, LatencyConfig, measure_latency
-from ptqlab.gptq import GptqConfig, LayerCalibration, gptq_quantize_layer
+from ptqlab.gptq import GptqConfig, gptq_quantize_layer
 from ptqlab.model import Batch, ModelCheckpoint, ModelConfig, loss_and_grads, new_checkpoint
 from ptqlab.numerics import cholesky_invert_spd, make_rng
 from ptqlab.pipeline import PipelineConfig, Workspace, reproduce
@@ -209,18 +209,15 @@ class TestCriterion5Gptq:
         t0 = time.time()
         rng = make_rng(3)
         w = rng.standard_normal((6, 12))
-        qw, _ = gptq_quantize_layer(w, LayerCalibration("l", np.eye(12), 12),
-                                    GroupQuantSpec(3), GptqConfig())
+        qw, _ = gptq_quantize_layer(w, np.eye(12), GroupQuantSpec(3), GptqConfig())
         rtn = quantize_weight(w, GroupQuantSpec(3, 128))
         assert np.array_equal(qw.codes, rtn.codes)
 
         w = np.array([[1.0, 0.55]])
         x = np.array([[1.0, 0.97], [0.9, 0.88], [1.1, 1.05], [-1.0, -0.96]])
-        calib = LayerCalibration("l", np.zeros((2, 2)))
-        calib.add(x)
-        qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(2), GptqConfig())
+        h = 2.0 * (x.T @ x)
+        qw, err = gptq_quantize_layer(w, h, GroupQuantSpec(2), GptqConfig())
         scale = qw.scales[0, 0]
-        h = calib.hessian
 
         def recon(deq):
             d = w - deq
@@ -235,11 +232,10 @@ class TestCriterion5Gptq:
         improvements = []
         for _ in range(100):
             x = rng.standard_normal((64, 16)) @ rng.standard_normal((16, 16))
-            calib = LayerCalibration("l", np.zeros((16, 16)))
-            calib.add(x)
+            h = 2.0 * (x.T @ x)
             w = rng.standard_normal((16, 16)) * 0.5
-            _, ge = gptq_quantize_layer(w, calib, GroupQuantSpec(3), GptqConfig())
-            re = recon_vs(w, calib.hessian)
+            _, ge = gptq_quantize_layer(w, h, GroupQuantSpec(3), GptqConfig())
+            re = recon_vs(w, h)
             wins += ge <= re
             improvements.append(re - ge)
         elapsed = time.time() - t0

@@ -51,18 +51,34 @@ def config_with(section, key, value):
 
 
 def write_config(tmp_path, **overrides):
-    doc = dict(MICRO, workspace=str(tmp_path / "ws"), **overrides)
+    doc = {**MICRO, "workspace": str(tmp_path / "ws"), **overrides}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
 
+def assert_usage_error(capsys, message):
+    """Stdout is empty and stderr holds a usage error's JSON, whose message names ``message``."""
+    out, err = capsys.readouterr()
+    err = json.loads(err)
+    assert out == ""
+    assert err["error"] == "ParameterError" and err["stage"] is None
+    assert message in err["message"]
+
+
 class TestCliContracts:
-    def test_unknown_flag_nonzero_exit(self, tmp_path):
+    def test_unknown_flag_nonzero_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "-c", cfg, "--frobnicate"])
-        assert exc.value.code != 0
+        assert main(["train", "-c", cfg, "--frobnicate"]) == 2
+        assert_usage_error(capsys, "--frobnicate")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "command"), (["bogus"], "bogus"), (["train"], "--config"),
+        (["quantize", "-c", "c.json", "--model", "ar"], "--method"),
+        (["bench", "-c", "c.json", "--model", "gpt"], "gpt")])
+    def test_usage_errors_are_json(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert_usage_error(capsys, message)
 
     def test_invalid_config_json_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -121,7 +137,14 @@ class TestCliContracts:
                                                                  ("sensitivity", "eps_scale"),
                                                                  ("sensitivity", "rho"),
                                                                  ("train", "learning_rate"),
-                                                                 ("train", "text_fraction")])])
+                                                                 ("train", "text_fraction")]),
+                                          {"workspace": 5}, {"workspace": None},
+                                          {"workspace": ["a"]}, {"workspace": ""},
+                                          config_with("train", "corpus_path", 0),
+                                          config_with("train", "corpus_path", True),
+                                          config_with("train", "corpus_path", ["a"]),
+                                          {"grid": {"bits": [4, 4]}},
+                                          {"grid": {"hawq_splits": [[16, 8], [8, 4], [16, 8]]}}])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
@@ -205,12 +228,26 @@ class TestCliContracts:
         ["train"], ["quantize", "--model", "ar", "--method", "rtn", "--bits", "4"],
         ["sensitivity", "--model", "ar"], ["assign", "--model", "ar"], ["eval"],
         ["bench", "--model", "ar"], ["report"], ["reproduce"]], ids=lambda command: command[0])
-    def test_force_is_not_an_option(self, tmp_path, command):
+    def test_force_is_not_an_option(self, tmp_path, capsys, command):
         # no flag overrides a stale artifact: `train` retrains what is stale
         cfg = write_config(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main([command[0], "-c", cfg, *command[1:], "--force"])
-        assert exc.value.code == 2
+        assert main([command[0], "-c", cfg, *command[1:], "--force"]) == 2
+        assert_usage_error(capsys, "--force")
+        assert not (tmp_path / "ws").exists()
+
+    def test_integer_corpus_path_leaves_stdin_unread(self, tmp_path):
+        # an integer path would open a file descriptor: 0 is stdin
+        cfg = write_config(tmp_path, **config_with("train", "corpus_path", 0))
+        stdin = tmp_path / "stdin.txt"
+        stdin.write_bytes(b"Piped text that must not become the corpus.\n" * 20)
+        with stdin.open("rb") as fh:
+            proc = subprocess.run([sys.executable, "-m", "ptqlab.cli", "train", "-c", cfg],
+                                  stdin=fh, capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": str(SRC)})
+            assert os.lseek(fh.fileno(), 0, os.SEEK_CUR) == 0  # shared with the child
+        assert proc.returncode == 1 and proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["error"] == "ParameterError" and "corpus_path" in err["message"]
         assert not (tmp_path / "ws").exists()
 
     def test_dry_run_plans_22_cells(self, tmp_path, capsys):
@@ -443,10 +480,9 @@ class TestPipelineStages:
         assert main(["train", "-c", cfg]) == 0
         assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
         other = write_config(tmp_path, train={**MICRO["train"], "steps": 3})
-        with pytest.raises(SystemExit) as exc:
-            main(["sensitivity", "-c", other, "--model", "ar", "--force"])
-        assert exc.value.code == 2
         capsys.readouterr()
+        assert main(["sensitivity", "-c", other, "--model", "ar", "--force"]) == 2
+        assert_usage_error(capsys, "--force")
         for command in (["sensitivity"], ["assign"]):  # the checkpoint is stale
             assert main([*command, "-c", other, "--model", "ar"]) == 1
             assert "`ptqlab train`" in json.loads(capsys.readouterr().err)["message"]

@@ -6,8 +6,8 @@ import pytest
 
 import ptqlab.gptq as gptq_mod
 from ptqlab.errors import NotPositiveDefiniteError, ParameterError
-from ptqlab.gptq import (MAX_RETRIES, GptqConfig, LayerCalibration, _damped_inverse_factor,
-                         collect_calibration, gptq_quantize_layer, gptq_quantize_model)
+from ptqlab.gptq import (MAX_RETRIES, GptqConfig, _damped_inverse_factor, collect_calibration,
+                         gptq_quantize_layer, gptq_quantize_model)
 from ptqlab.model import (ModelConfig, forward_logits, layers, network, new_checkpoint,
                           prediction_targets)
 from ptqlab.model.network import projection_key
@@ -28,11 +28,10 @@ def rtn_deq(w, bits, group_size=128):
     return dequantize(quantize_weight(w, GroupQuantSpec(bits, group_size)))
 
 
-def calib_from_inputs(x, path="layer"):
+def calib_from_inputs(x):
+    """The calibration Hessian 2 xᵀx of a (tokens, d_in) block of inputs."""
     x = np.asarray(x, dtype=np.float64)
-    c = LayerCalibration(path, np.zeros((x.shape[1], x.shape[1])))
-    c.add(x)
-    return c
+    return 2.0 * (x.T @ x)
 
 
 def full_forward_inputs(ckpt, batches) -> dict:
@@ -55,21 +54,21 @@ def full_forward_inputs(ckpt, batches) -> dict:
     return seen
 
 
-def calib_from_list(path, xs, d_in):
-    c = LayerCalibration(path, np.zeros((d_in, d_in)))
+def calib_from_list(xs, d_in):
+    """The Hessian summed batch by batch, as the pipeline sums it."""
+    h = np.zeros((d_in, d_in))
     for x in xs:
-        c.add(x)
-    return c
+        h += calib_from_inputs(x)
+    return h
 
 
-def reference_quantize_layer(weight, calib, spec, cfg):
+def reference_quantize_layer(weight, h, spec, cfg):
     """The column loop on an untransposed (d_out, d_in) working copy.
 
     It rounds by sign(x) * floor(|x| + 0.5) and clips with ``np.clip``.
     """
     w_orig = np.asarray(weight, dtype=np.float64)
     d_out, d_in = w_orig.shape
-    h = calib.hessian
     w = w_orig.copy()
     upper = _damped_inverse_factor(h, cfg.damping)
     qmax, gs = spec.qmax, spec.group_size
@@ -103,9 +102,9 @@ def reference_quantize_model(ckpt, plan, batches, cfg):
         stage = [p for p in stage if plan.bits[p] != 16]
         seen = full_forward_inputs(out, batches)
         for p in stage:
-            calib = calib_from_list(p, seen[p], out.params[p].shape[1])
+            h = calib_from_list(seen[p], out.params[p].shape[1])
             spec = GroupQuantSpec(plan.bits[p], plan.group_size)
-            qw, err = reference_quantize_layer(out.params[p], calib, spec, cfg)
+            qw, err = reference_quantize_layer(out.params[p], h, spec, cfg)
             out.params[p] = dequantize(qw).astype(np.float32)
             errors.append((p, err))
     return out, errors
@@ -113,16 +112,15 @@ def reference_quantize_model(ckpt, plan, batches, cfg):
 
 class TestCalibration:
     def test_single_outer_product(self):
-        c = calib_from_inputs(np.array([[1.0, 0.0]]))
-        assert np.array_equal(c.hessian, np.array([[2.0, 0.0], [0.0, 0.0]]))
-        assert c.n_samples == 1
+        h = calib_from_inputs(np.array([[1.0, 0.0]]))
+        assert np.array_equal(h, np.array([[2.0, 0.0], [0.0, 0.0]]))
 
     def test_additivity_doubles(self):
         rng = make_rng(0)
         x = rng.standard_normal((5, 3))
         once = calib_from_inputs(x)
         twice = calib_from_inputs(np.vstack([x, x]))
-        assert np.allclose(twice.hessian, 2.0 * once.hessian, rtol=1e-12)
+        assert np.allclose(twice, 2.0 * once, rtol=1e-12)
 
     def test_model_level_hessians_psd_and_double(self):
         ckpt = new_checkpoint(ModelConfig(d_model=8, n_layers=1, n_heads=2, d_ff=16,
@@ -130,20 +128,20 @@ class TestCalibration:
         rng = make_rng(5)
         x, _ = network.embed_fwd(ckpt.params, ckpt.config, rng.integers(0, 256, size=(2, 6)))
         for path in ckpt.quantizable_paths():
-            calib = collect_calibration(ckpt, [x], [path])[path]
-            double = collect_calibration(ckpt, [x, x], [path])[path]
-            assert np.allclose(calib.hessian, calib.hessian.T, atol=1e-9)
-            eigs = np.linalg.eigvalsh(calib.hessian)
+            h = collect_calibration(ckpt, [x], [path])
+            double = collect_calibration(ckpt, [x, x], [path])
+            assert h.dtype == np.float64
+            assert np.allclose(h, h.T, atol=1e-9)
+            eigs = np.linalg.eigvalsh(h)
             assert eigs.min() >= -1e-8  # dense PSD oracle
-            assert np.allclose(double.hessian, 2 * calib.hessian, rtol=1e-12)
+            assert np.allclose(double, 2 * h, rtol=1e-12)
 
 
 class TestLayerQuantization:
     def test_identity_hessian_equals_rtn(self):
         rng = make_rng(3)
         w = rng.standard_normal((6, 12))
-        calib = LayerCalibration("l", np.eye(12), n_samples=12)
-        qw, _ = gptq_quantize_layer(w, calib, GroupQuantSpec(3), GptqConfig())
+        qw, _ = gptq_quantize_layer(w, np.eye(12), GroupQuantSpec(3), GptqConfig())
         rtn_qw = quantize_weight(w, GroupQuantSpec(3, 128))
         assert np.array_equal(qw.codes, rtn_qw.codes)
         assert np.allclose(qw.scales, rtn_qw.scales)
@@ -152,9 +150,8 @@ class TestLayerQuantization:
         # strongly correlated inputs; scale is 1.0 so codes live on {-1,0,1}
         w = np.array([[1.0, 0.55]])
         x = np.array([[1.0, 0.97], [0.9, 0.88], [1.1, 1.05], [-1.0, -0.96]])
-        calib = calib_from_inputs(x)
-        qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(2), GptqConfig())
-        h = calib.hessian
+        h = calib_from_inputs(x)
+        qw, err = gptq_quantize_layer(w, h, GroupQuantSpec(2), GptqConfig())
 
         scale = qw.scales[0, 0]
         best = min(recon_error(w, np.array([[c1 * scale, c2 * scale]]), h)
@@ -169,12 +166,12 @@ class TestLayerQuantization:
         x1 = rng.standard_normal(200)
         x2 = 0.3 * x1 + 0.02 * rng.standard_normal(200)
         x = np.stack([x1, x2], axis=1)
-        calib = calib_from_inputs(x)
+        h = calib_from_inputs(x)
         w = np.array([[0.55, 1.0]])
-        qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(2), GptqConfig())
+        qw, err = gptq_quantize_layer(w, h, GroupQuantSpec(2), GptqConfig())
         rtn_qw = quantize_weight(w, GroupQuantSpec(2, 128))
         assert not np.array_equal(qw.codes, rtn_qw.codes)
-        assert err <= recon_error(w, dequantize(rtn_qw), calib.hessian) * (1 + 1e-9)
+        assert err <= recon_error(w, dequantize(rtn_qw), h) * (1 + 1e-9)
 
     def test_statistical_dominance_over_rtn(self):
         # 100 random 16x16 layers at 3 bits with correlated calibration
@@ -184,10 +181,10 @@ class TestLayerQuantization:
         for _ in range(100):
             mix = rng.standard_normal((16, 16))
             x = rng.standard_normal((64, 16)) @ mix
-            calib = calib_from_inputs(x)
+            h = calib_from_inputs(x)
             w = rng.standard_normal((16, 16)) * 0.5
-            _, gptq_err = gptq_quantize_layer(w, calib, GroupQuantSpec(3), GptqConfig())
-            rtn_err = recon_error(w, rtn_deq(w, 3), calib.hessian)
+            _, gptq_err = gptq_quantize_layer(w, h, GroupQuantSpec(3), GptqConfig())
+            rtn_err = recon_error(w, rtn_deq(w, 3), h)
             wins += gptq_err <= rtn_err
             improvements.append(rtn_err - gptq_err)
         assert wins >= 90
@@ -197,8 +194,8 @@ class TestLayerQuantization:
         rng = make_rng(7)
         w = rng.standard_normal((4, 10))
         x = rng.standard_normal((40, 10)) @ rng.standard_normal((10, 10))
-        calib = calib_from_inputs(x)
-        qw, err = gptq_quantize_layer(w, calib, GroupQuantSpec(4, 4), GptqConfig())
+        h = calib_from_inputs(x)
+        qw, err = gptq_quantize_layer(w, h, GroupQuantSpec(4, 4), GptqConfig())
         assert qw.codes.shape == w.shape
         assert qw.scales.shape == (4, 3)  # 4,4,2 ragged split
         assert err >= 0
@@ -213,8 +210,8 @@ class TestLayerQuantization:
         rng = make_rng(8)
         w = rng.standard_normal((1, 9))
         before = w.tobytes()
-        calib = calib_from_inputs(rng.standard_normal((20, 9)) @ rng.standard_normal((9, 9)))
-        qw, _ = gptq_quantize_layer(w, calib, GroupQuantSpec(2, 4), GptqConfig())
+        h = calib_from_inputs(rng.standard_normal((20, 9)) @ rng.standard_normal((9, 9)))
+        qw, _ = gptq_quantize_layer(w, h, GroupQuantSpec(2, 4), GptqConfig())
         assert not np.array_equal(dequantize(qw), w)
         assert w.tobytes() == before
 
@@ -223,7 +220,7 @@ class TestLayerQuantization:
         # H + delta I is positive definite only once delta > a; each retry
         # multiplies delta by 10
         def indefinite(a):
-            return LayerCalibration("l", np.array([[0.0, a], [a, 0.0]]), n_samples=4)
+            return np.array([[0.0, a], [a, 0.0]])
 
         w = np.array([[0.5, -0.2]])
         assert MAX_RETRIES == 3
@@ -237,13 +234,13 @@ class TestLayerQuantization:
         rng = make_rng(21)
         for d_out, d_in, group in ((5, 12, 4), (7, 10, 128), (3, 9, 4)):
             w = rng.standard_normal((d_out, d_in))
-            calib = calib_from_inputs(rng.standard_normal((30, d_in)) @
-                                      rng.standard_normal((d_in, d_in)))
+            h = calib_from_inputs(rng.standard_normal((30, d_in)) @
+                                  rng.standard_normal((d_in, d_in)))
             cfg = GptqConfig()
             for bits in (2, 3, 4, 8):
                 spec = GroupQuantSpec(bits, group)
-                qw, err = gptq_quantize_layer(w, calib, spec, cfg)
-                ref, ref_err = reference_quantize_layer(w, calib, spec, cfg)
+                qw, err = gptq_quantize_layer(w, h, spec, cfg)
+                ref, ref_err = reference_quantize_layer(w, h, spec, cfg)
                 assert qw.codes.tobytes() == ref.codes.tobytes()
                 assert qw.scales.tobytes() == ref.scales.tobytes()
                 assert err == ref_err
@@ -253,23 +250,22 @@ class TestLayerQuantization:
         # diagonal Hessian no column compensates another, and every other
         # w / scale stays an exact tie k + 0.5
         rng = make_rng(22)
-        calib = LayerCalibration("l", np.eye(12), n_samples=12)
+        h = np.eye(12)
         for bits in (2, 3, 4, 8):
             qmax = 2 ** (bits - 1) - 1
             ties = rng.integers(-qmax, qmax, size=(4, 11)) + 0.5
             w = np.concatenate([np.full((4, 1), float(qmax)), ties], axis=1)
             spec = GroupQuantSpec(bits)
-            qw, err = gptq_quantize_layer(w, calib, spec, GptqConfig())
-            ref, ref_err = reference_quantize_layer(w, calib, spec, GptqConfig())
+            qw, err = gptq_quantize_layer(w, h, spec, GptqConfig())
+            ref, ref_err = reference_quantize_layer(w, h, spec, GptqConfig())
             assert np.array_equal(qw.scales, np.ones((4, 1)))
             assert np.array_equal(qw.codes[:, 1:], ties + np.sign(ties) * 0.5)
             assert qw.codes.tobytes() == ref.codes.tobytes()
             assert err == ref_err
 
     def test_layer_rejects_16_bits(self):
-        calib = LayerCalibration("l", np.eye(2), n_samples=2)
         with pytest.raises(ParameterError):
-            gptq_quantize_layer(np.ones((1, 2)), calib, GroupQuantSpec(16), GptqConfig())
+            gptq_quantize_layer(np.ones((1, 2)), np.eye(2), GroupQuantSpec(16), GptqConfig())
 
     def test_config_rejects_group_size_below_one(self):
         with pytest.raises(ParameterError):
@@ -388,8 +384,8 @@ class TestModelQuantization:
         # reference: every layer calibrated on the unquantized model
         paths = ckpt.quantizable_paths()
         seen = full_forward_inputs(ckpt, batches)
-        calibs = {p: calib_from_list(p, seen[p], ckpt.params[p].shape[1]) for p in paths}
-        iso = {p: dequantize(gptq_quantize_layer(ckpt.params[p], calibs[p], spec, cfg)[0])
+        hessians = {p: calib_from_list(seen[p], ckpt.params[p].shape[1]) for p in paths}
+        iso = {p: dequantize(gptq_quantize_layer(ckpt.params[p], hessians[p], spec, cfg)[0])
                .astype(np.float32) for p in paths}
         # the first stage (q/k/v) sees the same calibration either way, later
         # stages see the quantized prefix only in sequential calibration
