@@ -1,5 +1,5 @@
 """Command-line entry point: train | quantize | sensitivity | assign | eval |
-bench | report | reproduce, all driven by one JSON config file."""
+bench | reproduce, all driven by one JSON config file."""
 
 from __future__ import annotations
 
@@ -48,13 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--levels", help="bit levels (default 16,8,4), e.g. 8,4,4")
     a.add_argument("--budget", type=float, help="target average bits instead of ratios")
 
-    _add_common(sub.add_parser("eval", help="run the full experiment grid"))
+    _add_common(sub.add_parser("eval", help="run the grid, reuse cached cells, write the report"))
 
     b = sub.add_parser("bench", help="latency of one baseline checkpoint")
     _add_common(b)
     b.add_argument("--model", choices=MODELS, required=True)
-
-    _add_common(sub.add_parser("report", help="run the grid, reuse cached cells, write the report"))
 
     r = sub.add_parser("reproduce", help="end-to-end: train, grid, report")
     _add_common(r)
@@ -98,8 +96,6 @@ def main(argv=None) -> int:
                    "report": stage_report(ws, evaled["results"])}
         elif args.command == "bench":
             out = stage_bench(ws, args.model)
-        elif args.command == "report":
-            out = stage_report(ws, stage_eval(ws)["results"])
         elif args.command == "reproduce":
             if args.dry_run:
                 out = _dry_run(ws)

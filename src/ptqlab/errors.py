@@ -22,6 +22,12 @@ def require_count(name: str, value, least: int = 1) -> None:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def require_positive(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an int or float in (0, inf), not NaN."""
+    if type(value) not in (int, float) or not 0 < value < float("inf"):
+        raise ParameterError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 class NumericError(PtqLabError):
     """A computation produced NaN/Inf or otherwise left the finite domain."""
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NotPositiveDefiniteError, ParameterError, require_count
+from .errors import (ContractError, NotPositiveDefiniteError, ParameterError, require_count,
+                     require_positive)
 from .model import ModelCheckpoint, prediction_targets
-from .model.checkpoint import EMBEDDING_PATHS
 from .model.network import block_fwd, block_index, embed_fwd, projection_key
 from .numerics import cholesky_upper_of_inverse
 from .quant import (DEFAULT_GROUP_SIZE, GroupQuantSpec, QuantizedWeight, QuantPlan,
@@ -38,8 +38,7 @@ class GptqConfig:
 
     def __post_init__(self):
         require_count("group_size", self.group_size)
-        if not self.damping > 0:
-            raise ParameterError("damping fraction must be > 0")
+        require_positive("damping", self.damping)
 
 
 def collect_calibration(ckpt: ModelCheckpoint, inputs, paths) -> np.ndarray:
@@ -128,9 +127,6 @@ def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: Gp
     """
     if not batches:
         raise ContractError("no calibration batches")
-    embedded = sorted(set(plan.bits) & set(EMBEDDING_PATHS))
-    if embedded:
-        raise ParameterError(f"GPTQ does not quantize the embedding paths {embedded}")
     out = quantized_copy(ckpt, plan, "gptq")
     stages: dict = {}
     for p in ckpt.quantizable_paths():

@@ -30,10 +30,6 @@ from .network import PROJECTION_SUFFIXES, init_params, projection_key
 
 MAGIC = b"TOYCKPT1"
 
-# Every quantization plan covers the projection weights; a plan may also
-# cover the embedding paths.
-EMBEDDING_PATHS = ("embed.tok", "head.weight")
-
 
 @dataclass
 class ModelCheckpoint:
@@ -47,8 +43,8 @@ class ModelCheckpoint:
     def quantizable_paths(self) -> list:
         """The attention and feed-forward projection weights, in forward order.
 
-        Norm gains/biases and the positional table never quantize; the token
-        embedding and output head only through a hand-written plan.
+        A plan names exactly these. Norm gains/biases, the positional table,
+        the token embedding and the output head never quantize.
         """
         paths = sorted((p for p in self.params if p.endswith(PROJECTION_SUFFIXES)),
                        key=projection_key)

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import dataclasses
 import fcntl
+import functools
 import hashlib
 import io
 import json
@@ -35,6 +36,7 @@ from .quant import QuantPlan, memory_footprint, rtn_quantize_model, uniform_plan
 from .reporting import emit
 from .sensitivity import (SensitivityConfig, compute_sensitivities, load_report,
                           rank_sensitivities, save_report)
+from .tasks import corpus_hash, load_corpus
 from .trainer import TrainConfig, calibration_batches, train
 
 MODELS = (MODE_AR, MODE_DIFFUSION)
@@ -181,7 +183,13 @@ class Workspace:
             raise ContractError(f"missing checkpoint {path}; run `ptqlab train` first")
         return path
 
+    @functools.cached_property
+    def corpus_digest(self) -> str:
+        """sha256 of the configured corpus, read once per workspace object."""
+        return corpus_hash(load_corpus(self.cfg.train.corpus_path))
+
     def require_checkpoint(self, mode: str) -> ModelCheckpoint:
+        """``mode``'s checkpoint, if the current config and corpus bytes trained it."""
         path = self._existing_checkpoint(mode)
         ckpt = ModelCheckpoint.load(path)
         want = self.cfg.train_hash(mode)
@@ -190,6 +198,9 @@ class Workspace:
             raise ContractError(
                 f"checkpoint {path} was produced by train hash {got}, current config "
                 f"gives {want}; re-run `ptqlab train`")
+        if ckpt.meta.get("corpus_hash") != self.corpus_digest:
+            raise ContractError(f"checkpoint {path} was trained on a corpus other than the "
+                                f"configured one; re-run `ptqlab train`")
         return ckpt
 
     def fingerprint(self, mode: str) -> str:
@@ -232,11 +243,9 @@ def stage_sensitivity(ws: Workspace, mode: str, ckpt: ModelCheckpoint | None = N
     records = compute_sensitivities(ckpt, _calibration(ckpt, cfg.sensitivity.n_batches),
                                     cfg.sensitivity)
     json_path = ws.path("sensitivity", f"{mode}.json")
-    csv_path = ws.path("sensitivity", f"{mode}.csv")
     config_hash = cfg.sensitivity_hash(ws.fingerprint(mode))
-    save_report(records, cfg.sensitivity, json_path, csv_path, config_hash)
-    return {"report": str(json_path), "csv": str(csv_path),
-            "n_records": len(records), "config_hash": config_hash}
+    save_report(records, cfg.sensitivity, json_path, config_hash)
+    return {"report": str(json_path), "n_records": len(records), "config_hash": config_hash}
 
 
 def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,

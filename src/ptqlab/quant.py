@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError, CoverageError, NumericError, ParameterError, require_count
 from .files import write_atomic
-from .model.checkpoint import EMBEDDING_PATHS, ModelCheckpoint
+from .model.checkpoint import ModelCheckpoint
 
 SUPPORTED_BITS = (2, 3, 4, 8, 16)
 DEFAULT_GROUP_SIZE = 128
@@ -144,7 +144,11 @@ class QuantPlan:
     def load(cls, path) -> "QuantPlan":
         try:
             doc = json.loads(Path(path).read_text())
-            bits = {m["path"]: m["bits"] for m in doc["modules"]}
+            bits = {}
+            for m in doc["modules"]:
+                if m["path"] in bits:
+                    raise ParameterError(f"module {m['path']} is listed twice")
+                bits[m["path"]] = m["bits"]
             ratios = tuple(doc["ratios"]) if "ratios" in doc else None
             return cls(bits, doc["group_size"], doc.get("provenance", PROVENANCE_MANUAL), ratios)
         except (ValueError, KeyError, TypeError, ParameterError) as exc:
@@ -158,12 +162,11 @@ def uniform_plan(ckpt: ModelCheckpoint, bits: int,
 
 
 def check_coverage(ckpt: ModelCheckpoint, plan: QuantPlan) -> None:
-    """Plan must cover every quantizable path; it may add the embedding paths."""
+    """The plan names exactly the checkpoint's quantizable paths."""
     required = set(ckpt.quantizable_paths())
-    allowed = required | set(EMBEDDING_PATHS)
     have = set(plan.bits)
     missing = sorted(required - have)
-    unknown = sorted(have - allowed)
+    unknown = sorted(have - required)
     if missing or unknown:
         raise CoverageError(
             f"plan does not match checkpoint: missing={missing} unknown={unknown}")

@@ -12,16 +12,14 @@ checkpoint is never mutated.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ParameterError, require_count
+from .errors import ContractError, NumericError, ParameterError, require_count, require_positive
 from .files import write_atomic
 from .model import ModelCheckpoint, forward_logits, loss_and_grads, prediction_targets
 from .model.network import block_index
@@ -46,8 +44,7 @@ class SensitivityConfig:
             raise ParameterError(f"rho must be in (0, 1], got {self.rho}")
         require_count("n_power_iters", self.n_power_iters)
         require_count("n_batches", self.n_batches)
-        if not self.eps_scale > 0:
-            raise ParameterError("eps_scale must be > 0")
+        require_positive("eps_scale", self.eps_scale)
 
 
 @dataclass
@@ -70,8 +67,12 @@ class SensitivityRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensitivityRecord":
-        return cls(d["path"], float(d["lambda"]), int(d["n_params"]),
-                   int(d["iters_used"]), bool(d["converged"]))
+        lam, converged = d["lambda"], d["converged"]  # taken as they are, never coerced
+        if type(lam) not in (int, float) or type(converged) is not bool:
+            raise ParameterError(f"lambda {lam!r} must be a number, converged {converged!r} a bool")
+        require_count("n_params", d["n_params"])
+        require_count("iters_used", d["iters_used"])
+        return cls(d["path"], float(lam), d["n_params"], d["iters_used"], converged)
 
 
 def finite_diff_hvp(grad_fn, v: np.ndarray, eps: float, base_grad: np.ndarray) -> np.ndarray:
@@ -202,19 +203,10 @@ def rank_sensitivities(records, mode: str = RANK_RAW) -> list:
     return sorted(records, key=key)
 
 
-def save_report(records, cfg: SensitivityConfig, json_path, csv_path, config_hash: str) -> None:
+def save_report(records, cfg: SensitivityConfig, json_path, config_hash: str) -> None:
     doc = {"config": asdict(cfg), "records": [r.to_dict() for r in records],
            "config_hash": config_hash}
     write_atomic(json_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["path", "lambda", "n_params", "sensitivity_raw",
-                    "sensitivity_normalized", "iters_used", "converged"])
-    for r in records:
-        writer.writerow([r.path, f"{r.lam:.6g}", r.n_params,
-                        f"{r.lam:.6g}", f"{r.sensitivity_normalized:.6g}",
-                        r.iters_used, int(r.converged)])
-    write_atomic(csv_path, buf.getvalue())
 
 
 def load_report(json_path) -> tuple:
@@ -222,6 +214,6 @@ def load_report(json_path) -> tuple:
     try:
         doc = json.loads(Path(json_path).read_text())
         return [SensitivityRecord.from_dict(d) for d in doc["records"]], doc.get("config_hash")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ParameterError) as exc:
         raise ContractError(f"sensitivity report {json_path} is malformed: "
                             f"{type(exc).__name__}: {exc}") from exc

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tasks
-from .errors import DivergenceError, NumericError, ParameterError, require_count
+from .errors import DivergenceError, NumericError, ParameterError, require_count, require_positive
 from .files import write_atomic
 from .model import Batch, ModelCheckpoint, ModelConfig, loss_and_grads, new_checkpoint
 from .model.config import MODE_AR, MODE_DIFFUSION
@@ -38,8 +38,7 @@ class TrainConfig:
     def __post_init__(self):
         require_count("steps", self.steps)
         require_count("batch_size", self.batch_size)
-        if not self.learning_rate > 0:
-            raise ParameterError("learning rate must be > 0")
+        require_positive("learning_rate", self.learning_rate)
         if not (0.0 <= self.text_fraction < 1.0):
             raise ParameterError("text_fraction must be in [0, 1)")
         if not isinstance(self.corpus_path, (str, type(None))):  # an int would be a file descriptor

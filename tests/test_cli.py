@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -12,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import ptqlab.reporting as reporting
-from ptqlab.cli import main
+from ptqlab.cli import build_parser, main
 from ptqlab.errors import ContractError
 from ptqlab.pipeline import SECTIONS, PipelineConfig, Workspace, _bench_lock
 from ptqlab.model import ModelCheckpoint
 from ptqlab.quant import QuantPlan, uniform_plan
 from ptqlab.sensitivity import SensitivityRecord, save_report
+from ptqlab.tasks import load_corpus
 from test_reporting import RENDERERS, refuse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -144,7 +146,11 @@ class TestCliContracts:
                                           config_with("train", "corpus_path", True),
                                           config_with("train", "corpus_path", ["a"]),
                                           {"grid": {"bits": [4, 4]}},
-                                          {"grid": {"hawq_splits": [[16, 8], [8, 4], [16, 8]]}}])
+                                          {"grid": {"hawq_splits": [[16, 8], [8, 4], [16, 8]]}},
+                                          # json.loads reads Infinity
+                                          config_with("train", "learning_rate", float("inf")),
+                                          config_with("sensitivity", "eps_scale", float("inf")),
+                                          config_with("gptq", "damping", float("inf"))])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
@@ -179,6 +185,18 @@ class TestCliContracts:
         err = json.loads(capsys.readouterr().err)
         assert "ptqlab train" in err["message"]
 
+    def test_readme_lists_every_subcommand(self):
+        # each `ptqlab` line of the README's shell blocks parses, and they name every subcommand
+        blocks = [b.split("```")[0] for b in README.read_text().split("```bash\n")[1:]]
+        lines = [line.split("#")[0].split() for b in blocks for line in b.splitlines()
+                 if line.startswith("ptqlab ")]
+        parser = build_parser()
+        for argv in lines:
+            parser.parse_args(argv[1:])
+        subcommands = next(a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        assert {argv[1] for argv in lines} == set(subcommands)
+
     def test_readme_config_reference_loads_as_the_defaults(self):
         block = README.read_text().split("### Config reference")[1]
         block = block.split("```jsonc\n")[1].split("```")[0]
@@ -208,7 +226,7 @@ class TestCliContracts:
 
     @pytest.mark.parametrize("command", [["eval"], ["bench", "--model", "ar"],
                                          ["sensitivity", "--model", "ar"],
-                                         ["assign", "--model", "ar"], ["report"]])
+                                         ["assign", "--model", "ar"]])
     def test_missing_workspace_is_left_missing(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)
         assert main([command[0], "-c", cfg, *command[1:]]) == 1
@@ -227,7 +245,7 @@ class TestCliContracts:
     @pytest.mark.parametrize("command", [
         ["train"], ["quantize", "--model", "ar", "--method", "rtn", "--bits", "4"],
         ["sensitivity", "--model", "ar"], ["assign", "--model", "ar"], ["eval"],
-        ["bench", "--model", "ar"], ["report"], ["reproduce"]], ids=lambda command: command[0])
+        ["bench", "--model", "ar"], ["reproduce"]], ids=lambda command: command[0])
     def test_force_is_not_an_option(self, tmp_path, capsys, command):
         # no flag overrides a stale artifact: `train` retrains what is stale
         cfg = write_config(tmp_path)
@@ -337,7 +355,7 @@ class TestPipelineStages:
         records = [SensitivityRecord(p, float(100 - i), ckpt.n_params(p), 1, True)
                    for i, p in enumerate(ranked)]
         save_report(records, ws.cfg.sensitivity, ws.path("sensitivity", "ar.json"),
-                    ws.path("sensitivity", "ar.csv"), ws.cfg.sensitivity_hash(ws.fingerprint("ar")))
+                    ws.cfg.sensitivity_hash(ws.fingerprint("ar")))
         capsys.readouterr()
         assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "5.1"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -531,13 +549,31 @@ class TestPipelineStages:
         assert main(["train", "-c", write_config(tmp_path)]) == 0
         stale = write_config(tmp_path, train={**MICRO["train"], "steps": 3})
         capsys.readouterr()
-        assert main(["report", "-c", stale]) == 1
+        assert main(["eval", "-c", stale]) == 1
         assert "`ptqlab train`" in json.loads(capsys.readouterr().err)["message"]
         assert main(["train", "-c", stale]) == 0
         capsys.readouterr()
-        assert main(["report", "-c", stale]) == 0
+        assert main(["eval", "-c", stale]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert Path(out["results.csv"]).read_text().count("\n") > 22
+        assert Path(out["report"]["results.csv"]).read_text().count("\n") > 22
+
+    def test_edited_corpus_makes_the_checkpoints_stale(self, tmp_path, capsys):
+        # the train hash covers the corpus path, not the corpus bytes
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(load_corpus())
+        cfg = write_config(tmp_path, **config_with("train", "corpus_path", str(corpus)))
+        assert main(["train", "-c", cfg]) == 0
+        corpus.write_bytes(load_corpus()[::-1])
+        capsys.readouterr()
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError" and "`ptqlab train`" in err["message"]
+        assert main(["train", "-c", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ar"]["reused"] is False and out["diffusion"]["reused"] is False
+        assert main(["train", "-c", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ar"]["reused"] is True and out["diffusion"]["reused"] is True
 
     def test_truncated_checkpoint_is_retrained(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

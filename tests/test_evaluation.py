@@ -219,7 +219,7 @@ class TestGrid:
         # the grid leaves the sensitivity reports and the plans its hawq cells used
         for mode in ("ar", "diffusion"):
             assert (ws.root / "sensitivity" / f"{mode}.json").exists()
-            assert (ws.root / "sensitivity" / f"{mode}.csv").exists()
+            assert not (ws.root / "sensitivity" / f"{mode}.csv").exists()
             ckpt = ws.require_checkpoint(mode)
             split = (ws.cfg.grid.hawq_ratio, 1.0 - ws.cfg.grid.hawq_ratio, 0.0)
             for label, levels in (("hawq-16/8", (16, 8, 8)), ("hawq-8/4", (8, 4, 4))):

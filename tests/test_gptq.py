@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ptqlab.gptq as gptq_mod
-from ptqlab.errors import NotPositiveDefiniteError, ParameterError
+from ptqlab.errors import CoverageError, NotPositiveDefiniteError, ParameterError
 from ptqlab.gptq import (MAX_RETRIES, GptqConfig, _damped_inverse_factor, collect_calibration,
                          gptq_quantize_layer, gptq_quantize_model)
 from ptqlab.model import (ModelConfig, forward_logits, layers, network, new_checkpoint,
@@ -362,7 +362,7 @@ class TestModelQuantization:
         ckpt, batches = self.make_setup()
         plan = uniform_plan(ckpt, 4)
         plan.bits["head.weight"] = 8
-        with pytest.raises(ParameterError, match="head.weight"):
+        with pytest.raises(CoverageError, match="head.weight"):
             gptq_quantize_model(ckpt, plan, batches, GptqConfig())
 
     def test_a_stage_never_runs_the_head(self, monkeypatch):

@@ -155,16 +155,14 @@ class TestModelQuantization:
             assert np.array_equal(out.params[path], ckpt.params[path])
 
     def test_embeddings_skipped_by_default_allowed_in_a_written_plan(self):
+        # neither embedding is quantizable, so a written plan that names one fails coverage
         ckpt = small_ckpt()
-        plan = uniform_plan(ckpt, 4)
-        assert not {"embed.tok", "head.weight"} & set(plan.bits)
-        plan.bits["head.weight"] = 8
-        out = rtn_quantize_model(ckpt, plan)
-        assert not np.array_equal(out.params["head.weight"], ckpt.params["head.weight"])
-        assert np.array_equal(out.params["embed.tok"], ckpt.params["embed.tok"])
-        plan.bits["embed.tok"] = 8
-        out = rtn_quantize_model(ckpt, plan)
-        assert not np.array_equal(out.params["embed.tok"], ckpt.params["embed.tok"])
+        assert not {"embed.tok", "head.weight"} & set(uniform_plan(ckpt, 4).bits)
+        for embedding in ("head.weight", "embed.tok"):
+            plan = uniform_plan(ckpt, 4)
+            plan.bits[embedding] = 8
+            with pytest.raises(CoverageError, match=f"unknown=\\['{embedding}'\\]"):
+                rtn_quantize_model(ckpt, plan)
 
     def test_coverage_error_lists_missing(self):
         ckpt = small_ckpt()
@@ -233,6 +231,15 @@ class TestPlanIO:
         path.write_text(json.dumps({"version": 1, "group_size": group_size, "modules": [
             {"path": "blocks.0.attn.q.weight", "bits": bits}]}))
         with pytest.raises(ContractError, match=f"malformed.*{field} must be an integer"):
+            QuantPlan.load(path)
+
+    def test_repeated_module_is_a_contract_error(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"version": 1, "group_size": 128, "modules": [
+            {"path": "blocks.0.attn.q.weight", "bits": 2},
+            {"path": "blocks.0.attn.k.weight", "bits": 4},
+            {"path": "blocks.0.attn.q.weight", "bits": 8}]}))
+        with pytest.raises(ContractError, match="malformed.*blocks.0.attn.q.weight is listed twice"):
             QuantPlan.load(path)
 
     def test_unsupported_width_or_group_size_is_rejected(self):

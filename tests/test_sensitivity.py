@@ -15,6 +15,8 @@ from ptqlab.sensitivity import (ModuleGradientOracle, SensitivityConfig, Sensiti
                                 save_report)
 from ptqlab.trainer import TrainConfig, calibration_batches
 
+RECORD = {"path": "x", "lambda": 1.5, "n_params": 64, "iters_used": 2, "converged": False}
+
 
 class QuadraticProbe:
     """grad(w0 + delta) = A (w0 + delta) for L(w) = 0.5 w^T A w."""
@@ -279,19 +281,23 @@ class TestReportIO:
         records = [SensitivityRecord("blocks.0.attn.q.weight", 1.5, 64, 3, True),
                    SensitivityRecord("head.weight", 0.25, 2072, 3, False)]
         jp = tmp_path / "sens.json"
-        cp = tmp_path / "sens.csv"
-        save_report(records, cfg, jp, cp, config_hash="abc123")
+        save_report(records, cfg, jp, config_hash="abc123")
         loaded, config_hash = load_report(jp)
         assert config_hash == "abc123"
         assert SensitivityConfig(**json.loads(jp.read_text())["config"]) == cfg
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
-        assert cp.read_text().count("\n") == 3  # header + 2 rows
+        assert [p.name for p in tmp_path.iterdir()] == ["sens.json"]
 
     @pytest.mark.parametrize("text", [
         '{"config_hash": "abc", "records": [{"path": "x", "lam',  # cut short
         '{"config_hash": "abc"}',
         '{"records": [{"path": "x", "n_params": 4, "iters_used": 1, "converged": true}]}',
-        '["records"]'])
+        '["records"]',
+        # each field is its own JSON type, never coerced
+        *(json.dumps({"config_hash": "abc", "records": [{**RECORD, key: value}]})
+          for key, value in [("lambda", "1.5"), ("lambda", True), ("n_params", 64.9),
+                             ("n_params", "64"), ("iters_used", 2.5), ("iters_used", 0),
+                             ("converged", "false"), ("converged", 1)])])
     def test_malformed_report_is_a_contract_error(self, tmp_path, text):
         jp = tmp_path / "sens.json"
         jp.write_text(text)
