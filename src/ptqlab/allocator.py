@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .quant import DEFAULT_GROUP_SIZE, PROVENANCE_HAWQ, QuantPlan
+from .quant import DEFAULT_GROUP_SIZE, QuantPlan
 
 BIT_LEVELS = (16, 8, 4)
 DEFAULT_SPLIT = (0.5, 0.5, 0.0)  # p16, p8, p4 of `assign` without --ratios or --budget
@@ -34,9 +34,6 @@ class SplitRatios:
                 raise ParameterError(f"{name} must be >= 0, got {value}")
         if abs(self.p16 + self.p8 + self.p4 - 1.0) > 1e-9:
             raise ParameterError(f"split ratios must sum to 1, got {self.p16 + self.p8 + self.p4}")
-
-    def as_tuple(self) -> tuple:
-        return (self.p16, self.p8, self.p4)
 
 
 def split_ratios(values) -> SplitRatios:
@@ -94,7 +91,7 @@ def assign_precision(ranked_modules, ratios: SplitRatios,
     if not paths:
         raise ParameterError("no ranked modules to assign")
     bits = cutoff_bits(len(paths), ratios, levels)
-    return QuantPlan(dict(zip(paths, bits)), group_size, PROVENANCE_HAWQ, ratios.as_tuple())
+    return QuantPlan(dict(zip(paths, bits)), group_size)
 
 
 def budget_plan(ranked_modules_with_sizes, target_avg_bits: float,
@@ -102,8 +99,7 @@ def budget_plan(ranked_modules_with_sizes, target_avg_bits: float,
     """(QuantPlan, achieved_avg_bits) for a target size-weighted bitwidth.
 
     ``ranked_modules_with_sizes``: iterable of (path, n_params) in
-    descending sensitivity order. The plan holds the waterfilled widths and
-    records each level's share of the modules as its split ratios.
+    descending sensitivity order. The plan holds the waterfilled widths.
     """
     if not (4.0 <= target_avg_bits <= 16.0):
         raise ParameterError(f"target_avg_bits must be within [4, 16], got {target_avg_bits}")
@@ -125,7 +121,4 @@ def budget_plan(ranked_modules_with_sizes, target_avg_bits: float,
             bits[i] = level_to
             used = candidate
 
-    ratios = tuple(bits.count(level) / len(bits) for level in BIT_LEVELS)
-    plan = QuantPlan({p: b for (p, _), b in zip(items, bits)}, group_size, PROVENANCE_HAWQ,
-                     ratios)
-    return plan, used / total_n
+    return QuantPlan({p: b for (p, _), b in zip(items, bits)}, group_size), used / total_n

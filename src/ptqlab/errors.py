@@ -22,9 +22,14 @@ def require_count(name: str, value, least: int = 1) -> None:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def is_number(value) -> bool:
+    """True for an ``int`` or a ``float``; a bool or a string is no number."""
+    return type(value) in (int, float)
+
+
 def require_positive(name: str, value) -> None:
-    """Raise :class:`ParameterError` unless ``value`` is an int or float in (0, inf), not NaN."""
-    if type(value) not in (int, float) or not 0 < value < float("inf"):
+    """Raise :class:`ParameterError` unless ``value`` is a number in (0, inf), not NaN."""
+    if not is_number(value) or not 0 < value < float("inf"):
         raise ParameterError(f"{name} must be a finite number > 0, got {value!r}")
 
 

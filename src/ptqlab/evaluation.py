@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tasks
-from .allocator import bit_levels, split_ratios
-from .errors import ContractError, ParameterError, require_count
+from .allocator import bit_levels
+from .errors import ContractError, ParameterError, is_number, require_count
 from .model import (MASK_ID, MODE_AR, MODE_DIFFUSION, Batch, ModelCheckpoint, forward_logits,
                     generate_ar, generate_diffusion, prediction_targets)
 from .numerics import make_rng
@@ -68,9 +68,6 @@ class LatencyConfig:
 class LatencyResult:
     mean_ms: float
     std_ms: float
-    warmup_runs: int
-    timed_runs: int
-    timer_warning: bool = False
 
 
 @dataclass
@@ -88,7 +85,6 @@ class EvalResult:
     config_hash: str
     status: str = "ok"
     error: str = ""
-    timer_warning: bool = False
 
     def to_dict(self) -> dict:
         """Every field by name, as ``dataclasses.asdict`` gives it, at a fraction of its cost."""
@@ -178,11 +174,7 @@ def measure_latency(ckpt: ModelCheckpoint, cfg: LatencyConfig) -> LatencyResult:
         t0 = time.perf_counter()
         unit()
         samples[i] = time.perf_counter() - t0
-    mean_ms = float(samples.mean() * 1e3)
-    std_ms = float(samples.std(ddof=1) * 1e3)
-    resolution_ms = time.get_clock_info("perf_counter").resolution * 1e3
-    return LatencyResult(mean_ms, std_ms, cfg.warmup_runs, cfg.timed_runs,
-                         timer_warning=resolution_ms > 0.01 * mean_ms)
+    return LatencyResult(float(samples.mean() * 1e3), float(samples.std(ddof=1) * 1e3))
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,8 @@ class GridConfig:
             raise ParameterError(f"grid.bits lists a width twice: {list(self.bits)}")
         if len({tuple(split) for split in self.hawq_splits}) < len(self.hawq_splits):
             raise ParameterError(f"grid.hawq_splits lists a split twice: {list(self.hawq_splits)}")
-        split_ratios((self.hawq_ratio, 1.0 - self.hawq_ratio, 0.0))
+        if not is_number(self.hawq_ratio) or not 0.0 <= self.hawq_ratio <= 1.0:
+            raise ParameterError(f"hawq_ratio must be a number in [0, 1], got {self.hawq_ratio!r}")
         if self.rank_mode not in (RANK_RAW, RANK_NORMALIZED):
             raise ParameterError(f"unknown ranking mode {self.rank_mode!r}")
         require_count("n_calibration_batches", self.n_calibration_batches)

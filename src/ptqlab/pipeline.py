@@ -113,10 +113,10 @@ class PipelineConfig:
     def sensitivity_hash(self, fingerprint: str) -> str:
         return _hash({"parent": fingerprint, "sens": vars(self.sensitivity)})
 
-    def plan_hash(self, fingerprint: str, ratios, levels) -> str:
-        return _hash({"parent": self.sensitivity_hash(fingerprint),
-                      "ratios": list(ratios), "levels": list(levels),
-                      "rank_mode": self.grid.rank_mode, "group_size": self.gptq.group_size})
+    def plan_hash(self, fingerprint: str, plan: QuantPlan) -> str:
+        """The parent report's hash, the plan's widths and its group size: what decides it."""
+        return _hash({"parent": self.sensitivity_hash(fingerprint), "bits": plan.bits,
+                      "group_size": plan.group_size})
 
 
 def _hash(payload: dict) -> str:
@@ -275,10 +275,10 @@ def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
     else:
         plan = assign_precision(ranked, split, cfg.gptq.group_size, levels)
         achieved = None
-    config_hash = cfg.plan_hash(fingerprint, plan.ratios, levels)
+    config_hash = cfg.plan_hash(fingerprint, plan)
     plan_path = ws.path("plans", f"{mode}_{config_hash}.json")
     plan.save(plan_path, config_hash)
-    out = {"plan": str(plan_path), "ratios": list(plan.ratios), "config_hash": config_hash}
+    out = {"plan": str(plan_path), "config_hash": config_hash}
     if achieved is not None:
         out["achieved_avg_bits"] = achieved
     return out
@@ -330,8 +330,7 @@ def stage_bench(ws: Workspace, mode: str) -> dict:
     with _bench_lock(ws):
         res = measure_latency(ckpt, cfg)
     return {"mode": mode, "unit_of_work": cfg.unit_of_work, "mean_ms": res.mean_ms,
-            "std_ms": res.std_ms, "warmup_runs": res.warmup_runs,
-            "timed_runs": res.timed_runs, "timer_warning": res.timer_warning}
+            "std_ms": res.std_ms, "warmup_runs": cfg.warmup_runs, "timed_runs": cfg.timed_runs}
 
 
 @contextlib.contextmanager
@@ -409,8 +408,7 @@ def stage_eval(ws: Workspace) -> dict:
                     scores = evaluate_tasks(quantized, cfg.suite)
                     lat = measure_latency(quantized, _latency(cfg, mode))
                     result = EvalResult(name, mode, method, label, scores, lat.mean_ms,
-                                        lat.std_ms, raw_bits, eff_bits, cfg.seed, config_hash,
-                                        timer_warning=lat.timer_warning)
+                                        lat.std_ms, raw_bits, eff_bits, cfg.seed, config_hash)
                 except Exception as exc:  # record the failed row, keep the grid going
                     nan = float("nan")
                     result = EvalResult(name, mode, method, label, {}, nan, nan, nan, nan,

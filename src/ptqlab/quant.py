@@ -25,10 +25,6 @@ SUPPORTED_BITS = (2, 3, 4, 8, 16)
 DEFAULT_GROUP_SIZE = 128
 SCALE_BITS = 16  # storage cost of one per-group scale
 
-PROVENANCE_UNIFORM = "uniform"
-PROVENANCE_HAWQ = "hawq_split"
-PROVENANCE_MANUAL = "manual"
-
 
 @dataclass(frozen=True)
 class GroupQuantSpec:
@@ -114,8 +110,6 @@ class QuantPlan:
 
     bits: dict = field(default_factory=dict)  # path -> bits
     group_size: int = DEFAULT_GROUP_SIZE
-    provenance: str = PROVENANCE_MANUAL
-    ratios: tuple | None = None  # recorded split ratios for hawq_split plans
 
     def __post_init__(self):
         for path in self.bits:
@@ -131,11 +125,8 @@ class QuantPlan:
         doc = {
             "version": 1,
             "group_size": self.group_size,
-            "provenance": self.provenance,
             "modules": [{"path": p, "bits": self.bits[p]} for p in self.paths()],
         }
-        if self.ratios is not None:
-            doc["ratios"] = list(self.ratios)
         if config_hash is not None:
             doc["config_hash"] = config_hash
         write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -149,16 +140,14 @@ class QuantPlan:
                 if m["path"] in bits:
                     raise ParameterError(f"module {m['path']} is listed twice")
                 bits[m["path"]] = m["bits"]
-            ratios = tuple(doc["ratios"]) if "ratios" in doc else None
-            return cls(bits, doc["group_size"], doc.get("provenance", PROVENANCE_MANUAL), ratios)
+            return cls(bits, doc["group_size"])
         except (ValueError, KeyError, TypeError, ParameterError) as exc:
             raise ContractError(f"plan {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def uniform_plan(ckpt: ModelCheckpoint, bits: int,
                  group_size: int = DEFAULT_GROUP_SIZE) -> QuantPlan:
-    return QuantPlan(dict.fromkeys(ckpt.quantizable_paths(), bits), group_size,
-                     PROVENANCE_UNIFORM)
+    return QuantPlan(dict.fromkeys(ckpt.quantizable_paths(), bits), group_size)
 
 
 def check_coverage(ckpt: ModelCheckpoint, plan: QuantPlan) -> None:

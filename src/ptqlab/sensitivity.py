@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ParameterError, require_count, require_positive
+from .errors import (ContractError, NumericError, ParameterError, is_number, require_count,
+                     require_positive)
 from .files import write_atomic
 from .model import ModelCheckpoint, forward_logits, loss_and_grads, prediction_targets
 from .model.network import block_index
@@ -40,8 +41,8 @@ class SensitivityConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.rho <= 1.0):
-            raise ParameterError(f"rho must be in (0, 1], got {self.rho}")
+        if not is_number(self.rho) or not 0.0 < self.rho <= 1.0:
+            raise ParameterError(f"rho must be a number in (0, 1], got {self.rho!r}")
         require_count("n_power_iters", self.n_power_iters)
         require_count("n_batches", self.n_batches)
         require_positive("eps_scale", self.eps_scale)
@@ -61,14 +62,12 @@ class SensitivityRecord:
 
     def to_dict(self) -> dict:
         return {"path": self.path, "lambda": self.lam, "n_params": self.n_params,
-                "sensitivity_raw": self.lam,
-                "sensitivity_normalized": self.sensitivity_normalized,
                 "iters_used": self.iters_used, "converged": self.converged}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensitivityRecord":
         lam, converged = d["lambda"], d["converged"]  # taken as they are, never coerced
-        if type(lam) not in (int, float) or type(converged) is not bool:
+        if not is_number(lam) or type(converged) is not bool:
             raise ParameterError(f"lambda {lam!r} must be a number, converged {converged!r} a bool")
         require_count("n_params", d["n_params"])
         require_count("iters_used", d["iters_used"])

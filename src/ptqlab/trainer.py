@@ -9,7 +9,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tasks
-from .errors import DivergenceError, NumericError, ParameterError, require_count, require_positive
+from .errors import (DivergenceError, NumericError, ParameterError, is_number, require_count,
+                     require_positive)
 from .files import write_atomic
 from .model import Batch, ModelCheckpoint, ModelConfig, loss_and_grads, new_checkpoint
 from .model.config import MODE_AR, MODE_DIFFUSION
@@ -39,8 +40,9 @@ class TrainConfig:
         require_count("steps", self.steps)
         require_count("batch_size", self.batch_size)
         require_positive("learning_rate", self.learning_rate)
-        if not (0.0 <= self.text_fraction < 1.0):
-            raise ParameterError("text_fraction must be in [0, 1)")
+        if not is_number(self.text_fraction) or not 0.0 <= self.text_fraction < 1.0:
+            raise ParameterError(f"text_fraction must be a number in [0, 1), "
+                                 f"got {self.text_fraction!r}")
         if not isinstance(self.corpus_path, (str, type(None))):  # an int would be a file descriptor
             raise ParameterError(f"corpus_path must be a string or null, got {self.corpus_path!r}")
         self.model_config()  # the architecture fails here, not once training starts

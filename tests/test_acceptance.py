@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ptqlab import evaluation
 from ptqlab.allocator import SplitRatios, cutoff_bits
 from ptqlab.evaluation import EvalResult, LatencyConfig, measure_latency
 from ptqlab.gptq import GptqConfig, gptq_quantize_layer
@@ -319,20 +320,24 @@ class TestCriterion6EndToEnd:
 
 
 class TestCriterion7LatencyProtocol:
-    def test_protocol_counts_and_roundtrip(self):
+    def test_protocol_counts_and_roundtrip(self, monkeypatch):
         assert LatencyConfig().warmup_runs == 200
         assert LatencyConfig().timed_runs == 2000
         ckpt = new_checkpoint(ModelConfig(mode="ar", d_model=8, n_layers=1, n_heads=2,
                                           d_ff=16, max_seq_len=128), 0)
+        calls = []
+        forward = evaluation.forward_logits
+        monkeypatch.setattr(evaluation, "forward_logits",
+                            lambda *a: calls.append(a) or forward(*a))
         res = measure_latency(ckpt, LatencyConfig(seq_len=64))
-        assert (res.warmup_runs, res.timed_runs) == (200, 2000)
+        assert len(calls) == 200 + 2000  # one unit of work per run
         assert res.mean_ms > 0 and res.std_ms >= 0
 
         row = EvalResult("toy-ar", "ar", "baseline", "16bit", {"copy": 0.5},
                          26.843, 0.305, 16.0, 16.0, 0, "fixture")
         (back,) = csv.DictReader(io.StringIO(results_to_csv_text([row])))
         assert (float(back["lat_mean_ms"]), float(back["lat_std_ms"])) == (26.843, 0.305)
-        ok(7, f"(200 warmup + 2000 timed recorded; 26.843/0.305 round-trips; "
+        ok(7, f"(200 warmup + 2000 timed runs; 26.843/0.305 round-trips; "
               f"mean {res.mean_ms:.3f} ms)")
 
 

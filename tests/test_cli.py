@@ -150,7 +150,11 @@ class TestCliContracts:
                                           # json.loads reads Infinity
                                           config_with("train", "learning_rate", float("inf")),
                                           config_with("sensitivity", "eps_scale", float("inf")),
-                                          config_with("gptq", "damping", float("inf"))])
+                                          config_with("gptq", "damping", float("inf")),
+                                          # a bool is no number
+                                          config_with("sensitivity", "rho", True),
+                                          config_with("grid", "hawq_ratio", False),
+                                          config_with("train", "text_fraction", False)])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1
@@ -208,6 +212,23 @@ class TestCliContracts:
             fields = {f.name for f in dataclasses.fields(section_cls)}
             assert set(doc[name]) == fields - set(fixed), name
 
+    def test_readme_file_formats_name_the_written_keys(self, tmp_path):
+        section = README.read_text().split("## File formats")[1].split("\n## ")[0]
+
+        def named(title):
+            """The quoted keys of the first ``{...}`` code span after ``title``."""
+            span = re.search(r"`(\{[^`]*\})`", section.split(f"**{title}**")[1]).group(1)
+            return set(re.findall(r'"(\w+)"', span))
+
+        plan_path, report_path = tmp_path / "plan.json", tmp_path / "report.json"
+        QuantPlan({"blocks.0.attn.q.weight": 4}).save(plan_path, "0123456789abcdef")
+        plan = json.loads(plan_path.read_text())
+        assert named("Quantization plan") == set(plan) | set(plan["modules"][0])
+        record = SensitivityRecord("blocks.0.attn.q.weight", 1.5, 256, 2, True)
+        save_report([record], PipelineConfig(workspace="w").sensitivity, report_path, "abc")
+        report = json.loads(report_path.read_text())
+        assert named("Sensitivity report") == set(report) | set(record.to_dict())
+
     def test_run_seed_sets_the_section_seeds(self):
         direct = PipelineConfig(workspace="w", seed=5)
         loaded = PipelineConfig.from_dict({"workspace": "w", "seed": 5})
@@ -233,14 +254,19 @@ class TestCliContracts:
         assert json.loads(capsys.readouterr().err)["error"] == "ContractError"
         assert not (tmp_path / "ws").exists()
 
-    def test_plan_hash_covers_rank_mode_and_group_size(self):
+    def test_plan_hash_covers_the_parent_the_widths_and_the_group_size(self):
         cfg = PipelineConfig(workspace="w")
-        changed = [replace(cfg, grid=replace(cfg.grid, rank_mode="normalized")),
-                   replace(cfg, gptq=replace(cfg.gptq, group_size=64))]
-        hashes = {c.plan_hash("fingerprint", (0.5, 0.5, 0.0), (16, 8, 4))
-                  for c in [cfg, *changed]}
-        hashes.add(cfg.plan_hash("other fingerprint", (0.5, 0.5, 0.0), (16, 8, 4)))
-        assert len(hashes) == 4
+        plan = QuantPlan({"blocks.0.attn.q.weight": 16, "blocks.0.attn.k.weight": 8})
+        rescored = replace(cfg, sensitivity=replace(cfg.sensitivity, rho=0.2))
+        hashes = {cfg.plan_hash("fingerprint", plan), cfg.plan_hash("other fingerprint", plan),
+                  rescored.plan_hash("fingerprint", plan),
+                  cfg.plan_hash("fingerprint", replace(plan, bits={**plan.bits,
+                                                                   "blocks.0.attn.k.weight": 4})),
+                  cfg.plan_hash("fingerprint", replace(plan, group_size=64))}
+        assert len(hashes) == 5
+        # the widths record what the ranking mode decided
+        ranked = replace(cfg, grid=replace(cfg.grid, rank_mode="normalized"))
+        assert ranked.plan_hash("fingerprint", plan) == cfg.plan_hash("fingerprint", plan)
 
     @pytest.mark.parametrize("command", [
         ["train"], ["quantize", "--model", "ar", "--method", "rtn", "--bits", "4"],
@@ -308,10 +334,12 @@ class TestPipelineStages:
         out = json.loads(capsys.readouterr().out)
         plan = QuantPlan.load(out["plan"])
         assert sorted(plan.bits.values()) == [8, 8, 8, 16, 16, 16]  # 6 modules split 50/50
-        assert plan.provenance == "hawq_split"
+        assert set(out) == {"plan", "config_hash"}
 
         assert main(["bench", "-c", cfg, "--model", "ar"]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"mode", "unit_of_work", "mean_ms", "std_ms", "warmup_runs",
+                            "timed_runs"}
         assert out["timed_runs"] == 3 and out["warmup_runs"] == 1
         assert out["mean_ms"] > 0
 
@@ -334,10 +362,11 @@ class TestPipelineStages:
         for args in (["--ratios", "0.34,0.33,0.33"], ["--budget", "10"]):
             assert main(["assign", "-c", cfg, "--model", "ar", *args]) == 0
             out = json.loads(capsys.readouterr().out)
-            plans[out["plan"]] = out["ratios"]
+            plans[out["plan"]] = out["config_hash"]
         assert len(plans) == 2
-        for path, ratios in plans.items():
-            assert list(QuantPlan.load(path).ratios) == ratios
+        ws = Workspace(PipelineConfig.load(cfg))
+        for path, config_hash in plans.items():  # each is named by its widths
+            assert ws.cfg.plan_hash(ws.fingerprint("ar"), QuantPlan.load(path)) == config_hash
 
     def test_assign_budget_plan_has_the_reported_average(self, tmp_path, capsys):
         # 18 modules: 7 attention projections, one 4x larger MLP projection,
@@ -363,7 +392,6 @@ class TestPipelineStages:
         assert [bits[p] for p in ranked] == [16] + [8] * 6 + [4] * 11
         average = sum(bits[p] * ckpt.n_params(p) for p in paths) / sum(map(ckpt.n_params, paths))
         assert average == pytest.approx(out["achieved_avg_bits"]) == 5.0
-        assert out["ratios"] == [1 / 18, 6 / 18, 11 / 18]
 
     def test_assign_budget_rejects_levels(self, tmp_path, capsys):
         # the budget search assigns 16/8/4 bits; other levels would break its average
@@ -419,6 +447,23 @@ class TestPipelineStages:
         assert not (tmp_path / "ws" / "quantized").exists()
         assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "rtn",
                      "--plan", str(plan)]) == 0
+
+    def test_plan_is_its_widths(self, tmp_path, capsys):
+        # an older plan file's provenance and ratios are neither read nor copied
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        ckpt = ModelCheckpoint.load(tmp_path / "ws" / "checkpoints" / "ar.ckpt")
+        plan = uniform_plan(ckpt, 8)
+        path = tmp_path / "plan.json"
+        plan.save(path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "provenance": "hawq_split", "ratios": ["a", None]}))
+        assert QuantPlan.load(path) == plan
+        capsys.readouterr()
+        assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "rtn",
+                     "--plan", str(path)]) == 0
+        sidecar = json.loads(Path(json.loads(capsys.readouterr().out)["plan"]).read_text())
+        assert sidecar == doc
 
     def test_gptq_takes_a_plan(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -78,8 +78,8 @@ def change_a_latency(results, out, monkeypatch):
     return results
 
 
-def flip_a_timer_warning(results, out, monkeypatch):
-    results[0].timer_warning = True  # shows in report.json alone
+def change_an_error(results, out, monkeypatch):
+    results[0].error = "a note"  # shows in report.json alone
     return results
 
 
@@ -265,7 +265,7 @@ class TestEmission:
 
     @pytest.mark.parametrize("change", [
         delete_a_report_file, edit_one_byte, change_a_score, change_a_latency,
-        flip_a_timer_warning, change_the_renderer, corrupt_the_manifest,
+        change_an_error, change_the_renderer, corrupt_the_manifest,
         fail_at_the_third_report_file])
     def test_stale_report_is_rendered_again(self, tmp_path, monkeypatch, change):
         results = table1_fixture()
