@@ -19,7 +19,6 @@ from .errors import ParameterError
 from .quant import DEFAULT_GROUP_SIZE, QuantPlan
 
 BIT_LEVELS = (16, 8, 4)
-DEFAULT_SPLIT = (0.5, 0.5, 0.0)  # p16, p8, p4 of `assign` without --ratios or --budget
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,12 @@ def assign_precision(ranked_modules, ratios: SplitRatios,
 
 
 def budget_plan(ranked_modules_with_sizes, target_avg_bits: float,
-                group_size: int = DEFAULT_GROUP_SIZE):
-    """(QuantPlan, achieved_avg_bits) for a target size-weighted bitwidth.
+                group_size: int = DEFAULT_GROUP_SIZE) -> QuantPlan:
+    """QuantPlan for a target size-weighted bitwidth.
 
     ``ranked_modules_with_sizes``: iterable of (path, n_params) in
-    descending sensitivity order. The plan holds the waterfilled widths.
+    descending sensitivity order. The plan holds the waterfilled widths,
+    whose size-weighted average is at most the target.
     """
     if not (4.0 <= target_avg_bits <= 16.0):
         raise ParameterError(f"target_avg_bits must be within [4, 16], got {target_avg_bits}")
@@ -121,4 +121,4 @@ def budget_plan(ranked_modules_with_sizes, target_avg_bits: float,
             bits[i] = level_to
             used = candidate
 
-    return QuantPlan({p: b for (p, _), b in zip(items, bits)}, group_size), used / total_n
+    return QuantPlan({p: b for (p, _), b in zip(items, bits)}, group_size)

@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("assign", help="split-ratio precision assignment")
     _add_common(a)
     a.add_argument("--model", choices=MODELS, required=True)
-    a.add_argument("--ratios", help="p_hi,p_mid,p_lo (default 0.5,0.5,0)")
+    a.add_argument("--ratios", help="p_hi,p_mid,p_lo (default: the grid's HAWQ split, "
+                                    "grid.hawq_ratio,1-grid.hawq_ratio,0)")
     a.add_argument("--levels", help="bit levels (default 16,8,4), e.g. 8,4,4")
     a.add_argument("--budget", type=float, help="target average bits instead of ratios")
 

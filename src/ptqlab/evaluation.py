@@ -29,6 +29,7 @@ CSV_FIELDS = ["model", "mode", "method", "bits_or_plan", "task", "score",
 
 UNIT_AR_TOKEN = "ar_token"
 UNIT_DIFFUSION_STEP = "diffusion_step"
+LATENCY_UNIT = {MODE_AR: UNIT_AR_TOKEN, MODE_DIFFUSION: UNIT_DIFFUSION_STEP}
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class TaskSuite:
 
     def __post_init__(self):
         if not self.tasks:
-            raise ContractError("task suite is empty")
+            raise ParameterError("task suite is empty")
         require_count("n_eval_prompts", self.n_eval_prompts)
         require_count("diffusion_steps", self.diffusion_steps)
         require_count("seed", self.seed, 0)
@@ -60,7 +61,7 @@ class LatencyConfig:
         require_count("warmup_runs", self.warmup_runs, 0)
         require_count("timed_runs", self.timed_runs, 2)
         require_count("seq_len", self.seq_len)
-        if self.unit_of_work not in (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP):
+        if self.unit_of_work not in LATENCY_UNIT.values():
             raise ParameterError(f"unknown unit_of_work {self.unit_of_work!r}")
 
 
@@ -157,10 +158,10 @@ def measure_latency(ckpt: ModelCheckpoint, cfg: LatencyConfig) -> LatencyResult:
     one AR token. Runs ``warmup_runs`` unmeasured then ``timed_runs``
     measured iterations.
     """
-    wanted = MODE_DIFFUSION if cfg.unit_of_work == UNIT_DIFFUSION_STEP else MODE_AR
-    if ckpt.config.mode != wanted:
-        raise ContractError(f"unit {cfg.unit_of_work!r} needs a {wanted} checkpoint, "
-                            f"got {ckpt.config.mode}")
+    wanted = LATENCY_UNIT[ckpt.config.mode]
+    if cfg.unit_of_work != wanted:
+        raise ContractError(f"a {ckpt.config.mode} checkpoint is timed by the unit {wanted!r}, "
+                            f"not {cfg.unit_of_work!r}")
     state = _latency_state(ckpt, cfg)
     params, config = ckpt.params, ckpt.config
 

@@ -2,10 +2,11 @@
 
 The pipeline config is one JSON file validated as a whole before any stage
 runs. A checkpoint embeds the hash of its training config; a sensitivity
-report, plan or grid cell embeds the fingerprint of the checkpoint bytes it
-came from plus its own config scope. Stages refuse artifacts whose recorded
-hash no longer matches and name the stage to re-run. The eval grid is
-content-addressed per cell, which is what makes ``reproduce`` idempotent.
+report or grid cell embeds the fingerprint of the checkpoint bytes it came
+from plus its own config scope, and a plan is named by its widths and group
+size. Stages refuse artifacts whose recorded hash no longer matches and name
+the stage to re-run. The eval grid is content-addressed per cell, which is
+what makes ``reproduce`` idempotent.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .allocator import (BIT_LEVELS, DEFAULT_SPLIT, assign_precision, bit_levels, budget_plan,
-                        split_ratios)
+from .allocator import BIT_LEVELS, assign_precision, bit_levels, budget_plan, split_ratios
 from .errors import ContractError, ParameterError, require_count
-from .evaluation import (UNIT_AR_TOKEN, UNIT_DIFFUSION_STEP, EvalResult, GridConfig,
-                         LatencyConfig, TaskSuite, evaluate_tasks, measure_latency, plan_grid)
+from .evaluation import (LATENCY_UNIT, EvalResult, GridConfig, LatencyConfig, TaskSuite,
+                         evaluate_tasks, measure_latency, plan_grid)
 from .files import write_atomic
 from .gptq import GptqConfig, gptq_quantize_model
 from .model import MODE_AR, MODE_DIFFUSION, ModelCheckpoint
@@ -40,7 +40,6 @@ from .tasks import corpus_hash, load_corpus
 from .trainer import TrainConfig, calibration_batches, train
 
 MODELS = (MODE_AR, MODE_DIFFUSION)
-LATENCY_UNIT = {MODE_AR: UNIT_AR_TOKEN, MODE_DIFFUSION: UNIT_DIFFUSION_STEP}
 
 # Config sections built from a dataclass, with the fields the file may not
 # set. The pipeline sets the seeds (from the top-level seed) and the training
@@ -112,11 +111,6 @@ class PipelineConfig:
 
     def sensitivity_hash(self, fingerprint: str) -> str:
         return _hash({"parent": fingerprint, "sens": vars(self.sensitivity)})
-
-    def plan_hash(self, fingerprint: str, plan: QuantPlan) -> str:
-        """The parent report's hash, the plan's widths and its group size: what decides it."""
-        return _hash({"parent": self.sensitivity_hash(fingerprint), "bits": plan.bits,
-                      "group_size": plan.group_size})
 
 
 def _hash(payload: dict) -> str:
@@ -250,38 +244,36 @@ def stage_sensitivity(ws: Workspace, mode: str, ckpt: ModelCheckpoint | None = N
 
 def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
                  budget: float | None = None) -> dict:
+    """Write ``mode``'s plan as ``plans/<mode>_<hash of its widths and group size>.json``;
+    without ``ratios`` it splits at ``grid.hawq_ratio``, as the grid's HAWQ cells do."""
     if budget is not None and ratios is not None:
         raise ParameterError("--budget chooses the ratios; pass --budget or --ratios, not both")
     cfg = ws.cfg
     levels = bit_levels(levels or BIT_LEVELS)
     if budget is not None and levels != BIT_LEVELS:  # the waterfill raises 4 -> 8 -> 16 bits
         raise ParameterError(f"--budget assigns the levels {BIT_LEVELS}, not {levels}")
-    split = split_ratios(ratios or DEFAULT_SPLIT)
+    split = split_ratios(ratios or (cfg.grid.hawq_ratio, 1.0 - cfg.grid.hawq_ratio, 0.0))
     ckpt = ws.require_checkpoint(mode)
     json_path = ws.path("sensitivity", f"{mode}.json")
     if not json_path.exists():
         raise ContractError(f"missing sensitivity report {json_path}; "
                             f"run `ptqlab sensitivity --model {mode}` first")
     records, got = load_report(json_path)
-    fingerprint = ws.fingerprint(mode)
-    want = cfg.sensitivity_hash(fingerprint)
+    want = cfg.sensitivity_hash(ws.fingerprint(mode))
     if got != want:
         raise ContractError(f"sensitivity report hash {got} does not match the checkpoint "
                             f"and config ({want}); re-run `ptqlab sensitivity --model {mode}`")
     ranked = rank_sensitivities(records, cfg.grid.rank_mode)
     if budget is not None:
-        sized = [(r.path, ckpt.n_params(r.path)) for r in ranked]
-        plan, achieved = budget_plan(sized, budget, cfg.gptq.group_size)
+        plan = budget_plan([(r.path, ckpt.n_params(r.path)) for r in ranked], budget,
+                           cfg.gptq.group_size)
     else:
         plan = assign_precision(ranked, split, cfg.gptq.group_size, levels)
-        achieved = None
-    config_hash = cfg.plan_hash(fingerprint, plan)
-    plan_path = ws.path("plans", f"{mode}_{config_hash}.json")
-    plan.save(plan_path, config_hash)
-    out = {"plan": str(plan_path), "config_hash": config_hash}
-    if achieved is not None:
-        out["achieved_avg_bits"] = achieved
-    return out
+    achieved, _ = memory_footprint(plan, ckpt)
+    name = _hash({"bits": plan.bits, "group_size": plan.group_size})
+    plan_path = ws.path("plans", f"{mode}_{name}.json")
+    plan.save(plan_path)
+    return {"plan": str(plan_path), "achieved_avg_bits": achieved}
 
 
 def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, plan: QuantPlan,
@@ -309,10 +301,8 @@ def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = Non
         plan, label = QuantPlan.load(plan_path), Path(plan_path).stem
     quantized, report_rows = quantize(ws.cfg, ckpt, method, plan)
     out_path = ws.path("quantized", f"{mode}_{method}_{label}.ckpt")
-    quantized.save(out_path)
-    plan_sidecar = ws.path("quantized", f"{mode}_{method}_{label}.plan.json")
-    plan.save(plan_sidecar)
-    result = {"checkpoint": str(out_path), "plan": str(plan_sidecar)}
+    quantized.save(out_path)  # its header records the plan
+    result = {"checkpoint": str(out_path)}
     if report_rows:
         report_path = ws.path("quantized", f"{mode}_{method}_{label}.layers.csv")
         buf = io.StringIO()
@@ -386,8 +376,7 @@ def stage_eval(ws: Workspace) -> dict:
                 stage_sensitivity(ws, mode, ckpt)
                 scored.add(mode)
             hi, lo = (int(b) for b in label.removeprefix("hawq-").split("/"))
-            split = (cfg.grid.hawq_ratio, 1.0 - cfg.grid.hawq_ratio, 0.0)
-            plan = QuantPlan.load(stage_assign(ws, mode, split, (hi, lo, lo))["plan"])
+            plan = QuantPlan.load(stage_assign(ws, mode, levels=(hi, lo, lo))["plan"])
         else:  # the baseline is the 16-bit plan
             plan = uniform_plan(ckpt, int(label.removesuffix("bit")), cfg.gptq.group_size)
         if method == "gptq" and mode not in batches:

@@ -121,14 +121,9 @@ class QuantPlan:
     def spec(self, path: str) -> GroupQuantSpec:
         return GroupQuantSpec(self.bits[path], self.group_size)
 
-    def save(self, path, config_hash: str | None = None) -> None:
-        doc = {
-            "version": 1,
-            "group_size": self.group_size,
-            "modules": [{"path": p, "bits": self.bits[p]} for p in self.paths()],
-        }
-        if config_hash is not None:
-            doc["config_hash"] = config_hash
+    def save(self, path) -> None:
+        doc = {"group_size": self.group_size,
+               "modules": [{"path": p, "bits": self.bits[p]} for p in self.paths()]}
         write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     @classmethod
@@ -165,7 +160,8 @@ def quantized_copy(ckpt: ModelCheckpoint, plan: QuantPlan, method: str) -> Model
     """A copy of ``ckpt`` for ``method`` to quantize by ``plan``; its meta records both."""
     check_coverage(ckpt, plan)
     out = ckpt.copy()
-    out.meta["quantization"] = {"method": method, "plan": dict(plan.bits)}
+    out.meta["quantization"] = {"method": method, "plan": dict(plan.bits),
+                                "group_size": plan.group_size}
     return out
 
 

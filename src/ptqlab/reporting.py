@@ -87,37 +87,41 @@ def _row_sort_key(r: EvalResult):
 
 def degradation_table(results) -> str:
     """Markdown table with a row per quantization level, cells 'diffusion (ar)'
-    and deltas vs baseline.
+    and deltas vs baseline; a failed cell's scores and delta read 'failed'.
 
     Requires the 16-bit baseline row for both models.
     """
     ok = [r for r in results if r.status == "ok"]
     by_key: dict = {}
-    for r in ok:
+    for r in results:
         by_key.setdefault((r.method, r.bits_or_plan), {})[r.mode] = r
     baseline = by_key.get(("baseline", "16bit"), {})
-    if "ar" not in baseline or "diffusion" not in baseline:
+    if any(m not in baseline or baseline[m].status != "ok" for m in ("ar", "diffusion")):
         raise ContractError("degradation table needs a 16-bit baseline for both models")
 
     task_names = sorted({t for r in ok for t in r.scores})
     headers = ["quantization"] + task_names + ["delta diffusion", "delta ar"]
     base_mean = {m: baseline[m].mean_score() for m in ("diffusion", "ar")}
 
+    def sort_key(key):  # the diffusion cell's place, or the ar cell's when that one failed
+        diff_r, ar_r = by_key[key]["diffusion"], by_key[key]["ar"]
+        return _row_sort_key(diff_r if diff_r.status == "ok" else ar_r)
+
+    def score(r, task):
+        return fmt(r.scores.get(task, float("nan"))) if r.status == "ok" else "failed"
+
+    def delta(r):
+        return fmt(r.mean_score() - base_mean[r.mode]) if r.status == "ok" else "failed"
+
     pairs = sorted({k for k in by_key if "ar" in by_key[k] and "diffusion" in by_key[k]},
-                   key=lambda k: _row_sort_key(by_key[k]["diffusion"]))
+                   key=sort_key)
     out = ["### Score by quantization level, diffusion (ar)", "",
            "| " + " | ".join(headers) + " |", "|" + "|".join(" --- " for _ in headers) + "|"]
     for key in pairs:
-        diff_r = by_key[key]["diffusion"]
-        ar_r = by_key[key]["ar"]
+        diff_r, ar_r = by_key[key]["diffusion"], by_key[key]["ar"]
         label = key[1] if key[0] == "baseline" else f"{key[1]} ({key[0]})"
-        cells = [label]
-        for t in task_names:
-            cells.append(f"{fmt(diff_r.scores.get(t, float('nan')))} "
-                         f"({fmt(ar_r.scores.get(t, float('nan')))})")
-        cells.append(fmt(diff_r.mean_score() - base_mean["diffusion"]))
-        cells.append(fmt(ar_r.mean_score() - base_mean["ar"]))
-        out.append("| " + " | ".join(cells) + " |")
+        cells = [label] + [f"{score(diff_r, t)} ({score(ar_r, t)})" for t in task_names]
+        out.append("| " + " | ".join(cells + [delta(diff_r), delta(ar_r)]) + " |")
     return "\n".join(out) + "\n"
 
 

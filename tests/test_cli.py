@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,9 +14,9 @@ import pytest
 import ptqlab.reporting as reporting
 from ptqlab.cli import build_parser, main
 from ptqlab.errors import ContractError
-from ptqlab.pipeline import SECTIONS, PipelineConfig, Workspace, _bench_lock
-from ptqlab.model import ModelCheckpoint
-from ptqlab.quant import QuantPlan, uniform_plan
+from ptqlab.pipeline import SECTIONS, PipelineConfig, Workspace, _bench_lock, _hash
+from ptqlab.model import ModelCheckpoint, ModelConfig, new_checkpoint
+from ptqlab.quant import QuantPlan, rtn_quantize_model, uniform_plan
 from ptqlab.sensitivity import SensitivityRecord, save_report
 from ptqlab.tasks import load_corpus
 from test_reporting import RENDERERS, refuse
@@ -59,6 +58,12 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+def plan_name(mode, path) -> str:
+    """The name of ``mode``'s plan file ``path``: the hash of its widths and group size."""
+    plan = QuantPlan.load(path)
+    return f"{mode}_{_hash({'bits': plan.bits, 'group_size': plan.group_size})}.json"
+
+
 def assert_usage_error(capsys, message):
     """Stdout is empty and stderr holds a usage error's JSON, whose message names ``message``."""
     out, err = capsys.readouterr()
@@ -93,6 +98,19 @@ class TestCliContracts:
         assert "unknown config sections: ['assign', 'bogus']" in err["message"]
         assert not (tmp_path / "ws").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("{", "is not valid JSON"), ("[1, 2]", "must be a JSON object"),
+        ('{"seed": 0}', "needs a 'workspace' entry"),
+        ('{"workspace": "ws", "suite": {"tasks": 5}}', "malformed config value")])
+    def test_malformed_config_file_error(self, tmp_path, capsys, monkeypatch, text, message):
+        monkeypatch.chdir(tmp_path)  # where the relative workspace would go
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["train", "-c", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError" and message in err["message"]
+        assert list(tmp_path.iterdir()) == [path]
+
     # unknown keys, fields the pipeline sets itself, and fixed fields
     @pytest.mark.parametrize("section, key", [
         ("train", "stepz"), ("gptq", "groupsize"), ("sensitivity", "granularity"),
@@ -124,6 +142,7 @@ class TestCliContracts:
                                           {"sensitivity": {"n_power_iters": 2.5}},
                                           {"train": 5},
                                           {"suite": {"tasks": ["bogus"]}},
+                                          {"suite": {"tasks": []}}, {"suite": {"tasks": None}},
                                           config_with("train", "n_heads", 3),
                                           config_with("train", "learning_rate", -1.0),
                                           config_with("train", "text_fraction", 1.0),
@@ -221,9 +240,13 @@ class TestCliContracts:
             return set(re.findall(r'"(\w+)"', span))
 
         plan_path, report_path = tmp_path / "plan.json", tmp_path / "report.json"
-        QuantPlan({"blocks.0.attn.q.weight": 4}).save(plan_path, "0123456789abcdef")
+        QuantPlan({"blocks.0.attn.q.weight": 4}).save(plan_path)
         plan = json.loads(plan_path.read_text())
         assert named("Quantization plan") == set(plan) | set(plan["modules"][0])
+        ckpt = new_checkpoint(ModelConfig(mode="ar", d_model=16, n_layers=1, n_heads=2,
+                                          d_ff=32, max_seq_len=32), 0)
+        header = rtn_quantize_model(ckpt, uniform_plan(ckpt, 8)).meta["quantization"]
+        assert named("Quantized checkpoint") == set(header)
         record = SensitivityRecord("blocks.0.attn.q.weight", 1.5, 256, 2, True)
         save_report([record], PipelineConfig(workspace="w").sensitivity, report_path, "abc")
         report = json.loads(report_path.read_text())
@@ -253,20 +276,6 @@ class TestCliContracts:
         assert main([command[0], "-c", cfg, *command[1:]]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ContractError"
         assert not (tmp_path / "ws").exists()
-
-    def test_plan_hash_covers_the_parent_the_widths_and_the_group_size(self):
-        cfg = PipelineConfig(workspace="w")
-        plan = QuantPlan({"blocks.0.attn.q.weight": 16, "blocks.0.attn.k.weight": 8})
-        rescored = replace(cfg, sensitivity=replace(cfg.sensitivity, rho=0.2))
-        hashes = {cfg.plan_hash("fingerprint", plan), cfg.plan_hash("other fingerprint", plan),
-                  rescored.plan_hash("fingerprint", plan),
-                  cfg.plan_hash("fingerprint", replace(plan, bits={**plan.bits,
-                                                                   "blocks.0.attn.k.weight": 4})),
-                  cfg.plan_hash("fingerprint", replace(plan, group_size=64))}
-        assert len(hashes) == 5
-        # the widths record what the ranking mode decided
-        ranked = replace(cfg, grid=replace(cfg.grid, rank_mode="normalized"))
-        assert ranked.plan_hash("fingerprint", plan) == cfg.plan_hash("fingerprint", plan)
 
     @pytest.mark.parametrize("command", [
         ["train"], ["quantize", "--model", "ar", "--method", "rtn", "--bits", "4"],
@@ -322,8 +331,11 @@ class TestPipelineStages:
         assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "gptq",
                      "--bits", "4"]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"checkpoint", "layer_report"}
         assert Path(out["checkpoint"]).exists()
         assert Path(out["layer_report"]).exists()
+        assert sorted(p.name for p in (ws / "quantized").iterdir()) == \
+            ["ar_gptq_4bit.ckpt", "ar_gptq_4bit.layers.csv"]
 
         assert main(["sensitivity", "-c", cfg, "--model", "diffusion"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -334,7 +346,11 @@ class TestPipelineStages:
         out = json.loads(capsys.readouterr().out)
         plan = QuantPlan.load(out["plan"])
         assert sorted(plan.bits.values()) == [8, 8, 8, 16, 16, 16]  # 6 modules split 50/50
-        assert set(out) == {"plan", "config_hash"}
+        assert set(out) == {"plan", "achieved_avg_bits"}
+        ckpt = ModelCheckpoint.load(ws / "checkpoints" / "diffusion.ckpt")
+        average = sum(b * ckpt.n_params(p) for p, b in plan.bits.items()) / \
+            sum(map(ckpt.n_params, plan.bits))
+        assert out["achieved_avg_bits"] == average
 
         assert main(["bench", "-c", cfg, "--model", "ar"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -350,7 +366,7 @@ class TestPipelineStages:
         capsys.readouterr()
         assert main(["assign", "-c", cfg, "--model", "ar", "--ratios", "0.34,0.33,0.33"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["plan"].endswith(f"ar_{out['config_hash']}.json")
+        assert Path(out["plan"]).name == plan_name("ar", out["plan"])
         assert sorted(QuantPlan.load(out["plan"]).bits.values()) == [4, 4, 8, 8, 16, 16]
 
     def test_each_plan_has_its_own_file(self, tmp_path, capsys):
@@ -358,15 +374,67 @@ class TestPipelineStages:
         assert main(["train", "-c", cfg]) == 0
         assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
         capsys.readouterr()
-        plans = {}
+        plans = set()
         for args in (["--ratios", "0.34,0.33,0.33"], ["--budget", "10"]):
             assert main(["assign", "-c", cfg, "--model", "ar", *args]) == 0
-            out = json.loads(capsys.readouterr().out)
-            plans[out["plan"]] = out["config_hash"]
+            plans.add(json.loads(capsys.readouterr().out)["plan"])
         assert len(plans) == 2
-        ws = Workspace(PipelineConfig.load(cfg))
-        for path, config_hash in plans.items():  # each is named by its widths
-            assert ws.cfg.plan_hash(ws.fingerprint("ar"), QuantPlan.load(path)) == config_hash
+        for path in plans:  # each is named by its widths
+            assert Path(path).name == plan_name("ar", path)
+
+    def test_plan_name_covers_the_widths_and_the_group_size(self, tmp_path, capsys):
+        # the name hashes what the file holds, however the modules were ranked
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+
+        def assign(ratios):
+            capsys.readouterr()
+            assert main(["assign", "-c", cfg, "--model", "ar", "--ratios", ratios]) == 0
+            path = json.loads(capsys.readouterr().out)["plan"]
+            assert Path(path).name == plan_name("ar", path)
+            return path
+
+        all_16 = assign("1,0,0")
+        assert assign("0,1,0") != all_16  # other widths
+        write_config(tmp_path, gptq={"group_size": 64})  # rewrites cfg
+        assert assign("1,0,0") != all_16  # another group size
+        write_config(tmp_path, grid={**MICRO["grid"], "rank_mode": "normalized"})
+        assert assign("1,0,0") == all_16  # the same widths, ranked another way
+        assert len(list((tmp_path / "ws" / "plans").iterdir())) == 3
+
+    def test_a_plan_has_one_file(self, tmp_path, capsys):
+        # `assign` without flags splits as the grid's hawq cells do, and a
+        # rescoring that leaves the widths as they were adds no file
+        grid = {**MICRO["grid"], "bits": [], "hawq_splits": [[16, 8]], "hawq_ratio": 0.25}
+        cfg = write_config(tmp_path, grid=grid)
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["eval", "-c", cfg]) == 0  # two cells of each model: baseline, hawq-16/8
+        plans = tmp_path / "ws" / "plans"
+        files = {p: p.read_bytes() for p in plans.iterdir()}
+        assert len(files) == 2
+        capsys.readouterr()
+        assert main(["assign", "-c", cfg, "--model", "ar"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert Path(out["plan"]) in files
+        assert sorted(QuantPlan.load(out["plan"]).bits.values()) == [8] * 5 + [16]
+        assert main(["assign", "-c", cfg, "--model", "ar", "--ratios", "1,0,0"]) == 0
+        files = {p: p.read_bytes() for p in plans.iterdir()}
+        rescored = write_config(tmp_path, grid=grid,
+                                sensitivity={**MICRO["sensitivity"], "rho": 0.25})
+        assert main(["sensitivity", "-c", rescored, "--model", "ar"]) == 0
+        assert main(["assign", "-c", rescored, "--model", "ar", "--ratios", "1,0,0"]) == 0
+        assert {p: p.read_bytes() for p in plans.iterdir()} == files
+
+    def test_assign_needs_a_sensitivity_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        capsys.readouterr()
+        assert main(["assign", "-c", cfg, "--model", "ar"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError"
+        assert "`ptqlab sensitivity --model ar`" in err["message"]
+        assert not (tmp_path / "ws" / "plans").exists()
 
     def test_assign_budget_plan_has_the_reported_average(self, tmp_path, capsys):
         # 18 modules: 7 attention projections, one 4x larger MLP projection,
@@ -449,21 +517,23 @@ class TestPipelineStages:
                      "--plan", str(plan)]) == 0
 
     def test_plan_is_its_widths(self, tmp_path, capsys):
-        # an older plan file's provenance and ratios are neither read nor copied
+        # an older plan file's other keys are neither read nor copied
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0
         ckpt = ModelCheckpoint.load(tmp_path / "ws" / "checkpoints" / "ar.ckpt")
-        plan = uniform_plan(ckpt, 8)
+        plan = uniform_plan(ckpt, 8, group_size=64)
         path = tmp_path / "plan.json"
         plan.save(path)
         doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "provenance": "hawq_split", "ratios": ["a", None]}))
+        path.write_text(json.dumps({**doc, "version": 1, "config_hash": "0123456789abcdef",
+                                    "provenance": "hawq_split", "ratios": ["a", None]}))
         assert QuantPlan.load(path) == plan
         capsys.readouterr()
         assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "rtn",
                      "--plan", str(path)]) == 0
-        sidecar = json.loads(Path(json.loads(capsys.readouterr().out)["plan"]).read_text())
-        assert sidecar == doc
+        quantized = ModelCheckpoint.load(json.loads(capsys.readouterr().out)["checkpoint"])
+        assert quantized.meta["quantization"] == {"method": "rtn", "plan": plan.bits,
+                                                  "group_size": 64}
 
     def test_gptq_takes_a_plan(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -483,7 +553,8 @@ class TestPipelineStages:
                      "--plan", str(plan_path)]) == 0
         out = json.loads(capsys.readouterr().out)
         quantized = ModelCheckpoint.load(out["checkpoint"])
-        assert quantized.meta["quantization"] == {"method": "gptq", "plan": plan.bits}
+        assert quantized.meta["quantization"] == {"method": "gptq", "plan": plan.bits,
+                                                  "group_size": plan.group_size}
         assert quantized.params[kept].tobytes() == ckpt.params[kept].tobytes()
         layers = Path(out["layer_report"]).read_text().splitlines()[1:]
         assert [row.split(",")[:2] for row in layers] == \

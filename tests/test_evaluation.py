@@ -34,9 +34,10 @@ def pair():
 
 
 class TestSuiteAndConfigs:
-    def test_empty_suite_rejected(self):
-        with pytest.raises(ContractError):
-            TaskSuite(tasks=())
+    @pytest.mark.parametrize("tasks", [(), None])
+    def test_empty_suite_rejected(self, tasks):
+        with pytest.raises(ParameterError, match="task suite is empty"):
+            TaskSuite(tasks=tasks)
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ParameterError):
@@ -148,12 +149,13 @@ def by_key(results) -> dict:
 
 
 def hawq_plan_path(ws, mode, levels):
-    """The plan file of ``mode``'s hawq cell of ``levels``, named by :meth:`plan_hash`."""
+    """The plan file of ``mode``'s hawq cell of ``levels``, named by its widths and group size."""
     records, _ = load_report(ws.root / "sensitivity" / f"{mode}.json")
     split = SplitRatios(ws.cfg.grid.hawq_ratio, 1.0 - ws.cfg.grid.hawq_ratio, 0.0)
     plan = assign_precision(rank_sensitivities(records, ws.cfg.grid.rank_mode), split,
                             ws.cfg.gptq.group_size, levels)
-    return ws.root / "plans" / f"{mode}_{ws.cfg.plan_hash(ws.fingerprint(mode), plan)}.json"
+    name = _hash({"bits": plan.bits, "group_size": plan.group_size})
+    return ws.root / "plans" / f"{mode}_{name}.json"
 
 
 # One changed value for each field of each section a cell's hash covers,
@@ -230,15 +232,18 @@ class TestGrid:
             assert 4.0 <= r.raw_bits <= 16.0
 
         # the grid leaves the sensitivity reports and the plans its hawq cells used
+        plans = set()
         for mode in ("ar", "diffusion"):
             assert (ws.root / "sensitivity" / f"{mode}.json").exists()
             assert not (ws.root / "sensitivity" / f"{mode}.csv").exists()
             ckpt = ws.require_checkpoint(mode)
             for label, levels in (("hawq-16/8", (16, 8, 8)), ("hawq-8/4", (8, 4, 4))):
-                plan = QuantPlan.load(hawq_plan_path(ws, mode, levels))
-                raw, eff = memory_footprint(plan, ckpt)
+                path = hawq_plan_path(ws, mode, levels)
+                plans.add(path)
+                raw, eff = memory_footprint(QuantPlan.load(path), ckpt)
                 row = rows[(f"toy-{mode}", "hawq", label)]
                 assert (row.raw_bits, row.eff_bits) == (raw, eff)
+        assert set((ws.root / "plans").iterdir()) == plans
 
         # a completed grid re-runs from cache with zero model forwards and
         # rewrites none of its files

@@ -325,7 +325,8 @@ class TestModelQuantization:
         assert [(r["path"], r["recon_error"]) for r in report] == ref_errors
         assert [(r["path"], r["bits"]) for r in report] == \
             [(p, plan.bits[p]) for p in paths if plan.bits[p] != 16]
-        assert out.meta["quantization"] == {"method": "gptq", "plan": plan.bits}
+        assert out.meta["quantization"] == {"method": "gptq", "plan": plan.bits,
+                                            "group_size": plan.group_size}
         for p in ckpt.params:
             assert out.params[p].tobytes() == ref.params[p].tobytes(), p
             if plan.bits.get(p, 16) == 16:

@@ -207,7 +207,7 @@ class TestPlanIO:
         path = tmp_path / "plan.json"
         plan.save(path)
         assert QuantPlan.load(path) == plan
-        assert set(json.loads(path.read_text())) == {"version", "group_size", "modules"}
+        assert set(json.loads(path.read_text())) == {"group_size", "modules"}
 
     @pytest.mark.parametrize("text", [
         '{"version": 1, "group_size": 128, "modules": [{"pa',  # cut short

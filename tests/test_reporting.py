@@ -24,6 +24,13 @@ def fixture_result(model, mode, method, plan, scores, raw, lat=10.0, lat_std=0.3
                       raw + (0.125 if raw < 16 else 0.0), 0, f"h{model}{method}{plan}")
 
 
+def failed(r):
+    """``r`` as the grid records a cell that raised: no scores, NaN figures."""
+    nan = float("nan")
+    return EvalResult(r.model, r.mode, r.method, r.bits_or_plan, {}, nan, nan, nan, nan, r.seed,
+                      r.config_hash, status="failed", error="RuntimeError: injected")
+
+
 def table1_fixture():
     rows = []
     for mode, model in (("diffusion", "toy-diffusion"), ("ar", "toy-ar")):
@@ -177,6 +184,26 @@ class TestDegradationTable:
         (baseline_row,) = [line for line in degradation_table(table1_fixture()).splitlines()
                            if line.startswith("| 16bit |")]
         assert baseline_row.endswith("| 0.000 | 0.000 |")
+
+    def test_a_failed_cell_keeps_its_level(self):
+        # the other model's scores of that level stay in the table; charts
+        # and frontier leave the failed cell out
+        ok = table1_fixture()
+        results = [failed(r) if (r.model, r.bits_or_plan) == ("toy-ar", "4bit") else r
+                   for r in ok]
+        rows = degradation_table(results).splitlines()
+        assert rows[-3] == "| 4bit (gptq) | 0.457 (failed) | 0.421 (failed) | -0.021 | failed |"
+        assert rows[:-3] + rows[-2:] == [row for row in GOLDEN.read_text().splitlines()
+                                         if not row.startswith("| 4bit")]
+        kept = [r for r in results if r.status == "ok"]
+        assert points_from_results(results) == points_from_results(kept)
+        assert len(points_from_results(kept)) == len(ok) - 1
+        assert latency_chart(results) == latency_chart(kept)
+        frontier, _ = pareto_frontier(points_from_results(kept))
+        assert pareto_chart(results, frontier) == pareto_chart(kept, frontier)
+        both = [failed(r) if r.bits_or_plan == "4bit" else r for r in ok]
+        assert "| 4bit (gptq) | failed (failed) | failed (failed) | failed | failed |" in \
+            degradation_table(both).splitlines()
 
     def test_missing_baseline_rejected(self):
         rows = [r for r in table1_fixture() if r.method != "baseline"]
