@@ -79,15 +79,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = PipelineConfig.load(args.config)
         ws = Workspace(cfg)
+        if "model" in args:  # the stage works on the checkpoint verified here
+            ckpt = ws.require_checkpoint(args.model)
         if args.command == "train":
             out = stage_train(ws)
         elif args.command == "quantize":
-            out = stage_quantize(ws, args.model, args.method, bits=args.bits,
-                                 plan_path=args.plan)
+            out = stage_quantize(ws, ckpt, args.method, bits=args.bits, plan_path=args.plan)
         elif args.command == "sensitivity":
-            out = stage_sensitivity(ws, args.model)
+            out = stage_sensitivity(ws, ckpt)
         elif args.command == "assign":
-            out = stage_assign(ws, args.model,
+            out = stage_assign(ws, ckpt,
                                ratios=_parse_list(args.ratios, float, "--ratios"),
                                levels=_parse_list(args.levels, int, "--levels"),
                                budget=args.budget)
@@ -96,14 +97,9 @@ def main(argv=None) -> int:
             out = {"n_cells": evaled["n_cells"], "n_failed": evaled["n_failed"],
                    "report": stage_report(ws, evaled["results"])}
         elif args.command == "bench":
-            out = stage_bench(ws, args.model)
-        elif args.command == "reproduce":
-            if args.dry_run:
-                out = _dry_run(ws)
-            else:
-                out = reproduce(ws)
-        else:  # pragma: no cover - argparse enforces choices
-            raise AssertionError(args.command)
+            out = stage_bench(ws, ckpt)
+        else:  # reproduce; argparse admits no other subcommand
+            out = _dry_run(ws) if args.dry_run else reproduce(ws)
     except (PtqLabError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc),
                    "stage": getattr(args, "command", None)}, sys.stderr)

@@ -62,14 +62,12 @@ def _damped_inverse_factor(h: np.ndarray, damping: float):
     delta = damping * float(np.mean(np.diag(h)))
     if delta <= 0:
         delta = damping
-    for attempt in range(MAX_RETRIES + 1):
+    for _ in range(MAX_RETRIES):
         try:
             return cholesky_upper_of_inverse(h + delta * np.eye(h.shape[0]))
         except NotPositiveDefiniteError:
-            if attempt == MAX_RETRIES:
-                raise
             delta *= 10.0
-    raise AssertionError("unreachable")
+    return cholesky_upper_of_inverse(h + delta * np.eye(h.shape[0]))  # its failure propagates
 
 
 def gptq_quantize_layer(weight: np.ndarray, hessian: np.ndarray, spec: GroupQuantSpec,

@@ -171,12 +171,6 @@ class Workspace:
     def checkpoint_path(self, mode: str) -> Path:
         return self.path("checkpoints", f"{mode}.ckpt")
 
-    def _existing_checkpoint(self, mode: str) -> Path:
-        path = self.checkpoint_path(mode)
-        if not path.exists():
-            raise ContractError(f"missing checkpoint {path}; run `ptqlab train` first")
-        return path
-
     @functools.cached_property
     def corpus_digest(self) -> str:
         """sha256 of the configured corpus, read once per workspace object."""
@@ -184,7 +178,9 @@ class Workspace:
 
     def require_checkpoint(self, mode: str) -> ModelCheckpoint:
         """``mode``'s checkpoint, if the current config and corpus bytes trained it."""
-        path = self._existing_checkpoint(mode)
+        path = self.checkpoint_path(mode)
+        if not path.exists():
+            raise ContractError(f"missing checkpoint {path}; run `ptqlab train` first")
         ckpt = ModelCheckpoint.load(path)
         want = self.cfg.train_hash(mode)
         got = ckpt.meta.get("pipeline_train_hash")
@@ -198,8 +194,9 @@ class Workspace:
         return ckpt
 
     def fingerprint(self, mode: str) -> str:
-        """sha256[:16] of ``mode``'s checkpoint file, the parent of its reports, plans and cells."""
-        return hashlib.sha256(self._existing_checkpoint(mode).read_bytes()).hexdigest()[:16]
+        """sha256[:16] of ``mode``'s checkpoint file, the parent of its reports and cells;
+        the caller has verified it with :meth:`require_checkpoint`."""
+        return hashlib.sha256(self.checkpoint_path(mode).read_bytes()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +226,13 @@ def _calibration(ckpt: ModelCheckpoint, n_batches: int) -> list:
     return calibration_batches(TrainConfig(**ckpt.meta["train_config"]), n_batches)
 
 
-def stage_sensitivity(ws: Workspace, mode: str, ckpt: ModelCheckpoint | None = None) -> dict:
-    """Score every module of ``mode``'s checkpoint (``ckpt`` when already loaded)."""
-    if ckpt is None:
-        ckpt = ws.require_checkpoint(mode)
-    cfg = ws.cfg
+# The stages below take a checkpoint that their caller verified with
+# Workspace.require_checkpoint, and read its mode from its config.
+
+
+def stage_sensitivity(ws: Workspace, ckpt: ModelCheckpoint) -> dict:
+    """Score every module of ``ckpt``."""
+    cfg, mode = ws.cfg, ckpt.config.mode
     records = compute_sensitivities(ckpt, _calibration(ckpt, cfg.sensitivity.n_batches),
                                     cfg.sensitivity)
     json_path = ws.path("sensitivity", f"{mode}.json")
@@ -242,18 +241,17 @@ def stage_sensitivity(ws: Workspace, mode: str, ckpt: ModelCheckpoint | None = N
     return {"report": str(json_path), "n_records": len(records), "config_hash": config_hash}
 
 
-def stage_assign(ws: Workspace, mode: str, ratios=None, levels=None,
+def stage_assign(ws: Workspace, ckpt: ModelCheckpoint, ratios=None, levels=None,
                  budget: float | None = None) -> dict:
-    """Write ``mode``'s plan as ``plans/<mode>_<hash of its widths and group size>.json``;
+    """Write ``ckpt``'s plan as ``plans/<mode>_<hash of its widths and group size>.json``;
     without ``ratios`` it splits at ``grid.hawq_ratio``, as the grid's HAWQ cells do."""
     if budget is not None and ratios is not None:
         raise ParameterError("--budget chooses the ratios; pass --budget or --ratios, not both")
-    cfg = ws.cfg
+    cfg, mode = ws.cfg, ckpt.config.mode
     levels = bit_levels(levels or BIT_LEVELS)
     if budget is not None and levels != BIT_LEVELS:  # the waterfill raises 4 -> 8 -> 16 bits
         raise ParameterError(f"--budget assigns the levels {BIT_LEVELS}, not {levels}")
     split = split_ratios(ratios or (cfg.grid.hawq_ratio, 1.0 - cfg.grid.hawq_ratio, 0.0))
-    ckpt = ws.require_checkpoint(mode)
     json_path = ws.path("sensitivity", f"{mode}.json")
     if not json_path.exists():
         raise ContractError(f"missing sensitivity report {json_path}; "
@@ -290,11 +288,11 @@ def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, plan: Quan
     return gptq_quantize_model(ckpt, plan, batches, cfg.gptq)
 
 
-def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = None,
+def stage_quantize(ws: Workspace, ckpt: ModelCheckpoint, method: str, bits: int | None = None,
                    plan_path=None) -> dict:
     if (bits is None) == (plan_path is None):
         raise ParameterError("quantize takes exactly one of --bits and --plan")
-    ckpt = ws.require_checkpoint(mode)
+    mode = ckpt.config.mode
     if plan_path is None:
         plan, label = uniform_plan(ckpt, bits, ws.cfg.gptq.group_size), f"{bits}bit"
     else:
@@ -314,8 +312,8 @@ def stage_quantize(ws: Workspace, mode: str, method: str, bits: int | None = Non
     return result
 
 
-def stage_bench(ws: Workspace, mode: str) -> dict:
-    ckpt = ws.require_checkpoint(mode)
+def stage_bench(ws: Workspace, ckpt: ModelCheckpoint) -> dict:
+    mode = ckpt.config.mode
     cfg = _latency(ws.cfg, mode)
     with _bench_lock(ws):
         res = measure_latency(ckpt, cfg)
@@ -373,10 +371,10 @@ def stage_eval(ws: Workspace) -> dict:
         ckpt = ckpts[mode]
         if method == "hawq":
             if mode not in scored:
-                stage_sensitivity(ws, mode, ckpt)
+                stage_sensitivity(ws, ckpt)
                 scored.add(mode)
             hi, lo = (int(b) for b in label.removeprefix("hawq-").split("/"))
-            plan = QuantPlan.load(stage_assign(ws, mode, levels=(hi, lo, lo))["plan"])
+            plan = QuantPlan.load(stage_assign(ws, ckpt, levels=(hi, lo, lo))["plan"])
         else:  # the baseline is the 16-bit plan
             plan = uniform_plan(ckpt, int(label.removesuffix("bit")), cfg.gptq.group_size)
         if method == "gptq" and mode not in batches:

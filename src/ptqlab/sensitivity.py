@@ -181,8 +181,7 @@ def power_iteration_sensitivity(oracle: ModuleGradientOracle,
 
 
 def compute_sensitivities(ckpt: ModelCheckpoint, batches, cfg: SensitivityConfig) -> list:
-    """One record per quantizable module, in forward order, on the first ``n_batches``."""
-    batches = batches[:cfg.n_batches]
+    """One record per quantizable module, in forward order, scored on ``batches``."""
     params, inputs = float64_pass(ckpt, batches)
     return [power_iteration_sensitivity(
                 ModuleGradientOracle(ckpt.config, params, batches, inputs, path), cfg)

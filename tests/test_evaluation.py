@@ -12,7 +12,7 @@ from ptqlab.allocator import SplitRatios, assign_precision
 from ptqlab.errors import ContractError, ParameterError
 from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure_latency,
                                plan_grid)
-from ptqlab.model import ModelConfig, new_checkpoint
+from ptqlab.model import ModelCheckpoint, ModelConfig, new_checkpoint
 import ptqlab.reporting as reporting
 from ptqlab.pipeline import (LATENCY_UNIT, SECTIONS, PipelineConfig, Workspace,
                              _hash, cell_hasher, reproduce, stage_eval, stage_train)
@@ -290,6 +290,21 @@ class TestGrid:
         assert sorted(p for p in ws.root.rglob("*") if p.is_file()) == files
         for p in files:
             assert (p.read_bytes(), p.stat().st_mtime_ns) == (before[p], 10**18), p
+
+    def test_a_command_loads_each_checkpoint_once_per_verification(self, cold, tmp_path,
+                                                                    monkeypatch):
+        # a cold grid verifies each checkpoint once and hands it to its stages;
+        # a cached reproduce verifies it in stage_train and again in stage_eval
+        ws = copy_of(cold[0], tmp_path)
+        shutil.rmtree(ws.root / "cache")
+        loads, real = [], ModelCheckpoint.load
+        monkeypatch.setattr(ModelCheckpoint, "load",
+                            staticmethod(lambda path: loads.append(path) or real(path)))
+        stage_eval(ws)
+        assert sorted(loads) == [ws.checkpoint_path(mode) for mode in ("ar", "diffusion")]
+        loads.clear()
+        reproduce(ws)
+        assert len(loads) == 4
 
     def test_failed_cell_recorded_grid_continues(self, cold, tmp_path, failing_3bit_gptq):
         ws = copy_of(cold[0], tmp_path)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import ptqlab.reporting as reporting
-from ptqlab.errors import ContractError
 from ptqlab.evaluation import EvalResult
 from ptqlab.numerics import make_rng
 from ptqlab.reporting import (MANIFEST, ParetoPoint, degradation_table, emit, latency_chart,
@@ -164,11 +163,8 @@ class TestPareto:
         bits = [p.effective_avg_bits for p in frontier]
         assert bits == sorted(bits)
 
-    def test_empty_rejected(self):
-        from ptqlab.errors import ParameterError
-
-        with pytest.raises(ParameterError):
-            pareto_frontier([])
+    def test_empty_has_an_empty_frontier(self):
+        assert pareto_frontier([]) == ([], [])
 
 
 class TestDegradationTable:
@@ -205,10 +201,11 @@ class TestDegradationTable:
         assert "| 4bit (gptq) | failed (failed) | failed (failed) | failed | failed |" in \
             degradation_table(both).splitlines()
 
-    def test_missing_baseline_rejected(self):
+    def test_missing_baseline_leaves_its_deltas_blank(self):
         rows = [r for r in table1_fixture() if r.method != "baseline"]
-        with pytest.raises(ContractError):
-            degradation_table(rows)
+        want = [re.sub(r"\| -?\d\.\d{3} \| -?\d\.\d{3} \|$", "|  |  |", row)
+                for row in GOLDEN.read_text().splitlines() if not row.startswith("| 16bit")]
+        assert degradation_table(rows).splitlines() == want
 
 
 class TestCsvRoundTrip:
@@ -305,6 +302,33 @@ class TestEmission:
         assert rendered == [1]
         emit(results, tmp_path / "fresh")
         assert report_files(tmp_path / "report") == report_files(tmp_path / "fresh")
+
+    def test_a_failed_baseline_is_rendered(self, tmp_path):
+        # the report of the last run is replaced whole, not left beside the new CSV
+        ok, out = table1_fixture(), tmp_path / "report"
+        emit(ok, out)
+        results = [failed(r) if (r.model, r.method) == ("toy-ar", "baseline") else r for r in ok]
+        written = emit(results, out)
+        assert set(report_files(out)) == set(written) | {MANIFEST}
+        emit(results, tmp_path / "fresh")
+        assert report_files(out) == report_files(tmp_path / "fresh")
+        rows = (out / "table.md").read_text().splitlines()
+        assert rows[-1] == "| 16bit | 0.481 (failed) | 0.439 (failed) | 0.000 | failed |"
+        assert rows[4].endswith("| -0.460 |  |")  # 2bit: no ar baseline to compare with
+        assert "toy-ar baseline" not in (out / "latency.svg").read_text()
+
+    def test_an_all_failed_grid_is_rendered(self, tmp_path):
+        results = [failed(r) for r in table1_fixture()]
+        written = emit(results, tmp_path)
+        assert set(report_files(tmp_path)) == set(written) | {MANIFEST}
+        assert (tmp_path / "results.csv").read_text().count("\n") == 1  # the header
+        rows = (tmp_path / "table.md").read_text().splitlines()
+        assert rows[2] == "| quantization | delta diffusion | delta ar |"
+        assert rows[4:] == [f"| {label} | failed | failed |"
+                            for label in ("2bit (gptq)", "3bit (gptq)", "4bit (gptq)",
+                                          "8bit (gptq)", "16bit")]
+        for chart in ("latency.svg", "pareto.svg"):
+            assert "<circle" not in (tmp_path / chart).read_text()
 
     def test_svg_series_per_model_method(self):
         svg = latency_chart(table1_fixture())
