@@ -15,6 +15,8 @@ round trip is bit-identical.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import math
 import struct
@@ -56,6 +58,17 @@ class ModelCheckpoint:
     def n_params(self, path: str) -> int:
         return int(self.params[path].size)
 
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """sha256[:16] of :meth:`to_bytes`: the identity of the content the stages
+        compute on, taken once per checkpoint object.
+
+        Serialization is canonical and the round trip bit-identical, so for a
+        file that :meth:`save` wrote this is the file's own sha256[:16]. A
+        checkpoint is not edited after its fingerprint is read.
+        """
+        return hashlib.sha256(self.to_bytes()).hexdigest()[:16]
+
     def save(self, path) -> None:
         write_atomic(path, self.to_bytes())
 
@@ -71,7 +84,7 @@ class ModelCheckpoint:
             out.append(raw)
             out.append(struct.pack("<B", arr.ndim))
             out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            out.append(arr.tobytes(order="C"))
+            out.append(arr)  # join copies the contiguous buffer once; tobytes would copy twice
         return b"".join(out)
 
     @classmethod

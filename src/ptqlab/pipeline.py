@@ -2,10 +2,11 @@
 
 The pipeline config is one JSON file validated as a whole before any stage
 runs. A checkpoint embeds the hash of its training config; a sensitivity
-report or grid cell embeds the fingerprint of the checkpoint bytes it came
-from plus its own config scope, and a plan is named by its widths and group
-size. Stages refuse artifacts whose recorded hash no longer matches and name
-the stage to re-run. The eval grid is content-addressed per cell, which is
+report or grid cell embeds the fingerprint of the verified checkpoint it was
+computed from (the sha256 of its bytes, taken once per command) plus its own
+config scope, and a plan is named by its widths and group size. Stages
+refuse artifacts whose recorded hash no longer matches and name the stage
+to re-run. The eval grid is content-addressed per cell, which is
 what makes ``reproduce`` idempotent.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .allocator import BIT_LEVELS, assign_precision, bit_levels, budget_plan, split_ratios
-from .errors import ContractError, ParameterError, require_count
+from .errors import ContractError, ParameterError, is_number, require_count
 from .evaluation import (LATENCY_UNIT, EvalResult, GridConfig, LatencyConfig, TaskSuite,
                          evaluate_tasks, measure_latency, plan_grid)
 from .files import write_atomic
@@ -126,14 +127,16 @@ def cell_hasher(cfg: PipelineConfig, mode: str, fingerprint: str):
     """Cache key of each :func:`plan_grid` cell (model, method, bits_or_plan) of ``mode``.
 
     It hashes the cell and the run seed, the fingerprint of the cell's
-    checkpoint, and every config section but ``train``, which the
-    fingerprint already covers; the latency section carries the cell's unit.
+    checkpoint (:attr:`ModelCheckpoint.fingerprint`), and every config
+    section but ``train``, which the fingerprint already covers; the latency
+    section carries the cell's unit.
     Each key is :func:`_hash` of that payload. The payload's sorted JSON
     starts with "cell", which sorts before every other key, so the rest is
     serialized once per model and each cell only prepends its own entry.
     """
     latency = _latency(cfg, mode)
-    sections = {name: dataclasses.asdict(latency if name == "latency" else getattr(cfg, name))
+    # the sections are flat: vars() is their asdict()
+    sections = {name: vars(latency if name == "latency" else getattr(cfg, name))
                 for name in SECTIONS if name != "train"}
     rest = json.dumps({"ckpt": fingerprint, **sections}, sort_keys=True)[1:]
 
@@ -193,11 +196,6 @@ class Workspace:
                                 f"configured one; re-run `ptqlab train`")
         return ckpt
 
-    def fingerprint(self, mode: str) -> str:
-        """sha256[:16] of ``mode``'s checkpoint file, the parent of its reports and cells;
-        the caller has verified it with :meth:`require_checkpoint`."""
-        return hashlib.sha256(self.checkpoint_path(mode).read_bytes()).hexdigest()[:16]
-
 
 # ---------------------------------------------------------------------------
 # Stages
@@ -227,7 +225,8 @@ def _calibration(ckpt: ModelCheckpoint, n_batches: int) -> list:
 
 
 # The stages below take a checkpoint that their caller verified with
-# Workspace.require_checkpoint, and read its mode from its config.
+# Workspace.require_checkpoint, and read its mode from its config and the
+# parent of their artifacts from its fingerprint.
 
 
 def stage_sensitivity(ws: Workspace, ckpt: ModelCheckpoint) -> dict:
@@ -236,7 +235,7 @@ def stage_sensitivity(ws: Workspace, ckpt: ModelCheckpoint) -> dict:
     records = compute_sensitivities(ckpt, _calibration(ckpt, cfg.sensitivity.n_batches),
                                     cfg.sensitivity)
     json_path = ws.path("sensitivity", f"{mode}.json")
-    config_hash = cfg.sensitivity_hash(ws.fingerprint(mode))
+    config_hash = cfg.sensitivity_hash(ckpt.fingerprint)
     save_report(records, cfg.sensitivity, json_path, config_hash)
     return {"report": str(json_path), "n_records": len(records), "config_hash": config_hash}
 
@@ -257,7 +256,7 @@ def stage_assign(ws: Workspace, ckpt: ModelCheckpoint, ratios=None, levels=None,
         raise ContractError(f"missing sensitivity report {json_path}; "
                             f"run `ptqlab sensitivity --model {mode}` first")
     records, got = load_report(json_path)
-    want = cfg.sensitivity_hash(ws.fingerprint(mode))
+    want = cfg.sensitivity_hash(ckpt.fingerprint)
     if got != want:
         raise ContractError(f"sensitivity report hash {got} does not match the checkpoint "
                             f"and config ({want}); re-run `ptqlab sensitivity --model {mode}`")
@@ -364,7 +363,7 @@ def stage_eval(ws: Workspace) -> dict:
     """
     cfg = ws.cfg
     ckpts = {mode: ws.require_checkpoint(mode) for mode in MODELS}
-    keys = {mode: cell_hasher(cfg, mode, ws.fingerprint(mode)) for mode in MODELS}
+    keys = {mode: cell_hasher(cfg, mode, ckpts[mode].fingerprint) for mode in MODELS}
     batches, scored = {}, set()  # per mode: GPTQ calibration, sensitivity report written
 
     def build(mode, method, label):
@@ -388,7 +387,7 @@ def stage_eval(ws: Workspace) -> dict:
         for name, method, label in plan_grid(cfg.grid):
             mode = name.removeprefix("toy-")
             config_hash = keys[mode]((name, method, label))
-            result = _cache_load(ws, config_hash)
+            result = _cache_load(ws, (name, mode, method, label, cfg.seed), config_hash)
             if result is None:
                 try:
                     quantized, raw_bits, eff_bits = build(mode, method, label)
@@ -409,12 +408,20 @@ def stage_eval(ws: Workspace) -> dict:
     return {"results": results, "n_cells": len(results), "n_failed": len(failed)}
 
 
-def _cache_load(ws: Workspace, config_hash: str) -> EvalResult | None:
-    """The cached cell, or None on a miss; an unreadable entry is a miss."""
+def _cache_load(ws: Workspace, cell: tuple, config_hash: str) -> EvalResult | None:
+    """The cached result of ``cell`` (model, mode, method, bits_or_plan, seed), or
+    None on a miss. An entry that is unreadable, holds a value of the wrong type or
+    describes another cell (copied under another key, say) is a miss."""
     try:
-        return EvalResult(**json.loads(ws.path("cache", f"{config_hash}.json").read_text()))
+        r = EvalResult(**json.loads(ws.path("cache", f"{config_hash}.json").read_text()))
     except (FileNotFoundError, ValueError, TypeError):
         return None
+    ok = ((r.model, r.mode, r.method, r.bits_or_plan, r.seed, r.config_hash, r.status)
+          == (*cell, config_hash, "ok") and type(r.seed) is int
+          and isinstance(r.scores, dict) and set(r.scores) == set(ws.cfg.suite.tasks)
+          and all(map(is_number, (*r.scores.values(), r.lat_mean_ms, r.lat_std_ms,
+                                  r.raw_bits, r.eff_bits))))
+    return r if ok else None
 
 
 def _cache_store(ws: Workspace, config_hash: str, result: EvalResult) -> None:

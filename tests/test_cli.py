@@ -452,7 +452,7 @@ class TestPipelineStages:
         records = [SensitivityRecord(p, float(100 - i), ckpt.n_params(p), 1, True)
                    for i, p in enumerate(ranked)]
         save_report(records, ws.cfg.sensitivity, ws.path("sensitivity", "ar.json"),
-                    ws.cfg.sensitivity_hash(ws.fingerprint("ar")))
+                    ws.cfg.sensitivity_hash(ckpt.fingerprint))
         capsys.readouterr()
         assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "5.1"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -3,19 +3,22 @@ import hashlib
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
 import ptqlab.evaluation as ev
 import ptqlab.gptq as gptq_mod
+import ptqlab.pipeline as pipeline
 from ptqlab.allocator import SplitRatios, assign_precision
-from ptqlab.errors import ContractError, ParameterError
+from ptqlab.errors import ContractError, ParameterError, is_number
 from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure_latency,
                                plan_grid)
-from ptqlab.model import ModelCheckpoint, ModelConfig, new_checkpoint
+from ptqlab.model import ModelConfig, new_checkpoint
 import ptqlab.reporting as reporting
-from ptqlab.pipeline import (LATENCY_UNIT, SECTIONS, PipelineConfig, Workspace,
-                             _hash, cell_hasher, reproduce, stage_eval, stage_train)
+from ptqlab.pipeline import (LATENCY_UNIT, SECTIONS, PipelineConfig, Workspace, _hash,
+                             cell_hasher, reproduce, stage_assign, stage_eval, stage_report,
+                             stage_sensitivity, stage_train)
 from ptqlab.quant import QuantPlan, memory_footprint
 from ptqlab.sensitivity import load_report, rank_sensitivities
 from ptqlab.trainer import TrainConfig, train
@@ -291,20 +294,49 @@ class TestGrid:
         for p in files:
             assert (p.read_bytes(), p.stat().st_mtime_ns) == (before[p], 10**18), p
 
-    def test_a_command_loads_each_checkpoint_once_per_verification(self, cold, tmp_path,
+    def test_a_command_reads_each_checkpoint_once_per_verification(self, cold, tmp_path,
                                                                     monkeypatch):
-        # a cold grid verifies each checkpoint once and hands it to its stages;
-        # a cached reproduce verifies it in stage_train and again in stage_eval
+        # a cold grid verifies each checkpoint once, and its stages name their
+        # reports and cells by that checkpoint's fingerprint; a cached
+        # reproduce verifies it in stage_train and again in stage_eval
         ws = copy_of(cold[0], tmp_path)
         shutil.rmtree(ws.root / "cache")
-        loads, real = [], ModelCheckpoint.load
-        monkeypatch.setattr(ModelCheckpoint, "load",
-                            staticmethod(lambda path: loads.append(path) or real(path)))
+        reads, real = [], Path.read_bytes
+
+        def counting(path):
+            if path.suffix == ".ckpt":
+                reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
         stage_eval(ws)
-        assert sorted(loads) == [ws.checkpoint_path(mode) for mode in ("ar", "diffusion")]
-        loads.clear()
+        pair = [ws.checkpoint_path(mode) for mode in ("ar", "diffusion")]
+        assert sorted(reads) == pair
+        reads.clear()
         reproduce(ws)
-        assert len(loads) == 4
+        assert sorted(reads) == sorted(pair * 2)
+
+    def test_a_report_names_the_checkpoint_it_scored(self, cold, tmp_path, monkeypatch):
+        # another config retrains the pair while the scores are computed: the
+        # report is stamped with the checkpoint it scored, so it is stale for
+        # the new checkpoint
+        ws = copy_of(cold[0], tmp_path)
+        other = workspace(ws.root, train={**GRID_DOC["train"], "steps": 3})
+        real = pipeline.compute_sensitivities
+
+        def racing(*args):
+            records = real(*args)
+            stage_train(other)
+            return records
+
+        monkeypatch.setattr(pipeline, "compute_sensitivities", racing)
+        ckpt = ws.require_checkpoint("ar")
+        scored = hashlib.sha256(ckpt.to_bytes()).hexdigest()[:16]
+        out = stage_sensitivity(ws, ckpt)
+        assert out["config_hash"] == ws.cfg.sensitivity_hash(scored)
+        assert load_report(ws.root / "sensitivity" / "ar.json")[1] == out["config_hash"]
+        with pytest.raises(ContractError, match="ptqlab sensitivity --model ar"):
+            stage_assign(other, other.require_checkpoint("ar"))
 
     def test_failed_cell_recorded_grid_continues(self, cold, tmp_path, failing_3bit_gptq):
         ws = copy_of(cold[0], tmp_path)
@@ -329,14 +361,26 @@ class TestGrid:
         rebuilt = by_key(evaled["results"])[("toy-ar", "gptq", "3bit")]
         assert rebuilt.scores == by_key(cold[1])[("toy-ar", "gptq", "3bit")].scores
 
-    def test_unreadable_cache_entry_is_a_miss(self, cold, tmp_path):
+    @pytest.mark.parametrize("spoil", [
+        lambda text, other: text[:20],  # a write cut short
+        lambda text, other: json.dumps({**json.loads(text), "lat_mean_ms": "1.0"}),
+        lambda text, other: json.dumps({**json.loads(text), "scores": {"copy": "1"}}),
+        lambda text, other: other,  # another cell's entry
+    ], ids=["cut-short", "string-latency", "string-score", "other-cell"])
+    def test_unreadable_cache_entry_is_a_miss(self, cold, tmp_path, spoil):
         ws = copy_of(cold[0], tmp_path)
-        cell = by_key(cold[1])[("toy-ar", "rtn", "4bit")]
+        rows = by_key(cold[1])
+        cell = rows[("toy-ar", "rtn", "4bit")]
         entry = ws.root / "cache" / f"{cell.config_hash}.json"
-        entry.write_text(entry.read_text()[:20])  # a write cut short
+        other = ws.root / "cache" / f"{rows[('toy-ar', 'rtn', '3bit')].config_hash}.json"
+        entry.write_text(spoil(entry.read_text(), other.read_text()))
         again = stage_eval(ws)["results"]
-        assert by_key(again)[("toy-ar", "rtn", "4bit")].scores == cell.scores
-        assert json.loads(entry.read_text())["config_hash"] == cell.config_hash
+        rebuilt = by_key(again)[("toy-ar", "rtn", "4bit")]
+        assert rebuilt.scores == cell.scores
+        stored = json.loads(entry.read_text())
+        assert stored == rebuilt.to_dict() and stored["config_hash"] == cell.config_hash
+        assert is_number(stored["lat_mean_ms"])
+        stage_report(ws, again)
 
     def test_gptq_group_size_rebuilds_cells(self, cold, tmp_path):
         ws = copy_of(cold[0], tmp_path, gptq={"group_size": 32})
