@@ -41,13 +41,17 @@ class TaskSuite:
 
     def __post_init__(self):
         if not self.tasks:
-            raise ParameterError("task suite is empty")
+            raise ParameterError("task suite is empty: suite.tasks names no task")
+        if not isinstance(self.tasks, tuple):  # a string or an object is no list of names
+            raise TypeError(f"suite.tasks must be an array of task names, got {self.tasks!r}")
         require_count("n_eval_prompts", self.n_eval_prompts)
         require_count("diffusion_steps", self.diffusion_steps)
         require_count("seed", self.seed, 0)
-        unknown = [t for t in self.tasks if t not in tasks.ALL_TASKS]
-        if unknown:
-            raise ParameterError(f"unknown tasks: {unknown}")
+        # a repeated task would key the same cells under another hash
+        if (any(t not in tasks.ALL_TASKS for t in self.tasks)
+                or len(set(self.tasks)) < len(self.tasks)):
+            raise ParameterError(f"suite.tasks must name tasks of {list(tasks.ALL_TASKS)}, "
+                                 f"each once, got {list(self.tasks)}")
 
 
 @dataclass(frozen=True)

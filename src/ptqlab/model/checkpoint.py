@@ -118,9 +118,11 @@ class ModelCheckpoint:
         (hlen,) = unpack("<I")
         try:
             header = json.loads(text(hlen))
+            meta = header.get("meta", {}) if isinstance(header, dict) else None
+            if not isinstance(meta, dict):
+                raise TypeError("the header and its meta must be JSON objects")
             config = ModelConfig(**header["config"])
-            meta = header.get("meta", {})
-        except (ValueError, KeyError, TypeError, AttributeError, ParameterError) as exc:
+        except (ValueError, KeyError, TypeError, ParameterError) as exc:
             raise ContractError(f"malformed checkpoint header: {exc}") from exc
         (count,) = unpack("<I")
         params = {}

@@ -20,6 +20,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import time
 import traceback
@@ -248,8 +249,6 @@ def stage_assign(ws: Workspace, ckpt: ModelCheckpoint, ratios=None, levels=None,
         raise ParameterError("--budget chooses the ratios; pass --budget or --ratios, not both")
     cfg, mode = ws.cfg, ckpt.config.mode
     levels = bit_levels(levels or BIT_LEVELS)
-    if budget is not None and levels != BIT_LEVELS:  # the waterfill raises 4 -> 8 -> 16 bits
-        raise ParameterError(f"--budget assigns the levels {BIT_LEVELS}, not {levels}")
     split = split_ratios(ratios or (cfg.grid.hawq_ratio, 1.0 - cfg.grid.hawq_ratio, 0.0))
     json_path = ws.path("sensitivity", f"{mode}.json")
     if not json_path.exists():
@@ -263,7 +262,7 @@ def stage_assign(ws: Workspace, ckpt: ModelCheckpoint, ratios=None, levels=None,
     ranked = rank_sensitivities(records, cfg.grid.rank_mode)
     if budget is not None:
         plan = budget_plan([(r.path, ckpt.n_params(r.path)) for r in ranked], budget,
-                           cfg.gptq.group_size)
+                           cfg.gptq.group_size, levels)
     else:
         plan = assign_precision(ranked, split, cfg.gptq.group_size, levels)
     achieved, _ = memory_footprint(plan, ckpt)
@@ -411,7 +410,8 @@ def stage_eval(ws: Workspace) -> dict:
 def _cache_load(ws: Workspace, cell: tuple, config_hash: str) -> EvalResult | None:
     """The cached result of ``cell`` (model, mode, method, bits_or_plan, seed), or
     None on a miss. An entry that is unreadable, holds a value of the wrong type or
-    describes another cell (copied under another key, say) is a miss."""
+    one no ok cell has, or describes another cell (copied under another key, say)
+    is a miss."""
     try:
         r = EvalResult(**json.loads(ws.path("cache", f"{config_hash}.json").read_text()))
     except (FileNotFoundError, ValueError, TypeError):
@@ -419,8 +419,9 @@ def _cache_load(ws: Workspace, cell: tuple, config_hash: str) -> EvalResult | No
     ok = ((r.model, r.mode, r.method, r.bits_or_plan, r.seed, r.config_hash, r.status)
           == (*cell, config_hash, "ok") and type(r.seed) is int
           and isinstance(r.scores, dict) and set(r.scores) == set(ws.cfg.suite.tasks)
-          and all(map(is_number, (*r.scores.values(), r.lat_mean_ms, r.lat_std_ms,
-                                  r.raw_bits, r.eff_bits))))
+          and all(is_number(s) and 0 <= s <= 1 for s in r.scores.values())
+          and all(is_number(v) and 0 <= v < math.inf  # NaN fails, as no ok cell has it
+                  for v in (r.lat_mean_ms, r.lat_std_ms, r.raw_bits, r.eff_bits)))
     return r if ok else None
 
 

@@ -211,7 +211,10 @@ def load_report(json_path) -> tuple:
     """(records, the config_hash the report was written with, or None)."""
     try:
         doc = json.loads(Path(json_path).read_text())
-        return [SensitivityRecord.from_dict(d) for d in doc["records"]], doc.get("config_hash")
+        records = [SensitivityRecord.from_dict(d) for d in doc["records"]]
+        if len({r.path for r in records}) < len(records):  # it would count twice in a cut
+            raise ParameterError("a module is listed twice")
+        return records, doc.get("config_hash")
     except (ValueError, KeyError, TypeError, ParameterError) as exc:
         raise ContractError(f"sensitivity report {json_path} is malformed: "
                             f"{type(exc).__name__}: {exc}") from exc

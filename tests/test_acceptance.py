@@ -22,7 +22,6 @@ import pytest
 from scipy import stats
 
 from ptqlab import evaluation
-from ptqlab.allocator import SplitRatios, cutoff_bits
 from ptqlab.evaluation import EvalResult, LatencyConfig, measure_latency
 from ptqlab.gptq import GptqConfig, gptq_quantize_layer
 from ptqlab.model import Batch, ModelCheckpoint, ModelConfig, loss_and_grads, new_checkpoint
@@ -32,6 +31,7 @@ from ptqlab.quant import GroupQuantSpec, dequantize, quantize_weight
 from ptqlab.reporting import results_to_csv_text
 from ptqlab.sensitivity import power_iteration
 from ptqlab.trainer import TrainConfig, train
+from test_allocator import cut
 
 REPORT = []
 
@@ -186,21 +186,20 @@ class TestCriterion3HvpPowerIteration:
 
 class TestCriterion4Algorithm3:
     def test_cutoff_exactness(self):
-        # floor(p * M) in exact arithmetic; the ratios reach cutoff_bits as floats
+        # floor(p * M) in exact arithmetic; the ratios reach assign_precision as floats
         grid = [Fraction(n, d) for n, d in ((0, 1), (1, 10), (1, 5), (1, 4), (1, 3), (1, 2),
                                             (3, 4), (1, 1))]
         for m in range(1, 101):
             for p16, p8 in itertools.product(grid, repeat=2):
                 if p16 + p8 > 1:
                     continue
-                ratios = SplitRatios(float(p16), float(p8), max(0.0, 1.0 - p16 - p8))
-                bits = cutoff_bits(m, ratios)
+                bits = cut(m, (float(p16), float(p8), max(0.0, 1.0 - p16 - p8)))
                 k16 = math.floor(p16 * m)
                 k8 = math.floor((p16 + p8) * m)
                 assert bits == [16 if i <= k16 else 8 if i <= k8 else 4
                                 for i in range(1, m + 1)]
                 assert all(a >= b for a, b in zip(bits, bits[1:]))
-        assert cutoff_bits(10, SplitRatios(0.2, 0.3, 0.5)) == \
+        assert cut(10, (0.2, 0.3, 0.5)) == \
             [16, 16, 8, 8, 8, 4, 4, 4, 4, 4]
         ok(4, "(floors match for M in [1,100] x ratio grid; M=10 example exact)")
 

@@ -17,8 +17,9 @@ from ptqlab.errors import ContractError
 from ptqlab.pipeline import SECTIONS, PipelineConfig, Workspace, _bench_lock, _hash
 from ptqlab.model import ModelCheckpoint, ModelConfig, new_checkpoint
 from ptqlab.quant import QuantPlan, rtn_quantize_model, uniform_plan
-from ptqlab.sensitivity import SensitivityRecord, save_report
+from ptqlab.sensitivity import SensitivityRecord, load_report, rank_sensitivities, save_report
 from ptqlab.tasks import load_corpus
+from test_model import with_header
 from test_reporting import RENDERERS, refuse
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -143,6 +144,10 @@ class TestCliContracts:
                                           {"train": 5},
                                           {"suite": {"tasks": ["bogus"]}},
                                           {"suite": {"tasks": []}}, {"suite": {"tasks": None}},
+                                          # an array of known task names, each listed once
+                                          {"suite": {"tasks": {"copy": 1}}},
+                                          {"suite": {"tasks": ["copy", "copy"]}},
+                                          {"suite": {"tasks": "copy"}},
                                           config_with("train", "n_heads", 3),
                                           config_with("train", "learning_rate", -1.0),
                                           config_with("train", "text_fraction", 1.0),
@@ -461,17 +466,30 @@ class TestPipelineStages:
         average = sum(bits[p] * ckpt.n_params(p) for p in paths) / sum(map(ckpt.n_params, paths))
         assert average == pytest.approx(out["achieved_avg_bits"]) == 5.0
 
-    def test_assign_budget_rejects_levels(self, tmp_path, capsys):
-        # the budget search assigns 16/8/4 bits; other levels would break its average
+    def test_assign_budget_honours_levels(self, tmp_path, capsys):
+        # the waterfill runs over the given levels, to a target between the lowest and highest
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0
         assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
         capsys.readouterr()
-        assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "10",
-                     "--levels", "8,4,4"]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
+        assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "9",
+                     "--levels", "8,4,2"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError" and "[2, 8]" in err["message"]
         assert not (tmp_path / "ws" / "plans").exists()
-        assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "10"]) == 0
+        assert main(["assign", "-c", cfg, "--model", "ar", "--budget", "3",
+                     "--levels", "8,4,2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        ws = Workspace(PipelineConfig.load(cfg))
+        ckpt = ws.require_checkpoint("ar")
+        records, _ = load_report(ws.path("sensitivity", "ar.json"))
+        ranked = [r.path for r in rank_sensitivities(records, ws.cfg.grid.rank_mode)]
+        bits = QuantPlan.load(out["plan"]).bits
+        widths = [bits[p] for p in ranked]
+        assert set(widths) <= {8, 4, 2} and widths == sorted(widths, reverse=True)
+        average = sum(bits[p] * ckpt.n_params(p) for p in ranked) / sum(map(ckpt.n_params, ranked))
+        assert average <= 3 and average == pytest.approx(out["achieved_avg_bits"])
+        assert widths[0] > widths[-1]  # a mix, not one width
 
     @pytest.fixture(scope="class")
     def scored(self, tmp_path_factory):
@@ -579,18 +597,26 @@ class TestPipelineStages:
                      "--plan", str(tmp_path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
-    def test_malformed_sensitivity_report_is_a_json_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda records: records[0].pop("lambda"), "lambda"),
+        # a record listed again: a cut would count it twice
+        (lambda records: records.append(records[len(records) // 2]), "listed twice"),
+    ], ids=["no-lambda", "module-twice"])
+    def test_malformed_sensitivity_report_is_a_json_error(self, tmp_path, capsys, spoil,
+                                                           message):
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0
         assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
         report = tmp_path / "ws" / "sensitivity" / "ar.json"
         doc = json.loads(report.read_text())
-        del doc["records"][0]["lambda"]
+        spoil(doc["records"])
         report.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["assign", "-c", cfg, "--model", "ar"]) == 1
+        assert main(["assign", "-c", cfg, "--model", "ar", "--ratios", "0.5,0.5,0"]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ContractError" and "lambda" in err["message"]
+        assert err["error"] == "ContractError" and message in err["message"]
+        assert str(report) in err["message"]
+        assert not (tmp_path / "ws" / "plans").exists()
 
     def test_assign_rejects_stale_sensitivity(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -691,16 +717,21 @@ class TestPipelineStages:
         out = json.loads(capsys.readouterr().out)
         assert out["ar"]["reused"] is True and out["diffusion"]["reused"] is True
 
-    def test_truncated_checkpoint_is_retrained(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda blob: blob[:len(blob) // 2], "truncated"),
+        (lambda blob: with_header(blob, lambda h: {**h, "meta": []}), "meta"),
+    ], ids=["truncated", "meta-array"])
+    def test_corrupt_checkpoint_is_retrained(self, tmp_path, capsys, spoil, message):
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0
         ckpt = tmp_path / "ws" / "checkpoints" / "ar.ckpt"
         good = ckpt.read_bytes()
-        ckpt.write_bytes(good[:len(good) // 2])
+        ckpt.write_bytes(spoil(good))
         capsys.readouterr()
-        assert main(["eval", "-c", cfg]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ContractError" and "truncated" in err["message"]
+        for command in (["eval"], ["bench", "--model", "ar"]):
+            assert main([*command, "-c", cfg]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ContractError" and message in err["message"]
         assert main(["train", "-c", cfg]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ar"]["reused"] is False and out["diffusion"]["reused"] is True

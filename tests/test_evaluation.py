@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 import ptqlab.evaluation as ev
 import ptqlab.gptq as gptq_mod
 import ptqlab.pipeline as pipeline
-from ptqlab.allocator import SplitRatios, assign_precision
+from ptqlab.allocator import assign_precision
 from ptqlab.errors import ContractError, ParameterError, is_number
 from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure_latency,
                                plan_grid)
@@ -45,6 +46,12 @@ class TestSuiteAndConfigs:
     def test_unknown_task_rejected(self):
         with pytest.raises(ParameterError):
             TaskSuite(tasks=("copy", "mystery"))
+
+    @pytest.mark.parametrize("tasks", [{"copy": 1}, ["copy", "copy"], "copy", ["mystery"]],
+                             ids=["object", "repeat", "string", "unknown"])
+    def test_suite_tasks_is_an_array_of_known_names_each_once(self, tasks):
+        with pytest.raises(ParameterError, match="suite.tasks"):
+            PipelineConfig.from_dict({"workspace": "ws", "suite": {"tasks": tasks}})
 
     def test_latency_validation(self):
         with pytest.raises(ParameterError):
@@ -154,7 +161,7 @@ def by_key(results) -> dict:
 def hawq_plan_path(ws, mode, levels):
     """The plan file of ``mode``'s hawq cell of ``levels``, named by its widths and group size."""
     records, _ = load_report(ws.root / "sensitivity" / f"{mode}.json")
-    split = SplitRatios(ws.cfg.grid.hawq_ratio, 1.0 - ws.cfg.grid.hawq_ratio, 0.0)
+    split = (ws.cfg.grid.hawq_ratio, 1.0 - ws.cfg.grid.hawq_ratio, 0.0)
     plan = assign_precision(rank_sensitivities(records, ws.cfg.grid.rank_mode), split,
                             ws.cfg.gptq.group_size, levels)
     name = _hash({"bits": plan.bits, "group_size": plan.group_size})
@@ -366,7 +373,12 @@ class TestGrid:
         lambda text, other: json.dumps({**json.loads(text), "lat_mean_ms": "1.0"}),
         lambda text, other: json.dumps({**json.loads(text), "scores": {"copy": "1"}}),
         lambda text, other: other,  # another cell's entry
-    ], ids=["cut-short", "string-latency", "string-score", "other-cell"])
+        # values no ok cell has
+        lambda text, other: json.dumps({**json.loads(text), "lat_mean_ms": float("nan")}),
+        lambda text, other: json.dumps({**json.loads(text),
+                                        "scores": {**json.loads(text)["scores"], "copy": 7.5}}),
+    ], ids=["cut-short", "string-latency", "string-score", "other-cell", "nan-latency",
+            "score-above-one"])
     def test_unreadable_cache_entry_is_a_miss(self, cold, tmp_path, spoil):
         ws = copy_of(cold[0], tmp_path)
         rows = by_key(cold[1])
@@ -379,7 +391,7 @@ class TestGrid:
         assert rebuilt.scores == cell.scores
         stored = json.loads(entry.read_text())
         assert stored == rebuilt.to_dict() and stored["config_hash"] == cell.config_hash
-        assert is_number(stored["lat_mean_ms"])
+        assert is_number(stored["lat_mean_ms"]) and math.isfinite(stored["lat_mean_ms"])
         stage_report(ws, again)
 
     def test_gptq_group_size_rebuilds_cells(self, cold, tmp_path):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -377,6 +380,14 @@ class TestCheckpointIO:
             ModelCheckpoint.from_bytes(blob + b"\x00")
         assert ModelCheckpoint.from_bytes(blob).to_bytes() == blob
 
+    @pytest.mark.parametrize("edit", [lambda h: [h], lambda h: {**h, "meta": []},
+                                      lambda h: {**h, "meta": "seed"}],
+                             ids=["header-array", "meta-array", "meta-string"])
+    def test_header_and_its_meta_are_objects(self, edit):
+        blob = with_header(tiny_ckpt().to_bytes(), edit)
+        with pytest.raises(ContractError, match="malformed checkpoint header"):
+            ModelCheckpoint.from_bytes(blob)
+
     def test_loaded_tensors_are_bit_identical_and_their_own(self):
         ckpt = tiny_ckpt()
         blob = bytearray(ckpt.to_bytes())
@@ -388,6 +399,13 @@ class TestCheckpointIO:
             assert got.dtype == np.float32 and got.shape == arr.shape, name
             assert got.tobytes() == arr.tobytes(), name
             assert got.flags.writeable and got.flags.c_contiguous, name
+
+
+def with_header(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with its header JSON replaced by ``edit(header)``."""
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    header = json.dumps(edit(json.loads(blob[12:12 + hlen]))).encode()
+    return blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + hlen:]
 
 
 class TestBatchValidation:

@@ -297,7 +297,9 @@ class TestReportIO:
         *(json.dumps({"config_hash": "abc", "records": [{**RECORD, key: value}]})
           for key, value in [("lambda", "1.5"), ("lambda", True), ("n_params", 64.9),
                              ("n_params", "64"), ("iters_used", 2.5), ("iters_used", 0),
-                             ("converged", "false"), ("converged", 1)])])
+                             ("converged", "false"), ("converged", 1)]),
+        # a module listed twice would count twice in a cut
+        json.dumps({"config_hash": "abc", "records": [RECORD, {**RECORD, "lambda": 0.5}]})])
     def test_malformed_report_is_a_contract_error(self, tmp_path, text):
         jp = tmp_path / "sens.json"
         jp.write_text(text)
