@@ -146,11 +146,10 @@ def evaluate_tasks(ckpt: ModelCheckpoint, suite: TaskSuite) -> dict:
 
 def _latency_state(ckpt: ModelCheckpoint, cfg: LatencyConfig) -> np.ndarray:
     """Deterministic work unit input: context bytes, masked tail for diffusion."""
-    seq_len = min(cfg.seq_len, ckpt.config.max_seq_len)
-    ids = (np.arange(seq_len, dtype=np.int64) * 7 + 13) % 251  # plain byte content
+    ids = (np.arange(cfg.seq_len, dtype=np.int64) * 7 + 13) % 251  # plain byte content
     ids[0] = tasks.BOS_ID
     if cfg.unit_of_work == UNIT_DIFFUSION_STEP:
-        ids[seq_len // 2:] = MASK_ID
+        ids[cfg.seq_len // 2:] = MASK_ID
     return ids[None, :]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 
@@ -13,9 +14,10 @@ def write_atomic(path, data: bytes | str) -> None:
     then moves into place, so a crash or a failed write leaves the previous
     file whole and no partial one. A file that already holds exactly these
     bytes is left alone, mtime included, so a run that changes nothing
-    writes nothing; only a write makes a missing parent directory. The temp
-    file is not fsynced: this guards against a process dying, not against
-    losing power.
+    writes nothing; only a write makes a missing parent directory. A write
+    first removes the temp files of ``path`` that a killed writer left. The
+    temp file is not fsynced: this guards against a process dying, not
+    against losing power.
     """
     path = Path(path)
     blob = data.encode("utf-8") if isinstance(data, str) else data
@@ -25,6 +27,7 @@ def write_atomic(path, data: bytes | str) -> None:
     except FileNotFoundError:
         pass
     path.parent.mkdir(parents=True, exist_ok=True)
+    _remove_orphans(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(blob)
@@ -32,3 +35,16 @@ def write_atomic(path, data: bytes | str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _remove_orphans(path: Path) -> None:
+    """Unlink each ``.<name>.<pid>.tmp`` of ``path`` whose pid is dead; ours and live ones stay."""
+    pattern = re.compile(rf"\.{re.escape(path.name)}\.([0-9]+)\.tmp")
+    for match in filter(None, map(pattern.fullmatch, os.listdir(path.parent))):
+        try:
+            if int(match[1]) != os.getpid():
+                os.kill(int(match[1]), 0)
+        except ProcessLookupError:  # no such process: its writer died
+            (path.parent / match[0]).unlink(missing_ok=True)
+        except (PermissionError, OverflowError):  # alive under another user, or no pid at all
+            pass

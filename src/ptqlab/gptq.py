@@ -105,8 +105,7 @@ def gptq_quantize_layer(weight: np.ndarray, hessian: np.ndarray, spec: GroupQuan
         wt[j + 1:] -= upper[j, j + 1:, None] * ((wt[j] - deq) / upper[j, j])
         wt[j] = deq  # the working copy ends as the dequantized weight
 
-    qw = QuantizedWeight((d_out, d_in), spec, np.ascontiguousarray(scales_t.T),
-                         np.ascontiguousarray(codes_t.T))
+    qw = QuantizedWeight(spec, np.ascontiguousarray(scales_t.T), np.ascontiguousarray(codes_t.T))
     delta = w_orig - np.ascontiguousarray(wt.T)
     recon_error = float(np.trace(delta.T @ delta @ hessian)) / 2.0
     return qw, recon_error
@@ -142,16 +141,8 @@ def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: Gp
         for p in stages[key]:
             qw, err = gptq_quantize_layer(out.params[p], hessian, plan.spec(p), cfg)
             out.params[p] = dequantize(qw).astype(np.float32)
-            report.append(_report_row(p, err, qw))
+            report.append({"path": p, "bits": qw.spec.bits, "recon_error": err,
+                           "scale_min": float(qw.scales.min()),
+                           "scale_mean": float(qw.scales.mean()),
+                           "scale_max": float(qw.scales.max())})
     return out, report
-
-
-def _report_row(path: str, recon_error: float, qw: QuantizedWeight) -> dict:
-    return {
-        "path": path,
-        "bits": qw.spec.bits,
-        "recon_error": recon_error,
-        "scale_min": float(qw.scales.min()),
-        "scale_mean": float(qw.scales.mean()),
-        "scale_max": float(qw.scales.max()),
-    }

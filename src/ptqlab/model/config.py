@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,14 +60,12 @@ class Batch:
     """
 
     token_ids: np.ndarray
-    loss_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
+    loss_mask: np.ndarray
 
     def __post_init__(self):
         self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
         if self.token_ids.ndim != 2:
             raise ContractError(f"token_ids must be 2-D, got shape {self.token_ids.shape}")
-        if self.loss_mask is None:
-            self.loss_mask = np.zeros_like(self.token_ids, dtype=bool)
         self.loss_mask = np.asarray(self.loss_mask, dtype=bool)
         if self.loss_mask.shape != self.token_ids.shape:
             raise ContractError("loss_mask shape must match token_ids")

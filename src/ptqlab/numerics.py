@@ -55,7 +55,7 @@ def cholesky_upper_of_inverse(h: np.ndarray) -> np.ndarray:
     inv = cholesky_invert_spd(h)
     try:
         return np.linalg.cholesky(inv).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - inv of SPD is SPD
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"inverse lost positive definiteness: {exc}") from exc
 
 

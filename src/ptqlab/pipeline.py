@@ -72,6 +72,9 @@ class PipelineConfig:
         if not isinstance(self.workspace, str) or not self.workspace:
             raise ParameterError(f"workspace must be a non-empty string, got {self.workspace!r}")
         require_count("seed", self.seed, 0)
+        if self.latency.seq_len > self.train.max_seq_len:
+            raise ParameterError(f"latency.seq_len {self.latency.seq_len} is above "
+                                 f"train.max_seq_len {self.train.max_seq_len}")
         # the run seed is the one owner of the section seeds
         self.train = dataclasses.replace(self.train, seed=self.seed)
         self.sensitivity = dataclasses.replace(self.sensitivity, seed=self.seed)
@@ -272,17 +275,15 @@ def stage_assign(ws: Workspace, ckpt: ModelCheckpoint, ratios=None, levels=None,
     return {"plan": str(plan_path), "achieved_avg_bits": achieved}
 
 
-def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, plan: QuantPlan,
-             batches=None) -> tuple:
+def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, plan: QuantPlan) -> tuple:
     """(quantized checkpoint, GPTQ per-layer rows) of ``plan``; writes nothing.
 
-    Method "gptq" runs GPTQ on its calibration ``batches`` (drawn here if
-    not given) with ``cfg.gptq``; any other method rounds to nearest.
+    Method "gptq" runs GPTQ with ``cfg.gptq`` on ``grid.n_calibration_batches``
+    calibration batches drawn here; any other method rounds to nearest.
     """
     if method != "gptq":
         return rtn_quantize_model(ckpt, plan), []
-    if batches is None:
-        batches = _calibration(ckpt, cfg.grid.n_calibration_batches)
+    batches = _calibration(ckpt, cfg.grid.n_calibration_batches)
     return gptq_quantize_model(ckpt, plan, batches, cfg.gptq)
 
 
@@ -363,7 +364,7 @@ def stage_eval(ws: Workspace) -> dict:
     cfg = ws.cfg
     ckpts = {mode: ws.require_checkpoint(mode) for mode in MODELS}
     keys = {mode: cell_hasher(cfg, mode, ckpts[mode].fingerprint) for mode in MODELS}
-    batches, scored = {}, set()  # per mode: GPTQ calibration, sensitivity report written
+    scored = set()  # modes whose sensitivity report this grid wrote
 
     def build(mode, method, label):
         ckpt = ckpts[mode]
@@ -375,9 +376,7 @@ def stage_eval(ws: Workspace) -> dict:
             plan = QuantPlan.load(stage_assign(ws, ckpt, levels=(hi, lo, lo))["plan"])
         else:  # the baseline is the 16-bit plan
             plan = uniform_plan(ckpt, int(label.removesuffix("bit")), cfg.gptq.group_size)
-        if method == "gptq" and mode not in batches:
-            batches[mode] = _calibration(ckpt, cfg.grid.n_calibration_batches)
-        quantized, _ = quantize(cfg, ckpt, method, plan, batches.get(mode))
+        quantized, _ = quantize(cfg, ckpt, method, plan)
         raw_bits, eff_bits = memory_footprint(plan, ckpt)
         return quantized, raw_bits, eff_bits
 

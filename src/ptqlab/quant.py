@@ -47,7 +47,6 @@ class GroupQuantSpec:
 
 @dataclass
 class QuantizedWeight:
-    shape: tuple
     spec: GroupQuantSpec
     scales: np.ndarray  # (d_out, n_groups) float64
     codes: np.ndarray   # (d_out, d_in) int16
@@ -95,13 +94,13 @@ def quantize_weight(weight: np.ndarray, spec: GroupQuantSpec) -> QuantizedWeight
     blocks = _grouped(w, spec.group_size)  # zero padding leaves every peak unchanged
     scales = group_scales(blocks, spec.qmax)
     codes = grid_codes(blocks, scales[..., None], spec.qmax)
-    return QuantizedWeight(weight.shape, spec, scales, _ungrouped(codes, w.shape[1]))
+    return QuantizedWeight(spec, scales, _ungrouped(codes, w.shape[1]))
 
 
 def dequantize(qw: QuantizedWeight) -> np.ndarray:
     """code * scale per element."""
     blocks = _grouped(qw.codes, qw.spec.group_size).astype(np.float64)
-    return _ungrouped(blocks * qw.scales[..., None], qw.shape[1])
+    return _ungrouped(blocks * qw.scales[..., None], qw.codes.shape[1])
 
 
 @dataclass

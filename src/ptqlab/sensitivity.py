@@ -94,9 +94,7 @@ def power_iteration(grad_fn, n_params: int, rng, rho: float, n_iters: int, eps: 
     iters = 0
     for _ in range(n_iters):
         iters += 1
-        hv = finite_diff_hvp(grad_fn, v, eps, base)
-        if rho < 1.0:
-            hv = np.where(support, hv, 0.0)
+        hv = np.where(support, finite_diff_hvp(grad_fn, v, eps, base), 0.0)
         lam = float(np.linalg.norm(hv))
         if lam == 0.0:
             converged = True  # flat direction
@@ -157,13 +155,6 @@ class ModuleGradientOracle:
             self.params[self.path] = weight
         return acc / len(self.batches)
 
-    def max_abs_weight(self) -> float:
-        return float(np.max(np.abs(self.params[self.path])))
-
-
-def default_eps(oracle: ModuleGradientOracle, eps_scale: float) -> float:
-    return eps_scale * (1.0 + oracle.max_abs_weight())
-
 
 def _module_seed(seed: int, name: str) -> int:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
@@ -173,7 +164,7 @@ def _module_seed(seed: int, name: str) -> int:
 def power_iteration_sensitivity(oracle: ModuleGradientOracle,
                                 cfg: SensitivityConfig) -> SensitivityRecord:
     """Score the oracle's module."""
-    eps = default_eps(oracle, cfg.eps_scale)
+    eps = cfg.eps_scale * (1.0 + float(np.max(np.abs(oracle.params[oracle.path]))))
     rng = make_rng(_module_seed(cfg.seed, oracle.path))
     lam, iters, converged = power_iteration(
         oracle.gradient, oracle.n_params, rng, cfg.rho, cfg.n_power_iters, eps)

@@ -178,7 +178,9 @@ class TestCliContracts:
                                           # a bool is no number
                                           config_with("sensitivity", "rho", True),
                                           config_with("grid", "hawq_ratio", False),
-                                          config_with("train", "text_fraction", False)])
+                                          config_with("train", "text_fraction", False),
+                                          # longer than the model's positions
+                                          config_with("latency", "seq_len", 33)])
     def test_malformed_config_value_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["train", "-c", cfg]) == 1

@@ -12,7 +12,7 @@ import ptqlab.evaluation as ev
 import ptqlab.gptq as gptq_mod
 import ptqlab.pipeline as pipeline
 from ptqlab.allocator import assign_precision
-from ptqlab.errors import ContractError, ParameterError, is_number
+from ptqlab.errors import ContractError, ParameterError, ShapeError, is_number
 from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure_latency,
                                plan_grid)
 from ptqlab.model import ModelConfig, new_checkpoint
@@ -95,6 +95,11 @@ class TestLatency:
             measure_latency(diff, TINY_LATENCY)  # defaults to ar_token
         with pytest.raises(ContractError):
             measure_latency(ar, dataclasses.replace(TINY_LATENCY, unit_of_work="diffusion_step"))
+
+    def test_sequence_longer_than_the_model_is_refused(self, pair):
+        ar, _ = pair
+        with pytest.raises(ShapeError, match="exceeds max_seq_len"):
+            measure_latency(ar, dataclasses.replace(TINY_LATENCY, seq_len=33))
 
     def test_bigger_model_is_slower(self):
         small = new_checkpoint(ModelConfig(mode="ar", **SMALL), 0)

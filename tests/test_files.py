@@ -1,6 +1,8 @@
 """Workspace files are replaced whole or not at all, and unchanged files are left alone."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,30 @@ def test_a_write_makes_its_missing_directories(tmp_path):
     write_atomic(path, "{}\n")
     assert path.read_text() == "{}\n"
     assert [p.name for p in path.parent.iterdir()] == ["a.json"]
+
+
+# A writer killed between writing its temp file and moving it into place.
+KILLED_WRITER = """
+import os, sys
+from ptqlab.files import write_atomic
+os.replace = lambda src, dst: os._exit(0)
+write_atomic(sys.argv[1], "killed\\n")
+"""
+
+
+def test_a_write_removes_the_temp_file_of_a_killed_writer(tmp_path):
+    path = tmp_path / "ws" / "logs" / "train_ar.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", KILLED_WRITER, str(path)], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    orphans = [p.name for p in path.parent.iterdir()]
+    assert len(orphans) == 1 and orphans[0].startswith(".train_ar.csv.")
+    live = path.with_name(f".train_ar.csv.{os.getppid()}.tmp")
+    live.write_text("a live writer's\n")
+    no_pid = path.with_name(f".train_ar.csv.{10**20}.tmp")
+    no_pid.write_text("not a pid\n")
+
+    write_atomic(path, "step,loss\n")
+    assert path.read_text() == "step,loss\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == sorted(
+        [live.name, no_pid.name, "train_ar.csv"])

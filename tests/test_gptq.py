@@ -11,7 +11,7 @@ from ptqlab.gptq import (MAX_RETRIES, GptqConfig, _damped_inverse_factor, collec
 from ptqlab.model import (ModelConfig, forward_logits, layers, network, new_checkpoint,
                           prediction_targets)
 from ptqlab.model.network import projection_key
-from ptqlab.numerics import make_rng
+from ptqlab.numerics import cholesky_upper_of_inverse, make_rng
 from ptqlab.quant import (GroupQuantSpec, QuantizedWeight, QuantPlan, dequantize,
                           group_scales, quantize_weight, uniform_plan)
 
@@ -85,7 +85,7 @@ def reference_quantize_layer(weight, h, spec, cfg):
             err = (w[:, j] - deq[:, j]) / upper[j, j]
             w[:, j + 1:] -= np.outer(err, upper[j, j + 1:])
     delta = w_orig - deq
-    qw = QuantizedWeight((d_out, d_in), spec, scales, codes)
+    qw = QuantizedWeight(spec, scales, codes)
     return qw, float(np.trace(delta.T @ delta @ h)) / 2.0
 
 
@@ -229,6 +229,29 @@ class TestLayerQuantization:
         assert qw.codes.shape == (1, 2)
         with pytest.raises(NotPositiveDefiniteError):
             gptq_quantize_layer(w, indefinite(50.0), GroupQuantSpec(3), GptqConfig())
+
+    def test_inverse_that_loses_definiteness_retries_with_more_damping(self, monkeypatch):
+        # In floating point the computed inverse of an SPD matrix can fail its
+        # own Cholesky when the eigenvalues span many decades. The fake below
+        # fails the second factorization, of the inverse, on every BLAS build.
+        real, seen = np.linalg.cholesky, []
+
+        def cholesky(a):
+            seen.append(a)
+            if len(seen) == 2:
+                raise np.linalg.LinAlgError("injected")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        h = 2.0 * np.eye(2)
+        with pytest.raises(NotPositiveDefiniteError, match="inverse lost positive definiteness"):
+            cholesky_upper_of_inverse(h)
+        seen.clear()
+        upper = _damped_inverse_factor(h, 0.01)
+        # delta 0.02 fails at the inverse, the retry at delta 0.2 succeeds
+        assert [a[0, 0] for a in seen[::2]] == pytest.approx([2.02, 2.2])
+        assert len(seen) == 4
+        assert np.allclose(upper, np.eye(2) / np.sqrt(2.2))
 
     def test_transposed_loop_matches_reference_bytes(self):
         rng = make_rng(21)

@@ -148,7 +148,8 @@ class TestLoss:
         ckpt = tiny_ckpt()
         with pytest.raises(ContractError):
             loss_and_grads(ckpt.params, ckpt.config,
-                           Batch(rand_ids(make_rng(9), (1, 4))), want_grads=False)
+                           Batch(rand_ids(make_rng(9), (1, 4)), np.zeros((1, 4), dtype=bool)),
+                           want_grads=False)
 
     def test_ar_cannot_target_column_zero(self):
         ckpt = tiny_ckpt("ar")
@@ -411,7 +412,7 @@ def with_header(blob: bytes, edit) -> bytes:
 class TestBatchValidation:
     def test_token_ids_out_of_range(self):
         with pytest.raises(ContractError):
-            Batch(np.array([[0, 300]]))
+            Batch(np.array([[0, 300]]), np.zeros((1, 2), dtype=bool))
 
     def test_mask_shape_mismatch(self):
         with pytest.raises(ContractError):

@@ -9,7 +9,7 @@ from ptqlab.model import Batch, ModelConfig, loss_and_grads, new_checkpoint
 from ptqlab.model import layers, network
 from ptqlab.numerics import make_rng, sample_sparse_direction
 from ptqlab.sensitivity import (ModuleGradientOracle, SensitivityConfig, SensitivityRecord,
-                                compute_sensitivities, default_eps, finite_diff_hvp,
+                                compute_sensitivities, finite_diff_hvp,
                                 float64_pass, load_report, power_iteration,
                                 power_iteration_sensitivity, rank_sensitivities,
                                 save_report)
@@ -159,7 +159,7 @@ class TestModelHvp:
         path = "blocks.0.attn.q.weight"
         v = sample_sparse_direction(make_rng(7), ckpt.params[path].size, 1.0)
         oracle = make_oracle(ckpt, batches, path)
-        eps = default_eps(oracle, 1e-3)
+        eps = 1e-3 * (1.0 + float(np.max(np.abs(oracle.params[path]))))
         base = oracle.gradient(None)
         hv_pos = finite_diff_hvp(oracle.gradient, v, eps, base)
         hv_neg = finite_diff_hvp(oracle.gradient, -v, eps, base)
