@@ -1,16 +1,18 @@
 """Layer-wise GPTQ: calibration Hessians plus error-compensated rounding.
 
 Per stage (the layers that read one input), H = 2 * sum_t x_t x_t^T over
-calibration token positions, in float64. The damped H is inverted through
-:func:`~ptqlab.numerics.cholesky_invert_spd` and the upper Cholesky factor
-U of that inverse (inv(H) = U^T U) drives the column loop, which walks the
-columns in index order: after quantizing column j, the not-yet-quantized
-columns are updated with err_j = (w_j - q_j) / U[j, j] and
-W[:, k] -= err_j * U[j, k], which reproduces the sequential
-optimal-brain-surgeon compensation exactly while factorizing only once. A
-group's scales are taken from its current (already compensated) weights
-when the loop reaches the group's first column, and codes are rounded by
-:func:`~ptqlab.quant.grid_codes`, as RTN rounds them.
+calibration token positions, in float64. The upper Cholesky factor U of
+the damped H's inverse (inv(H) = U^T U), which
+:func:`~ptqlab.numerics.cholesky_upper_of_inverse` takes from one
+factorization of H, drives the column loop, which walks the columns in
+index order: after quantizing column j, the not-yet-quantized columns are
+updated with err_j = (w_j - q_j) / U[j, j] and W[:, k] -= err_j * U[j, k],
+which reproduces the sequential optimal-brain-surgeon compensation exactly
+while factorizing only once. A group's scales are taken from its current
+(already compensated) weights when the loop reaches the group's first
+column, and codes are rounded by :func:`~ptqlab.quant.grid_codes`, as RTN
+rounds them. :func:`gptq_quantize_model` runs on one BLAS thread
+(:func:`~ptqlab.numerics.one_blas_thread`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (ContractError, NotPositiveDefiniteError, ParameterError, re
                      require_positive)
 from .model import ModelCheckpoint, prediction_targets
 from .model.network import block_fwd, block_index, embed_fwd, projection_key
-from .numerics import cholesky_upper_of_inverse
+from .numerics import cholesky_upper_of_inverse, one_blas_thread
 from .quant import (DEFAULT_GROUP_SIZE, GroupQuantSpec, QuantizedWeight, QuantPlan,
                     dequantize, grid_codes, group_scales, quantized_copy)
 
@@ -75,7 +77,7 @@ def gptq_quantize_layer(weight: np.ndarray, hessian: np.ndarray, spec: GroupQuan
     """(QuantizedWeight, recon_error) for one layer on ``spec``'s grid (2-8 bits).
 
     ``hessian`` is the layer's calibration Hessian ``2 Σ xᵀx`` (float64).
-    recon_error is tr(D^T D H) / 2 with D the weight change and H that raw
+    recon_error is tr(D H D^T) / 2 with D the weight change and H that raw
     Hessian, i.e. the ||D X||_F^2 reconstruction objective.
     """
     if spec.passthrough:
@@ -107,10 +109,11 @@ def gptq_quantize_layer(weight: np.ndarray, hessian: np.ndarray, spec: GroupQuan
 
     qw = QuantizedWeight(spec, np.ascontiguousarray(scales_t.T), np.ascontiguousarray(codes_t.T))
     delta = w_orig - np.ascontiguousarray(wt.T)
-    recon_error = float(np.trace(delta.T @ delta @ hessian)) / 2.0
+    recon_error = float(np.sum((delta @ hessian) * delta)) / 2.0
     return qw, recon_error
 
 
+@one_blas_thread()
 def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: GptqConfig):
     """Quantize each layer at its planned width in forward order; returns
     (checkpoint, per-layer report).

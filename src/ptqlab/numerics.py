@@ -8,15 +8,22 @@ Conventions used throughout the package:
 * Randomness always flows through a ``numpy.random.Generator`` seeded with
   :func:`make_rng` (PCG64), which gives identical draw sequences for a given
   seed across runs and platforms.
+* The curvature math (sensitivities and GPTQ) runs inside
+  :func:`one_blas_thread`, so its float64 sums do not depend on how many
+  threads the machine gives numpy's BLAS.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, ParameterError, ShapeError
+from .errors import NotPositiveDefiniteError, ParameterError
 
 Rng = np.random.Generator
 
@@ -26,37 +33,54 @@ def make_rng(seed: int) -> Rng:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def cholesky_invert_spd(h: np.ndarray) -> np.ndarray:
-    """Invert a symmetric positive-definite matrix via Cholesky.
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) of the OpenBLAS thread count of numpy's Linux wheels; no-ops without it."""
+    for lib in sorted(Path(np.__file__).parents[1].glob("numpy.libs/*openblas*")):
+        dll = ctypes.CDLL(str(lib))  # the library numpy already loaded
+        # numpy 2 wheels ship scipy-openblas, numpy 1 wheels OpenBLAS with 64_ names
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_"):
+            if hasattr(dll, name.format("set")):
+                get, set_ = getattr(dll, name.format("get")), getattr(dll, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return (lambda: 1), (lambda n: None)
 
-    The caller is responsible for symmetry; positive definiteness is checked
-    by the factorization itself. Raises :class:`NotPositiveDefiniteError` on
-    a non-positive pivot so callers can add damping and retry. The result is
-    explicitly symmetrized.
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block (or decorated function) with numpy's BLAS on one thread.
+
+    A float64 product split over BLAS threads rounds differently from one
+    done in a single thread, so this pins one thread and restores the
+    previous count on exit. Where numpy's BLAS is not the OpenBLAS of its
+    Linux wheels it does nothing, and the bytes may then depend on the
+    thread setting.
     """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError(f"expected square matrix, got {h.shape}")
+    get, set_ = _blas_thread_calls()
+    before = get()
+    set_(1)
     try:
-        lower = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
-    inv_lower = np.linalg.solve(lower, np.eye(h.shape[0]))
-    inv = inv_lower.T @ inv_lower
-    return (inv + inv.T) / 2.0
+        yield
+    finally:
+        set_(before)
 
 
 def cholesky_upper_of_inverse(h: np.ndarray) -> np.ndarray:
     """Upper-triangular U with inv(h) == U.T @ U, for an SPD ``h``.
 
     This is the factor whose rows drive sequential error compensation in the
-    GPTQ solver; computed from the symmetrized inverse for stability.
+    GPTQ solver. With P the index reversal and P h P = L L^T, U = P inv(L) P,
+    so one factorization suffices. Raises :class:`NotPositiveDefiniteError`
+    when it fails, so callers can add damping and retry.
     """
-    inv = cholesky_invert_spd(h)
     try:
-        return np.linalg.cholesky(inv).T
+        inv_lower = np.linalg.inv(np.linalg.cholesky(np.ascontiguousarray(h[::-1, ::-1])))
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"inverse lost positive definiteness: {exc}") from exc
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+    # the pivoting inverse leaves rounding residue where inv(L) is exactly 0
+    return np.triu(inv_lower[::-1, ::-1])
 
 
 def sample_sparse_direction(rng: Rng, n_params: int, rho: float) -> np.ndarray:

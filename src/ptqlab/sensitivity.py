@@ -24,7 +24,7 @@ from .errors import (ContractError, NumericError, ParameterError, is_number, req
 from .files import write_atomic
 from .model import ModelCheckpoint, forward_logits, loss_and_grads, prediction_targets
 from .model.network import block_index
-from .numerics import make_rng, sample_sparse_direction
+from .numerics import make_rng, one_blas_thread, sample_sparse_direction
 
 CONVERGENCE_TOL = 1e-2
 
@@ -171,6 +171,7 @@ def power_iteration_sensitivity(oracle: ModuleGradientOracle,
     return SensitivityRecord(oracle.path, lam, oracle.n_params, iters, converged)
 
 
+@one_blas_thread()
 def compute_sensitivities(ckpt: ModelCheckpoint, batches, cfg: SensitivityConfig) -> list:
     """One record per quantizable module, in forward order, scored on ``batches``."""
     params, inputs = float64_pass(ckpt, batches)

@@ -21,7 +21,7 @@ from ptqlab.trainer import TrainConfig, calibration_batches
 
 def recon_error(w, deq, h):
     d = np.asarray(w, dtype=np.float64) - deq
-    return float(np.trace(d.T @ d @ h)) / 2.0
+    return float(np.sum((d @ h) * d)) / 2.0
 
 
 def rtn_deq(w, bits, group_size=128):
@@ -86,7 +86,7 @@ def reference_quantize_layer(weight, h, spec, cfg):
             w[:, j + 1:] -= np.outer(err, upper[j, j + 1:])
     delta = w_orig - deq
     qw = QuantizedWeight(spec, scales, codes)
-    return qw, float(np.trace(delta.T @ delta @ h)) / 2.0
+    return qw, float(np.sum((delta @ h) * delta)) / 2.0
 
 
 def reference_quantize_model(ckpt, plan, batches, cfg):
@@ -230,27 +230,27 @@ class TestLayerQuantization:
         with pytest.raises(NotPositiveDefiniteError):
             gptq_quantize_layer(w, indefinite(50.0), GroupQuantSpec(3), GptqConfig())
 
-    def test_inverse_that_loses_definiteness_retries_with_more_damping(self, monkeypatch):
-        # In floating point the computed inverse of an SPD matrix can fail its
-        # own Cholesky when the eigenvalues span many decades. The fake below
-        # fails the second factorization, of the inverse, on every BLAS build.
+    def test_a_failed_factorization_retries_with_more_damping(self, monkeypatch):
+        # In floating point the Cholesky factorization of an SPD matrix can
+        # fail when its eigenvalues span many decades. The fake below fails
+        # the first factorization on every BLAS build.
         real, seen = np.linalg.cholesky, []
 
         def cholesky(a):
             seen.append(a)
-            if len(seen) == 2:
+            if len(seen) == 1:
                 raise np.linalg.LinAlgError("injected")
             return real(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         h = 2.0 * np.eye(2)
-        with pytest.raises(NotPositiveDefiniteError, match="inverse lost positive definiteness"):
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
             cholesky_upper_of_inverse(h)
         seen.clear()
         upper = _damped_inverse_factor(h, 0.01)
-        # delta 0.02 fails at the inverse, the retry at delta 0.2 succeeds
-        assert [a[0, 0] for a in seen[::2]] == pytest.approx([2.02, 2.2])
-        assert len(seen) == 4
+        # delta 0.02 fails, the retry at delta 0.2 succeeds
+        assert [a[0, 0] for a in seen] == pytest.approx([2.02, 2.2])
+        assert len(seen) == 2
         assert np.allclose(upper, np.eye(2) / np.sqrt(2.2))
 
     def test_transposed_loop_matches_reference_bytes(self):
