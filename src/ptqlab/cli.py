@@ -1,5 +1,5 @@
 """Command-line entry point: train | quantize | sensitivity | assign | eval |
-bench | reproduce, all driven by one JSON config file."""
+reproduce, all driven by one JSON config file."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import sys
 
 from .errors import ParameterError, PtqLabError
 from .pipeline import MODELS, PipelineConfig, Workspace, reproduce, stage_assign, \
-    stage_bench, stage_eval, stage_quantize, stage_report, stage_sensitivity, stage_train
+    stage_eval, stage_quantize, stage_report, stage_sensitivity, stage_train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--budget", type=float, help="target average bits instead of ratios")
 
     _add_common(sub.add_parser("eval", help="run the grid, reuse cached cells, write the report"))
-
-    b = sub.add_parser("bench", help="latency of one baseline checkpoint")
-    _add_common(b)
-    b.add_argument("--model", choices=MODELS, required=True)
 
     r = sub.add_parser("reproduce", help="end-to-end: train, grid, report")
     _add_common(r)
@@ -96,8 +92,6 @@ def main(argv=None) -> int:
             evaled = stage_eval(ws)
             out = {"n_cells": evaled["n_cells"], "n_failed": evaled["n_failed"],
                    "report": stage_report(ws, evaled["results"])}
-        elif args.command == "bench":
-            out = stage_bench(ws, ckpt)
         else:  # reproduce; argparse admits no other subcommand
             out = _dry_run(ws) if args.dry_run else reproduce(ws)
     except (PtqLabError, OSError) as exc:

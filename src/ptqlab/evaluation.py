@@ -70,12 +70,6 @@ class LatencyConfig:
 
 
 @dataclass
-class LatencyResult:
-    mean_ms: float
-    std_ms: float
-
-
-@dataclass
 class EvalResult:
     model: str
     mode: str
@@ -153,8 +147,9 @@ def _latency_state(ckpt: ModelCheckpoint, cfg: LatencyConfig) -> np.ndarray:
     return ids[None, :]
 
 
-def measure_latency(ckpt: ModelCheckpoint, cfg: LatencyConfig) -> LatencyResult:
-    """Time exactly one unit of work per run on a monotonic wall clock.
+def measure_latency(ckpt: ModelCheckpoint, cfg: LatencyConfig) -> tuple[float, float]:
+    """(mean_ms, std_ms): time exactly one unit of work per run on a monotonic
+    wall clock.
 
     The unit is a single full-sequence forward: over the masked sequence for
     a diffusion denoising step, over the context (last-position logits) for
@@ -178,7 +173,7 @@ def measure_latency(ckpt: ModelCheckpoint, cfg: LatencyConfig) -> LatencyResult:
         t0 = time.perf_counter()
         unit()
         samples[i] = time.perf_counter() - t0
-    return LatencyResult(float(samples.mean() * 1e3), float(samples.std(ddof=1) * 1e3))
+    return float(samples.mean() * 1e3), float(samples.std(ddof=1) * 1e3)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,11 @@ class Workspace:
         if ckpt.meta.get("corpus_hash") != self.corpus_digest:
             raise ContractError(f"checkpoint {path} was trained on a corpus other than the "
                                 f"configured one; re-run `ptqlab train`")
+        # the stages read these two; a checkpoint without them is corrupt
+        if not (is_number(ckpt.meta.get("heldout_loss_final"))
+                and isinstance(ckpt.meta.get("train_config"), dict)):
+            raise ContractError(f"checkpoint {path} has no number heldout_loss_final or no "
+                                f"object train_config in its meta; re-run `ptqlab train`")
         return ckpt
 
 
@@ -311,19 +316,10 @@ def stage_quantize(ws: Workspace, ckpt: ModelCheckpoint, method: str, bits: int 
     return result
 
 
-def stage_bench(ws: Workspace, ckpt: ModelCheckpoint) -> dict:
-    mode = ckpt.config.mode
-    cfg = _latency(ws.cfg, mode)
-    with _bench_lock(ws):
-        res = measure_latency(ckpt, cfg)
-    return {"mode": mode, "unit_of_work": cfg.unit_of_work, "mean_ms": res.mean_ms,
-            "std_ms": res.std_ms, "warmup_runs": cfg.warmup_runs, "timed_runs": cfg.timed_runs}
-
-
 @contextlib.contextmanager
 def _bench_lock(ws: Workspace, timeout_s: float = 600.0):
-    """Hold an exclusive ``flock`` on ``bench.lock`` so that only one latency
-    benchmark runs in a workspace at a time.
+    """Hold an exclusive ``flock`` on ``bench.lock`` so that only one grid
+    times latency in a workspace at a time.
 
     The kernel drops the lock when its holder exits, however it exits, so a
     lock never outlives its process. The file is never removed: after an
@@ -390,9 +386,9 @@ def stage_eval(ws: Workspace) -> dict:
                 try:
                     quantized, raw_bits, eff_bits = build(mode, method, label)
                     scores = evaluate_tasks(quantized, cfg.suite)
-                    lat = measure_latency(quantized, _latency(cfg, mode))
-                    result = EvalResult(name, mode, method, label, scores, lat.mean_ms,
-                                        lat.std_ms, raw_bits, eff_bits, cfg.seed, config_hash)
+                    lat_mean_ms, lat_std_ms = measure_latency(quantized, _latency(cfg, mode))
+                    result = EvalResult(name, mode, method, label, scores, lat_mean_ms,
+                                        lat_std_ms, raw_bits, eff_bits, cfg.seed, config_hash)
                 except Exception as exc:  # record the failed row, keep the grid going
                     nan = float("nan")
                     result = EvalResult(name, mode, method, label, {}, nan, nan, nan, nan,

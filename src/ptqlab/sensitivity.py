@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -67,8 +68,9 @@ class SensitivityRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "SensitivityRecord":
         lam, converged = d["lambda"], d["converged"]  # taken as they are, never coerced
-        if not is_number(lam) or type(converged) is not bool:
-            raise ParameterError(f"lambda {lam!r} must be a number, converged {converged!r} a bool")
+        if not (is_number(lam) and 0 <= lam < math.inf) or type(converged) is not bool:
+            raise ParameterError(f"lambda {lam!r} must be a finite number >= 0, "
+                                 f"converged {converged!r} a bool")
         require_count("n_params", d["n_params"])
         require_count("iters_used", d["iters_used"])
         return cls(d["path"], float(lam), d["n_params"], d["iters_used"], converged)

@@ -329,16 +329,16 @@ class TestCriterion7LatencyProtocol:
         forward = evaluation.forward_logits
         monkeypatch.setattr(evaluation, "forward_logits",
                             lambda *a: calls.append(a) or forward(*a))
-        res = measure_latency(ckpt, LatencyConfig(seq_len=64))
+        mean_ms, std_ms = measure_latency(ckpt, LatencyConfig(seq_len=64))
         assert len(calls) == 200 + 2000  # one unit of work per run
-        assert res.mean_ms > 0 and res.std_ms >= 0
+        assert mean_ms > 0 and std_ms >= 0
 
         row = EvalResult("toy-ar", "ar", "baseline", "16bit", {"copy": 0.5},
                          26.843, 0.305, 16.0, 16.0, 0, "fixture")
         (back,) = csv.DictReader(io.StringIO(results_to_csv_text([row])))
         assert (float(back["lat_mean_ms"]), float(back["lat_std_ms"])) == (26.843, 0.305)
         ok(7, f"(200 warmup + 2000 timed runs; 26.843/0.305 round-trips; "
-              f"mean {res.mean_ms:.3f} ms)")
+              f"mean {mean_ms:.3f} ms)")
 
 
 class TestCriterion8Reporting:

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from ptqlab.pipeline import SECTIONS, PipelineConfig, Workspace, _bench_lock, _h
 from ptqlab.model import ModelCheckpoint, ModelConfig, new_checkpoint
 from ptqlab.quant import QuantPlan, rtn_quantize_model, uniform_plan
 from ptqlab.sensitivity import SensitivityRecord, load_report, rank_sensitivities, save_report
-from ptqlab.tasks import load_corpus
+from ptqlab.tasks import TEXT_ROW_LEN, load_corpus
 from test_model import with_header
 from test_reporting import RENDERERS, refuse
 
@@ -74,6 +75,20 @@ def assert_usage_error(capsys, message):
     assert message in err["message"]
 
 
+def without_meta(blob: bytes, key: str) -> bytes:
+    """The checkpoint ``blob`` without ``key`` in its header's meta."""
+    return with_header(blob, lambda h: {**h, "meta": {k: v for k, v in h["meta"].items()
+                                                      if k != key}})
+
+
+def non_utf8_tensor_name(blob: bytes) -> bytes:
+    """The checkpoint ``blob`` with the first byte of its first tensor name made 0xff,
+    which no UTF-8 text starts with."""
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    at = 8 + 4 + hlen + 4 + 2  # magic, header, tensor count, name length
+    return blob[:at] + b"\xff" + blob[at + 1:]
+
+
 class TestCliContracts:
     def test_unknown_flag_nonzero_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -83,7 +98,9 @@ class TestCliContracts:
     @pytest.mark.parametrize("argv, message", [
         ([], "command"), (["bogus"], "bogus"), (["train"], "--config"),
         (["quantize", "-c", "c.json", "--model", "ar"], "--method"),
-        (["bench", "-c", "c.json", "--model", "gpt"], "gpt")])
+        (["sensitivity", "-c", "c.json", "--model", "gpt"], "gpt"),
+        # a model's latency is the lat_mean_ms/lat_std_ms of its baseline 16bit rows
+        (["bench", "-c", "c.json", "--model", "ar"], "bench")])
     def test_usage_errors_are_json(self, capsys, argv, message):
         assert main(argv) == 2
         assert_usage_error(capsys, message)
@@ -204,6 +221,19 @@ class TestCliContracts:
         assert main(["train", "-c", cfg]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
+    def test_corpus_shorter_than_a_text_row_fails_train_before_it_writes(self, tmp_path,
+                                                                          capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"x" * (TEXT_ROW_LEN - 1))
+        # nearly every batch is text, so the first one draws from the corpus
+        cfg = write_config(tmp_path, train={**MICRO["train"], "corpus_path": str(corpus),
+                                            "text_fraction": 0.99})
+        assert main(["train", "-c", cfg]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert "shorter than one text row" in err["message"]
+        assert not (tmp_path / "ws").exists()
+
     def test_config_that_is_a_directory_is_a_json_error(self, tmp_path, capsys):
         assert main(["train", "-c", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -275,8 +305,7 @@ class TestCliContracts:
         assert cfg.train_hash("diffusion") == "2c4d34b911ba0b18"
         assert cfg.sensitivity_hash("0123456789abcdef") == "c42c9cd4c5fbeb1c"
 
-    @pytest.mark.parametrize("command", [["eval"], ["bench", "--model", "ar"],
-                                         ["sensitivity", "--model", "ar"],
+    @pytest.mark.parametrize("command", [["eval"], ["sensitivity", "--model", "ar"],
                                          ["assign", "--model", "ar"]])
     def test_missing_workspace_is_left_missing(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)
@@ -287,7 +316,7 @@ class TestCliContracts:
     @pytest.mark.parametrize("command", [
         ["train"], ["quantize", "--model", "ar", "--method", "rtn", "--bits", "4"],
         ["sensitivity", "--model", "ar"], ["assign", "--model", "ar"], ["eval"],
-        ["bench", "--model", "ar"], ["reproduce"]], ids=lambda command: command[0])
+        ["reproduce"]], ids=lambda command: command[0])
     def test_force_is_not_an_option(self, tmp_path, capsys, command):
         # no flag overrides a stale artifact: `train` retrains what is stale
         cfg = write_config(tmp_path)
@@ -320,7 +349,7 @@ class TestCliContracts:
 
 
 class TestPipelineStages:
-    def test_train_quantize_sensitivity_assign_bench(self, tmp_path, capsys):
+    def test_train_quantize_sensitivity_assign(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         ws = tmp_path / "ws"
 
@@ -358,13 +387,6 @@ class TestPipelineStages:
         average = sum(b * ckpt.n_params(p) for p, b in plan.bits.items()) / \
             sum(map(ckpt.n_params, plan.bits))
         assert out["achieved_avg_bits"] == average
-
-        assert main(["bench", "-c", cfg, "--model", "ar"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert set(out) == {"mode", "unit_of_work", "mean_ms", "std_ms", "warmup_runs",
-                            "timed_runs"}
-        assert out["timed_runs"] == 3 and out["warmup_runs"] == 1
-        assert out["mean_ms"] > 0
 
     def test_assign_three_tier_ratios(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -722,7 +744,12 @@ class TestPipelineStages:
     @pytest.mark.parametrize("spoil, message", [
         (lambda blob: blob[:len(blob) // 2], "truncated"),
         (lambda blob: with_header(blob, lambda h: {**h, "meta": []}), "meta"),
-    ], ids=["truncated", "meta-array"])
+        # the train and corpus hashes stay: the meta lacks a field the stages read
+        (lambda blob: without_meta(blob, "heldout_loss_final"), "heldout_loss_final"),
+        (lambda blob: without_meta(blob, "train_config"), "train_config"),
+        (non_utf8_tensor_name, "tensor name"),
+    ], ids=["truncated", "meta-array", "no-heldout-loss", "no-train-config",
+            "tensor-name-not-utf8"])
     def test_corrupt_checkpoint_is_retrained(self, tmp_path, capsys, spoil, message):
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0
@@ -730,7 +757,7 @@ class TestPipelineStages:
         good = ckpt.read_bytes()
         ckpt.write_bytes(spoil(good))
         capsys.readouterr()
-        for command in (["eval"], ["bench", "--model", "ar"]):
+        for command in (["eval"], ["sensitivity", "--model", "ar"]):
             assert main([*command, "-c", cfg]) == 1
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "ContractError" and message in err["message"]

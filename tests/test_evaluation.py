@@ -85,9 +85,9 @@ class TestLatency:
         calls = []
         forward = ev.forward_logits
         monkeypatch.setattr(ev, "forward_logits", lambda *a: calls.append(a) or forward(*a))
-        res = measure_latency(ar, TINY_LATENCY)
+        mean_ms, std_ms = measure_latency(ar, TINY_LATENCY)
         assert len(calls) == 2 + 5  # warmup_runs + timed_runs, one unit each
-        assert res.mean_ms > 0 and res.std_ms >= 0
+        assert mean_ms > 0 and std_ms >= 0
 
     def test_unit_mode_mismatch(self, pair):
         ar, diff = pair
@@ -108,7 +108,7 @@ class TestLatency:
         cfg = LatencyConfig(warmup_runs=5, timed_runs=50, seq_len=32)
         # wall-clock measurement: allow rare scheduler stalls one retry
         for attempt in range(3):
-            if measure_latency(big, cfg).mean_ms > measure_latency(small, cfg).mean_ms:
+            if measure_latency(big, cfg)[0] > measure_latency(small, cfg)[0]:
                 break
         else:
             pytest.fail("bigger model never measured slower in 3 attempts")

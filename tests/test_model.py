@@ -226,6 +226,16 @@ class TestGenerateDiffusion:
         assert counts == [10, 7, 4, 2]
         assert MASK_ID not in out
 
+    def test_more_steps_than_masks_stops_once_none_is_left(self, monkeypatch):
+        # k = ceil(remaining / steps_left) is 1 while steps_left >= remaining,
+        # so each forward commits one position and the loop ends after target_len
+        ckpt = tiny_ckpt("diffusion", seed=13)
+        counts = masked_inputs(monkeypatch)
+        out = generate_diffusion(ckpt, [[BOS_ID, 70]], 4, steps=16)
+        assert counts == [4, 3, 2, 1]
+        assert MASK_ID not in out[0]
+        assert out == generate_diffusion(ckpt, [[BOS_ID, 70]], 4, steps=4)
+
     def test_terminates_for_all_step_counts(self):
         ckpt = tiny_ckpt("diffusion", seed=13)
         for target_len in range(1, 7):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ptqlab import numerics
 from ptqlab.errors import NotPositiveDefiniteError, ParameterError
 from ptqlab.numerics import (_blas_thread_calls, cholesky_upper_of_inverse, make_rng,
                              one_blas_thread, sample_sparse_direction)
@@ -74,6 +75,17 @@ class TestOneBlasThread:
         with one_blas_thread():
             assert get() == 1
         assert get() == before
+
+    def test_without_a_thread_setter_the_body_runs_and_nothing_is_set(self, monkeypatch):
+        get, _ = _blas_thread_calls()
+        before = get()
+        monkeypatch.setattr(numerics.ctypes, "CDLL", lambda path: object())  # exports nothing
+        # the cached lookup found the setter; look again, uncached
+        monkeypatch.setattr(numerics, "_blas_thread_calls", _blas_thread_calls.__wrapped__)
+        ran = []
+        with one_blas_thread():
+            ran.append(get())
+        assert ran == [before]
 
     def test_curvature_bytes_do_not_depend_on_the_thread_setting(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

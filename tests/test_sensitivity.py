@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -295,7 +296,10 @@ class TestReportIO:
         '["records"]',
         # each field is its own JSON type, never coerced
         *(json.dumps({"config_hash": "abc", "records": [{**RECORD, key: value}]})
-          for key, value in [("lambda", "1.5"), ("lambda", True), ("n_params", 64.9),
+          for key, value in [("lambda", "1.5"), ("lambda", True),
+                             # compute_sensitivities writes only finite lambdas >= 0
+                             ("lambda", math.nan), ("lambda", -5), ("lambda", math.inf),
+                             ("n_params", 64.9),
                              ("n_params", "64"), ("iters_used", 2.5), ("iters_used", 0),
                              ("converged", "false"), ("converged", 1)]),
         # a module listed twice would count twice in a cut
