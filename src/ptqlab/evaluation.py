@@ -92,8 +92,6 @@ class EvalResult:
     def mean_score(self) -> float:
         """Mean over the tasks in name order, so a fresh result and its cached
         copy (whose scores come back sorted) give the same float."""
-        if not self.scores:
-            return float("nan")
         return float(np.mean([self.scores[t] for t in sorted(self.scores)]))
 
 

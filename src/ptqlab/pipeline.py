@@ -83,7 +83,7 @@ class PipelineConfig:
     def load(cls, path) -> "PipelineConfig":
         try:
             doc = json.loads(Path(path).read_text())
-        except (IsADirectoryError, PermissionError) as exc:
+        except OSError as exc:
             raise ParameterError(f"config {path} cannot be read: {exc}") from exc
         except ValueError as exc:
             raise ParameterError(f"config {path} is not valid JSON: {exc}") from exc
@@ -198,11 +198,10 @@ class Workspace:
         if ckpt.meta.get("corpus_hash") != self.corpus_digest:
             raise ContractError(f"checkpoint {path} was trained on a corpus other than the "
                                 f"configured one; re-run `ptqlab train`")
-        # the stages read these two; a checkpoint without them is corrupt
-        if not (is_number(ckpt.meta.get("heldout_loss_final"))
-                and isinstance(ckpt.meta.get("train_config"), dict)):
-            raise ContractError(f"checkpoint {path} has no number heldout_loss_final or no "
-                                f"object train_config in its meta; re-run `ptqlab train`")
+        # stage_train reports it; a checkpoint without it is corrupt
+        if not is_number(ckpt.meta.get("heldout_loss_final")):
+            raise ContractError(f"checkpoint {path} has no number heldout_loss_final in its "
+                                f"meta; re-run `ptqlab train`")
         return ckpt
 
 
@@ -229,8 +228,9 @@ def stage_train(ws: Workspace) -> dict:
     return out
 
 
-def _calibration(ckpt: ModelCheckpoint, n_batches: int) -> list:
-    return calibration_batches(TrainConfig(**ckpt.meta["train_config"]), n_batches)
+def _calibration(cfg: PipelineConfig, mode: str, n_batches: int) -> list:
+    """``mode``'s training batches, from the ``cfg.train`` that the train hash vouches for."""
+    return calibration_batches(dataclasses.replace(cfg.train, mode=mode), n_batches)
 
 
 # The stages below take a checkpoint that their caller verified with
@@ -241,7 +241,7 @@ def _calibration(ckpt: ModelCheckpoint, n_batches: int) -> list:
 def stage_sensitivity(ws: Workspace, ckpt: ModelCheckpoint) -> dict:
     """Score every module of ``ckpt``."""
     cfg, mode = ws.cfg, ckpt.config.mode
-    records = compute_sensitivities(ckpt, _calibration(ckpt, cfg.sensitivity.n_batches),
+    records = compute_sensitivities(ckpt, _calibration(cfg, mode, cfg.sensitivity.n_batches),
                                     cfg.sensitivity)
     json_path = ws.path("sensitivity", f"{mode}.json")
     config_hash = cfg.sensitivity_hash(ckpt.fingerprint)
@@ -288,7 +288,7 @@ def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, plan: Quan
     """
     if method != "gptq":
         return rtn_quantize_model(ckpt, plan), []
-    batches = _calibration(ckpt, cfg.grid.n_calibration_batches)
+    batches = _calibration(cfg, ckpt.config.mode, cfg.grid.n_calibration_batches)
     return gptq_quantize_model(ckpt, plan, batches, cfg.gptq)
 
 

@@ -40,6 +40,8 @@ class TestRatioValidation:
         for ratios in ((0.5, 0.5, 0.5), (1.2, -0.2, 0.0), (float("nan"), 0.5, 0.5), (0.5, 0.5)):
             with pytest.raises(ParameterError):
                 assign_precision(ranked(4), ratios)
+        with pytest.raises(ParameterError, match="no ranked modules"):  # valid ratios, no modules
+            assign_precision([], (0.5, 0.5, 0.0))
 
 
 class TestAssignPrecision:
@@ -183,3 +185,5 @@ class TestRatiosForBudget:
         for target in (1.9, 8.1):
             with pytest.raises(ParameterError, match=r"\[2, 8\]"):
                 budget_plan(self.equal_sized(3), target, levels=(8, 4, 2))
+        with pytest.raises(ParameterError, match="no modules"):  # a target in range, no modules
+            budget_plan([], 6.0)

@@ -235,9 +235,11 @@ class TestCliContracts:
         assert not (tmp_path / "ws").exists()
 
     def test_config_that_is_a_directory_is_a_json_error(self, tmp_path, capsys):
-        assert main(["train", "-c", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ParameterError" and str(tmp_path) in err["message"]
+        for path in (tmp_path, tmp_path / "missing.json"):
+            assert main(["train", "-c", str(path)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ParameterError" and "cannot be read" in err["message"]
+            assert str(path) in err["message"]
 
     def test_missing_prerequisite_names_producer(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -746,10 +748,8 @@ class TestPipelineStages:
         (lambda blob: with_header(blob, lambda h: {**h, "meta": []}), "meta"),
         # the train and corpus hashes stay: the meta lacks a field the stages read
         (lambda blob: without_meta(blob, "heldout_loss_final"), "heldout_loss_final"),
-        (lambda blob: without_meta(blob, "train_config"), "train_config"),
         (non_utf8_tensor_name, "tensor name"),
-    ], ids=["truncated", "meta-array", "no-heldout-loss", "no-train-config",
-            "tensor-name-not-utf8"])
+    ], ids=["truncated", "meta-array", "no-heldout-loss", "tensor-name-not-utf8"])
     def test_corrupt_checkpoint_is_retrained(self, tmp_path, capsys, spoil, message):
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0
@@ -765,6 +765,30 @@ class TestPipelineStages:
         out = json.loads(capsys.readouterr().out)
         assert out["ar"]["reused"] is False and out["diffusion"]["reused"] is True
         assert ckpt.read_bytes() == good
+
+    @pytest.mark.parametrize("train_config", [None, {"max_seq_len": 32, "batch_size": 64}],
+                             ids=["no-train-config", "edited-train-config"])
+    def test_calibration_ignores_the_train_config_copy_in_the_meta(self, tmp_path, capsys,
+                                                                   train_config):
+        # the train hash ties the checkpoint to the config's train section, which
+        # calibration reads; the meta's copy of it is vouched for by nothing
+        cfg = write_config(tmp_path)
+        assert main(["train", "-c", cfg]) == 0
+        report = tmp_path / "ws" / "sensitivity" / "ar.json"
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        records = json.loads(report.read_text())["records"]
+        ckpt = tmp_path / "ws" / "checkpoints" / "ar.ckpt"
+        blob = without_meta(ckpt.read_bytes(), "train_config")
+        if train_config is not None:
+            blob = with_header(blob, lambda h: {**h, "meta": {**h["meta"],
+                                                              "train_config": train_config}})
+        ckpt.write_bytes(blob)
+        report.unlink()
+        capsys.readouterr()
+        assert main(["train", "-c", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["ar"]["reused"] is True
+        assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
+        assert json.loads(report.read_text())["records"] == records
 
 
 # a process that holds the bench lock of the workspace in argv[1] until it is killed

@@ -16,12 +16,14 @@ from ptqlab.errors import ContractError, ParameterError, ShapeError, is_number
 from ptqlab.evaluation import (LatencyConfig, TaskSuite, evaluate_tasks, measure_latency,
                                plan_grid)
 from ptqlab.model import ModelConfig, new_checkpoint
+from ptqlab.numerics import make_rng
 import ptqlab.reporting as reporting
 from ptqlab.pipeline import (LATENCY_UNIT, SECTIONS, PipelineConfig, Workspace, _hash,
                              cell_hasher, reproduce, stage_assign, stage_eval, stage_report,
                              stage_sensitivity, stage_train)
 from ptqlab.quant import QuantPlan, memory_footprint
 from ptqlab.sensitivity import load_report, rank_sensitivities
+from ptqlab.tasks import sample_example
 from ptqlab.trainer import TrainConfig, train
 from test_reporting import RENDERERS, refuse
 
@@ -46,6 +48,9 @@ class TestSuiteAndConfigs:
     def test_unknown_task_rejected(self):
         with pytest.raises(ParameterError):
             TaskSuite(tasks=("copy", "mystery"))
+        # a scored task that generates nothing has no example to sample
+        with pytest.raises(ParameterError, match="unknown generation task"):
+            sample_example(make_rng(0), "heldout_token_accuracy")
 
     @pytest.mark.parametrize("tasks", [{"copy": 1}, ["copy", "copy"], "copy", ["mystery"]],
                              ids=["object", "repeat", "string", "unknown"])

@@ -289,6 +289,8 @@ class TestLayerQuantization:
     def test_layer_rejects_16_bits(self):
         with pytest.raises(ParameterError):
             gptq_quantize_layer(np.ones((1, 2)), np.eye(2), GroupQuantSpec(16), GptqConfig())
+        with pytest.raises(ParameterError, match="does not match d_in=2"):  # and a 3x3 Hessian
+            gptq_quantize_layer(np.ones((1, 2)), np.eye(3), GroupQuantSpec(4), GptqConfig())
 
     def test_config_rejects_group_size_below_one(self):
         with pytest.raises(ParameterError):

@@ -188,6 +188,8 @@ class TestGenerateAr:
     def test_length_guard(self):
         with pytest.raises(ShapeError):
             generate_ar(tiny_ckpt("ar"), [[BOS_ID] * 10], 10)
+        with pytest.raises(ParameterError, match="max_new"):
+            generate_ar(tiny_ckpt("ar"), [[BOS_ID]], -1)
 
 
 def masked_inputs(monkeypatch) -> list:
@@ -427,6 +429,8 @@ class TestBatchValidation:
     def test_mask_shape_mismatch(self):
         with pytest.raises(ContractError):
             Batch(np.zeros((1, 4), dtype=np.int64), np.zeros((1, 5), dtype=bool))
+        with pytest.raises(ContractError, match="2-D"):  # a 1-D grid, even with a matching mask
+            Batch(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=bool))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

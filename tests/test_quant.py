@@ -42,6 +42,8 @@ class TestQuantizeGroup:
         # 16 bits is passthrough: rtn_quantize_model keeps the weight
         with pytest.raises(ParameterError):
             quantize_weight(np.array([[1.0]]), GroupQuantSpec(16))
+        with pytest.raises(ParameterError, match="2-D weight"):  # and a 1-D weight
+            quantize_weight(np.ones(4), GroupQuantSpec(4))
         with pytest.raises(NumericError):
             quantize_row([1.0, np.nan], bits=4)
 
