@@ -115,8 +115,8 @@ def gptq_quantize_layer(weight: np.ndarray, hessian: np.ndarray, spec: GroupQuan
 
 @one_blas_thread()
 def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: GptqConfig):
-    """Quantize each layer at its planned width in forward order; returns
-    (checkpoint, per-layer report).
+    """Quantize each layer at its planned width in forward order; the returned
+    checkpoint's ``meta["quantization"]["layers"]`` holds each quantized layer's row.
 
     Each stage's calibration inputs come from the already-quantized prefix
     of the model, so downstream layers see the activation distribution they
@@ -135,7 +135,7 @@ def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: Gp
     inputs = [embed_fwd(out.params, out.config, prediction_targets(out.config, b)[0])[0]
               for b in batches]
     block = 0
-    report = []
+    rows = out.meta["quantization"]["layers"] = []
     for key in sorted(stages):
         while block < key[0]:
             inputs = [block_fwd(out.params, out.config, block, x)[0] for x in inputs]
@@ -144,8 +144,8 @@ def gptq_quantize_model(ckpt: ModelCheckpoint, plan: QuantPlan, batches, cfg: Gp
         for p in stages[key]:
             qw, err = gptq_quantize_layer(out.params[p], hessian, plan.spec(p), cfg)
             out.params[p] = dequantize(qw).astype(np.float32)
-            report.append({"path": p, "bits": qw.spec.bits, "recon_error": err,
-                           "scale_min": float(qw.scales.min()),
-                           "scale_mean": float(qw.scales.mean()),
-                           "scale_max": float(qw.scales.max())})
-    return out, report
+            rows.append({"path": p, "bits": qw.spec.bits, "recon_error": err,
+                         "scale_min": float(qw.scales.min()),
+                         "scale_mean": float(qw.scales.mean()),
+                         "scale_max": float(qw.scales.max())})
+    return out

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError, ParameterError, ShapeError
+from ..errors import ContractError, ParameterError
 from ..files import write_atomic
 from .config import ModelConfig
 from .network import PROJECTION_SUFFIXES, init_params, projection_key
@@ -48,12 +48,8 @@ class ModelCheckpoint:
         A plan names exactly these. Norm gains/biases, the positional table,
         the token embedding and the output head never quantize.
         """
-        paths = sorted((p for p in self.params if p.endswith(PROJECTION_SUFFIXES)),
-                       key=projection_key)
-        for p in paths:
-            if self.params[p].ndim != 2:
-                raise ShapeError(f"quantizable path {p} is not a 2-D weight")
-        return paths
+        return sorted((p for p in self.params if p.endswith(PROJECTION_SUFFIXES)),
+                      key=projection_key)
 
     def n_params(self, path: str) -> int:
         return int(self.params[path].size)

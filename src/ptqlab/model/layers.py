@@ -46,12 +46,8 @@ def layer_norm_fwd(x, gain, bias):
     centered = x.astype(np.float64)
     mean = _row_mean(centered)
     centered -= mean
-    if x.dtype == np.float64:
-        norm = centered  # x - mean in the compute dtype
-        var = _row_mean(centered * centered)
-    else:
-        norm = x - mean.astype(x.dtype)
-        var = _row_mean(np.multiply(centered, centered, out=centered))
+    norm = x - mean.astype(x.dtype)
+    var = _row_mean(np.multiply(centered, centered, out=centered))
     var += LN_EPS
     np.sqrt(var, out=var)
     inv_std = np.divide(1.0, var, out=var).astype(x.dtype, copy=False)

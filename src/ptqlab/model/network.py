@@ -19,34 +19,36 @@ INIT_STD = 0.02
 POS_INIT_STD = 0.1  # strong positional signal speeds up positional routing
 
 
-def init_params(config: ModelConfig, seed: int) -> dict:
-    """Fresh float32 parameter map, deterministic in the seed."""
-    rng = make_rng(seed)
-
-    def normal(*shape):
-        return (rng.standard_normal(shape) * INIT_STD).astype(np.float32)
-
-    params = {
-        "embed.tok": normal(config.vocab_size, config.d_model),
-        "embed.pos": (rng.standard_normal((config.max_seq_len, config.d_model))
-                      * POS_INIT_STD).astype(np.float32),
-    }
+def param_shapes(config: ModelConfig) -> dict:
+    """The name and shape of every parameter of ``config``'s model, in the order
+    :func:`init_params` draws them."""
+    d, d_ff, vocab = config.d_model, config.d_ff, config.vocab_size
+    shapes = {"embed.tok": (vocab, d), "embed.pos": (config.max_seq_len, d)}
     for i in range(config.n_layers):
         p = f"blocks.{i}"
-        params[f"{p}.ln1.gain"] = np.ones(config.d_model, dtype=np.float32)
-        params[f"{p}.ln1.bias"] = np.zeros(config.d_model, dtype=np.float32)
+        shapes.update({f"{p}.ln1.gain": (d,), f"{p}.ln1.bias": (d,)})
         for name in ("q", "k", "v", "o"):
-            params[f"{p}.attn.{name}.weight"] = normal(config.d_model, config.d_model)
-            params[f"{p}.attn.{name}.bias"] = np.zeros(config.d_model, dtype=np.float32)
-        params[f"{p}.ln2.gain"] = np.ones(config.d_model, dtype=np.float32)
-        params[f"{p}.ln2.bias"] = np.zeros(config.d_model, dtype=np.float32)
-        params[f"{p}.mlp.fc_in.weight"] = normal(config.d_ff, config.d_model)
-        params[f"{p}.mlp.fc_in.bias"] = np.zeros(config.d_ff, dtype=np.float32)
-        params[f"{p}.mlp.fc_out.weight"] = normal(config.d_model, config.d_ff)
-        params[f"{p}.mlp.fc_out.bias"] = np.zeros(config.d_model, dtype=np.float32)
-    params["final_ln.gain"] = np.ones(config.d_model, dtype=np.float32)
-    params["final_ln.bias"] = np.zeros(config.d_model, dtype=np.float32)
-    params["head.weight"] = normal(config.vocab_size, config.d_model)
+            shapes.update({f"{p}.attn.{name}.weight": (d, d), f"{p}.attn.{name}.bias": (d,)})
+        shapes.update({f"{p}.ln2.gain": (d,), f"{p}.ln2.bias": (d,),
+                       f"{p}.mlp.fc_in.weight": (d_ff, d), f"{p}.mlp.fc_in.bias": (d_ff,),
+                       f"{p}.mlp.fc_out.weight": (d, d_ff), f"{p}.mlp.fc_out.bias": (d,)})
+    shapes.update({"final_ln.gain": (d,), "final_ln.bias": (d,), "head.weight": (vocab, d)})
+    return shapes
+
+
+def init_params(config: ModelConfig, seed: int) -> dict:
+    """Fresh float32 parameter map, deterministic in the seed: gains 1, biases 0,
+    and normal weights drawn in :func:`param_shapes` order."""
+    rng = make_rng(seed)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".gain"):
+            params[name] = np.ones(shape, dtype=np.float32)
+        elif name.endswith(".bias"):
+            params[name] = np.zeros(shape, dtype=np.float32)
+        else:
+            std = POS_INIT_STD if name == "embed.pos" else INIT_STD
+            params[name] = (rng.standard_normal(shape) * std).astype(np.float32)
     return params
 
 

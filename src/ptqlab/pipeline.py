@@ -13,12 +13,10 @@ what makes ``reproduce`` idempotent.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import fcntl
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -34,6 +32,7 @@ from .evaluation import (LATENCY_UNIT, EvalResult, GridConfig, LatencyConfig, Ta
 from .files import write_atomic
 from .gptq import GptqConfig, gptq_quantize_model
 from .model import MODE_AR, MODE_DIFFUSION, ModelCheckpoint
+from .model.network import param_shapes
 from .quant import QuantPlan, memory_footprint, rtn_quantize_model, uniform_plan
 from .reporting import emit
 from .sensitivity import (SensitivityConfig, compute_sensitivities, load_report,
@@ -202,6 +201,15 @@ class Workspace:
         if not is_number(ckpt.meta.get("heldout_loss_final")):
             raise ContractError(f"checkpoint {path} has no number heldout_loss_final in its "
                                 f"meta; re-run `ptqlab train`")
+        model = dataclasses.replace(self.cfg.train, mode=mode).model_config()
+        if ckpt.config != model:
+            raise ContractError(f"checkpoint {path} has model config {ckpt.config}, the "
+                                f"config's train section gives {model}; re-run `ptqlab train`")
+        misfits = sorted({name: t.shape for name, t in ckpt.params.items()}.items()
+                         ^ param_shapes(model).items())  # (name, shape) on one side only
+        if misfits:
+            raise ContractError(f"checkpoint {path} has tensors that do not fit its model "
+                                f"config, as (name, shape): {misfits}; re-run `ptqlab train`")
         return ckpt
 
 
@@ -280,14 +288,14 @@ def stage_assign(ws: Workspace, ckpt: ModelCheckpoint, ratios=None, levels=None,
     return {"plan": str(plan_path), "achieved_avg_bits": achieved}
 
 
-def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, plan: QuantPlan) -> tuple:
-    """(quantized checkpoint, GPTQ per-layer rows) of ``plan``; writes nothing.
+def quantize(cfg: PipelineConfig, ckpt: ModelCheckpoint, method: str, plan: QuantPlan):
+    """``ckpt`` quantized by ``plan``; writes nothing.
 
     Method "gptq" runs GPTQ with ``cfg.gptq`` on ``grid.n_calibration_batches``
     calibration batches drawn here; any other method rounds to nearest.
     """
     if method != "gptq":
-        return rtn_quantize_model(ckpt, plan), []
+        return rtn_quantize_model(ckpt, plan)
     batches = _calibration(cfg, ckpt.config.mode, cfg.grid.n_calibration_batches)
     return gptq_quantize_model(ckpt, plan, batches, cfg.gptq)
 
@@ -301,18 +309,12 @@ def stage_quantize(ws: Workspace, ckpt: ModelCheckpoint, method: str, bits: int 
         plan, label = uniform_plan(ckpt, bits, ws.cfg.gptq.group_size), f"{bits}bit"
     else:
         plan, label = QuantPlan.load(plan_path), Path(plan_path).stem
-    quantized, report_rows = quantize(ws.cfg, ckpt, method, plan)
+    quantized = quantize(ws.cfg, ckpt, method, plan)
     out_path = ws.path("quantized", f"{mode}_{method}_{label}.ckpt")
-    quantized.save(out_path)  # its header records the plan
+    quantized.save(out_path)  # its header records the plan and GPTQ's per-layer rows
     result = {"checkpoint": str(out_path)}
-    if report_rows:
-        report_path = ws.path("quantized", f"{mode}_{method}_{label}.layers.csv")
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(report_rows[0]))
-        writer.writeheader()
-        writer.writerows(report_rows)
-        write_atomic(report_path, buf.getvalue())
-        result["layer_report"] = str(report_path)
+    if method == "gptq":
+        result["layers"] = quantized.meta["quantization"]["layers"]
     return result
 
 
@@ -372,7 +374,7 @@ def stage_eval(ws: Workspace) -> dict:
             plan = QuantPlan.load(stage_assign(ws, ckpt, levels=(hi, lo, lo))["plan"])
         else:  # the baseline is the 16-bit plan
             plan = uniform_plan(ckpt, int(label.removesuffix("bit")), cfg.gptq.group_size)
-        quantized, _ = quantize(cfg, ckpt, method, plan)
+        quantized = quantize(cfg, ckpt, method, plan)
         raw_bits, eff_bits = memory_footprint(plan, ckpt)
         return quantized, raw_bits, eff_bits
 

@@ -67,13 +67,15 @@ class SensitivityRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensitivityRecord":
-        lam, converged = d["lambda"], d["converged"]  # taken as they are, never coerced
+        path, lam, converged = d["path"], d["lambda"], d["converged"]  # never coerced
+        if type(path) is not str:
+            raise ParameterError(f"path {path!r} must be a string")
         if not (is_number(lam) and 0 <= lam < math.inf) or type(converged) is not bool:
             raise ParameterError(f"lambda {lam!r} must be a finite number >= 0, "
                                  f"converged {converged!r} a bool")
         require_count("n_params", d["n_params"])
         require_count("iters_used", d["iters_used"])
-        return cls(d["path"], float(lam), d["n_params"], d["iters_used"], converged)
+        return cls(path, float(lam), d["n_params"], d["iters_used"], converged)
 
 
 def finite_diff_hvp(grad_fn, v: np.ndarray, eps: float, base_grad: np.ndarray) -> np.ndarray:

@@ -10,16 +10,19 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ptqlab.reporting as reporting
 from ptqlab.cli import build_parser, main
 from ptqlab.errors import ContractError
+from ptqlab.gptq import GptqConfig, gptq_quantize_model
 from ptqlab.pipeline import SECTIONS, PipelineConfig, Workspace, _bench_lock, _hash
-from ptqlab.model import ModelCheckpoint, ModelConfig, new_checkpoint
+from ptqlab.model import ModelCheckpoint, new_checkpoint
 from ptqlab.quant import QuantPlan, rtn_quantize_model, uniform_plan
 from ptqlab.sensitivity import SensitivityRecord, load_report, rank_sensitivities, save_report
 from ptqlab.tasks import TEXT_ROW_LEN, load_corpus
+from ptqlab.trainer import TrainConfig, calibration_batches
 from test_model import with_header
 from test_reporting import RENDERERS, refuse
 
@@ -79,6 +82,20 @@ def without_meta(blob: bytes, key: str) -> bytes:
     """The checkpoint ``blob`` without ``key`` in its header's meta."""
     return with_header(blob, lambda h: {**h, "meta": {k: v for k, v in h["meta"].items()
                                                       if k != key}})
+
+
+def path_not_a_string(records: list) -> None:
+    """Record 0's path made the number 7, and record 1 given its lambda: ranking
+    the tie would compare the two paths."""
+    records[0]["path"] = 7
+    records[1]["lambda"] = records[0]["lambda"]
+
+
+def with_params(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with its tensors edited in place by ``edit(params)``."""
+    ckpt = ModelCheckpoint.from_bytes(blob)
+    edit(ckpt.params)
+    return ckpt.to_bytes()
 
 
 def non_utf8_tensor_name(blob: bytes) -> bytes:
@@ -282,10 +299,13 @@ class TestCliContracts:
         QuantPlan({"blocks.0.attn.q.weight": 4}).save(plan_path)
         plan = json.loads(plan_path.read_text())
         assert named("Quantization plan") == set(plan) | set(plan["modules"][0])
-        ckpt = new_checkpoint(ModelConfig(mode="ar", d_model=16, n_layers=1, n_heads=2,
-                                          d_ff=32, max_seq_len=32), 0)
-        header = rtn_quantize_model(ckpt, uniform_plan(ckpt, 8)).meta["quantization"]
-        assert named("Quantized checkpoint") == set(header)
+        cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq_len=32)
+        ckpt = new_checkpoint(cfg.model_config(), 0)
+        header = gptq_quantize_model(ckpt, uniform_plan(ckpt, 8), calibration_batches(cfg, 1),
+                                     GptqConfig()).meta["quantization"]
+        assert named("Quantized checkpoint") == set(header) | set(header["layers"][0])
+        rtn = rtn_quantize_model(ckpt, uniform_plan(ckpt, 8)).meta["quantization"]
+        assert set(rtn) == set(header) - {"layers"}
         record = SensitivityRecord("blocks.0.attn.q.weight", 1.5, 256, 2, True)
         save_report([record], PipelineConfig(workspace="w").sensitivity, report_path, "abc")
         report = json.loads(report_path.read_text())
@@ -369,11 +389,12 @@ class TestPipelineStages:
         assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "gptq",
                      "--bits", "4"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert set(out) == {"checkpoint", "layer_report"}
-        assert Path(out["checkpoint"]).exists()
-        assert Path(out["layer_report"]).exists()
-        assert sorted(p.name for p in (ws / "quantized").iterdir()) == \
-            ["ar_gptq_4bit.ckpt", "ar_gptq_4bit.layers.csv"]
+        assert set(out) == {"checkpoint", "layers"}
+        assert [p.name for p in (ws / "quantized").iterdir()] == ["ar_gptq_4bit.ckpt"]
+        # the printed rows are the header's
+        quantized = ModelCheckpoint.load(out["checkpoint"])
+        assert out["layers"] == quantized.meta["quantization"]["layers"]
+        assert [row["path"] for row in out["layers"]] == quantized.quantizable_paths()
 
         assert main(["sensitivity", "-c", cfg, "--model", "diffusion"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -596,13 +617,16 @@ class TestPipelineStages:
         assert main(["quantize", "-c", cfg, "--model", "ar", "--method", "gptq",
                      "--plan", str(plan_path)]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert [p.name for p in (tmp_path / "ws" / "quantized").iterdir()] == \
+            [Path(out["checkpoint"]).name]
         quantized = ModelCheckpoint.load(out["checkpoint"])
-        assert quantized.meta["quantization"] == {"method": "gptq", "plan": plan.bits,
-                                                  "group_size": plan.group_size}
+        header = quantized.meta["quantization"]
+        assert header == {"method": "gptq", "plan": plan.bits, "group_size": plan.group_size,
+                          "layers": out["layers"]}
         assert quantized.params[kept].tobytes() == ckpt.params[kept].tobytes()
-        layers = Path(out["layer_report"]).read_text().splitlines()[1:]
-        assert [row.split(",")[:2] for row in layers] == \
-            [[p, "8"] for p in ckpt.quantizable_paths() if p != kept]
+        # one row per quantized layer in forward order; the 16-bit layer has none
+        assert [(row["path"], row["bits"]) for row in header["layers"]] == \
+            [(p, 8) for p in ckpt.quantizable_paths() if p != kept]
 
     @pytest.mark.parametrize("text", ['{"version": 1, "group_size": 128, "modu',
                                       '{"version": 1, "group_size": 128}'])
@@ -627,7 +651,8 @@ class TestPipelineStages:
         (lambda records: records[0].pop("lambda"), "lambda"),
         # a record listed again: a cut would count it twice
         (lambda records: records.append(records[len(records) // 2]), "listed twice"),
-    ], ids=["no-lambda", "module-twice"])
+        (path_not_a_string, "path"),
+    ], ids=["no-lambda", "module-twice", "path-not-a-string"])
     def test_malformed_sensitivity_report_is_a_json_error(self, tmp_path, capsys, spoil,
                                                            message):
         cfg = write_config(tmp_path)
@@ -749,7 +774,18 @@ class TestPipelineStages:
         # the train and corpus hashes stay: the meta lacks a field the stages read
         (lambda blob: without_meta(blob, "heldout_loss_final"), "heldout_loss_final"),
         (non_utf8_tensor_name, "tensor name"),
-    ], ids=["truncated", "meta-array", "no-heldout-loss", "tensor-name-not-utf8"])
+        # both hashes stay: the tensors or the header config do not fit the configured model
+        (lambda blob: with_params(blob, lambda p: p.pop("blocks.0.mlp.fc_in.bias")),
+         "blocks.0.mlp.fc_in.bias"),
+        (lambda blob: with_params(blob, lambda p: p.update(
+            {"blocks.0.ln1.gain": np.ones(7, np.float32)})), "blocks.0.ln1.gain"),
+        (lambda blob: with_params(blob, lambda p: p.update(
+            {"blocks.1.ln1.gain": np.ones(16, np.float32)})), "blocks.1.ln1.gain"),
+        (lambda blob: with_header(blob, lambda h: {**h, "config": {**h["config"],
+                                                                   "n_heads": 4}}),
+         "model config"),
+    ], ids=["truncated", "meta-array", "no-heldout-loss", "tensor-name-not-utf8",
+            "missing-tensor", "wrong-shape", "unexpected-tensor", "edited-config"])
     def test_corrupt_checkpoint_is_retrained(self, tmp_path, capsys, spoil, message):
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0

@@ -309,7 +309,8 @@ class TestModelQuantization:
     @pytest.mark.parametrize("mode", ["ar", "diffusion"])
     def test_quantize_model_runs_and_reports(self, mode):
         ckpt, batches = self.make_setup(mode)
-        out, report = gptq_quantize_model(ckpt, uniform_plan(ckpt, 4), batches, GptqConfig())
+        out = gptq_quantize_model(ckpt, uniform_plan(ckpt, 4), batches, GptqConfig())
+        report = out.meta["quantization"]["layers"]
         paths = ckpt.quantizable_paths()
         assert [r["path"] for r in report] == paths
         for row in report:
@@ -333,7 +334,8 @@ class TestModelQuantization:
         ckpt, batches = self.two_block_setup(mode)
         for bits in (2, 3, 4, 8):
             plan = uniform_plan(ckpt, bits)
-            out, report = gptq_quantize_model(ckpt, plan, batches, GptqConfig())
+            out = gptq_quantize_model(ckpt, plan, batches, GptqConfig())
+            report = out.meta["quantization"]["layers"]
             ref, ref_errors = reference_quantize_model(ckpt, plan, batches, GptqConfig())
             assert [(r["path"], r["recon_error"]) for r in report] == ref_errors
             assert {r["bits"] for r in report} == {bits}
@@ -345,13 +347,14 @@ class TestModelQuantization:
         ckpt, batches = self.two_block_setup(mode)
         paths = ckpt.quantizable_paths()
         plan = QuantPlan({p: (16, 2, 3, 4, 8)[i % 5] for i, p in enumerate(paths)})
-        out, report = gptq_quantize_model(ckpt, plan, batches, GptqConfig())
+        out = gptq_quantize_model(ckpt, plan, batches, GptqConfig())
+        report = out.meta["quantization"]["layers"]
         ref, ref_errors = reference_quantize_model(ckpt, plan, batches, GptqConfig())
         assert [(r["path"], r["recon_error"]) for r in report] == ref_errors
         assert [(r["path"], r["bits"]) for r in report] == \
             [(p, plan.bits[p]) for p in paths if plan.bits[p] != 16]
         assert out.meta["quantization"] == {"method": "gptq", "plan": plan.bits,
-                                            "group_size": plan.group_size}
+                                            "group_size": plan.group_size, "layers": report}
         for p in ckpt.params:
             assert out.params[p].tobytes() == ref.params[p].tobytes(), p
             if plan.bits.get(p, 16) == 16:
@@ -379,8 +382,8 @@ class TestModelQuantization:
         assert stages == [[f"blocks.0.{x}.weight"] for x in ("attn.o", "mlp.fc_in", "mlp.fc_out")]
 
         stages.clear()
-        out, report = gptq_quantize_model(ckpt, uniform_plan(ckpt, 16), batches, GptqConfig())
-        assert stages == [] and report == []
+        out = gptq_quantize_model(ckpt, uniform_plan(ckpt, 16), batches, GptqConfig())
+        assert stages == [] and out.meta["quantization"]["layers"] == []
         assert out.to_bytes() != ckpt.to_bytes()  # the meta records the plan
         assert all(out.params[p].tobytes() == ckpt.params[p].tobytes() for p in ckpt.params)
 
@@ -399,14 +402,14 @@ class TestModelQuantization:
 
     def test_deterministic(self):
         ckpt, batches = self.make_setup()
-        a, _ = gptq_quantize_model(ckpt, uniform_plan(ckpt, 3), batches, GptqConfig())
-        b, _ = gptq_quantize_model(ckpt, uniform_plan(ckpt, 3), batches, GptqConfig())
+        a = gptq_quantize_model(ckpt, uniform_plan(ckpt, 3), batches, GptqConfig())
+        b = gptq_quantize_model(ckpt, uniform_plan(ckpt, 3), batches, GptqConfig())
         assert a.to_bytes() == b.to_bytes()
 
     def test_sequential_differs_from_isolated(self):
         ckpt, batches = self.make_setup()
         spec, cfg = GroupQuantSpec(2), GptqConfig()
-        seq, _ = gptq_quantize_model(ckpt, uniform_plan(ckpt, 2), batches, cfg)
+        seq = gptq_quantize_model(ckpt, uniform_plan(ckpt, 2), batches, cfg)
         # reference: every layer calibrated on the unquantized model
         paths = ckpt.quantizable_paths()
         seen = full_forward_inputs(ckpt, batches)
@@ -432,8 +435,7 @@ class TestModelQuantization:
                               n_layers=1, n_heads=2, d_ff=64, max_seq_len=32)
             ckpt = train(cfg)
             batches = calibration_batches(cfg, 4)
-            gptq_ckpt, _ = gptq_quantize_model(ckpt, uniform_plan(ckpt, 4), batches,
-                                               GptqConfig())
+            gptq_ckpt = gptq_quantize_model(ckpt, uniform_plan(ckpt, 4), batches, GptqConfig())
             rtn_ckpt = rtn_quantize_model(ckpt, uniform_plan(ckpt, 4))
             g = np.mean(list(evaluate_tasks(gptq_ckpt, suite).values()))
             r = np.mean(list(evaluate_tasks(rtn_ckpt, suite).values()))

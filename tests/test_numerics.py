@@ -63,7 +63,8 @@ cfg = TrainConfig()
 ckpt = new_checkpoint(cfg.model_config(), 0)
 batches = calibration_batches(cfg, 1)
 records = compute_sensitivities(ckpt, batches, SensitivityConfig(n_power_iters=1, n_batches=1))
-_, layers = gptq_quantize_model(ckpt, uniform_plan(ckpt, 4), batches, GptqConfig())
+quantized = gptq_quantize_model(ckpt, uniform_plan(ckpt, 4), batches, GptqConfig())
+layers = quantized.meta["quantization"]["layers"]
 print(json.dumps([[r.to_dict() for r in records], layers]))
 """
 
