@@ -2,8 +2,8 @@
 
 One grid cell = (model, method, bits-or-plan). Every cell is scored on the
 same task suite and timed under the same latency protocol;
-:func:`ptqlab.pipeline.stage_eval` builds, runs and caches the cells that
-:func:`plan_grid` lists.
+:func:`ptqlab.pipeline.model_cells` builds, runs and caches the cells that
+:func:`plan_grid` lists for one model.
 """
 
 from __future__ import annotations
@@ -201,10 +201,10 @@ class GridConfig:
         require_count("n_calibration_batches", self.n_calibration_batches)
 
 
-def plan_grid(grid: GridConfig = GridConfig()) -> list:
-    """(model, method, bits_or_plan) rows of the grid, in the order it runs them."""
+def plan_grid(grid: GridConfig = GridConfig(), modes=(MODE_AR, MODE_DIFFUSION)) -> list:
+    """(model, method, bits_or_plan) rows of the grid for ``modes``, in the order it runs them."""
     rows = []
-    for mode in (MODE_AR, MODE_DIFFUSION):
+    for mode in modes:
         name = f"toy-{mode}"
         rows.append((name, "baseline", "16bit"))
         for b in grid.bits:

@@ -217,21 +217,27 @@ class Workspace:
 # Stages
 
 
+def train_model(ws: Workspace, mode: str) -> tuple:
+    """(checkpoint, reused): ``mode``'s verified checkpoint, or a new one trained
+    and saved when it is missing, corrupt or stale."""
+    try:
+        return ws.require_checkpoint(mode), True
+    except ContractError:
+        cfg = dataclasses.replace(ws.cfg.train, mode=mode,
+                                  log_path=str(ws.path("logs", f"train_{mode}.csv")))
+        ckpt = train(cfg)
+        ckpt.meta["pipeline_train_hash"] = ws.cfg.train_hash(mode)
+        ckpt.save(ws.checkpoint_path(mode))
+        return ckpt, False
+
+
 def stage_train(ws: Workspace) -> dict:
     """Train each model whose checkpoint is missing, corrupt or stale."""
     out = {}
     for mode in MODELS:
-        path = ws.checkpoint_path(mode)
-        want = ws.cfg.train_hash(mode)
-        try:
-            ckpt, reused = ws.require_checkpoint(mode), True
-        except ContractError:
-            cfg = dataclasses.replace(ws.cfg.train, mode=mode,
-                                      log_path=str(ws.path("logs", f"train_{mode}.csv")))
-            ckpt, reused = train(cfg), False
-            ckpt.meta["pipeline_train_hash"] = want
-            ckpt.save(path)
-        out[mode] = {"checkpoint": str(path), "reused": reused, "train_hash": want,
+        ckpt, reused = train_model(ws, mode)
+        out[mode] = {"checkpoint": str(ws.checkpoint_path(mode)), "reused": reused,
+                     "train_hash": ckpt.meta["pipeline_train_hash"],
                      "heldout_loss_final": ckpt.meta["heldout_loss_final"]}
     return out
 
@@ -275,9 +281,13 @@ def stage_assign(ws: Workspace, ckpt: ModelCheckpoint, ratios=None, levels=None,
     if got != want:
         raise ContractError(f"sensitivity report hash {got} does not match the checkpoint "
                             f"and config ({want}); re-run `ptqlab sensitivity --model {mode}`")
+    sizes = {r.path: r.n_params for r in records}
+    if sizes != {p: ckpt.n_params(p) for p in ckpt.quantizable_paths()}:
+        raise ContractError(f"sensitivity report {json_path} does not list the checkpoint's "
+                            f"modules and sizes; re-run `ptqlab sensitivity --model {mode}`")
     ranked = rank_sensitivities(records, cfg.grid.rank_mode)
     if budget is not None:
-        plan = budget_plan([(r.path, ckpt.n_params(r.path)) for r in ranked], budget,
+        plan = budget_plan([(r.path, sizes[r.path]) for r in ranked], budget,
                            cfg.gptq.group_size, levels)
     else:
         plan = assign_precision(ranked, split, cfg.gptq.group_size, levels)
@@ -347,9 +357,10 @@ def _bench_lock(ws: Workspace, timeout_s: float = 600.0):
         os.close(fd)  # releases the lock
 
 
-def stage_eval(ws: Workspace) -> dict:
-    """One EvalResult per :func:`plan_grid` cell, each cached under a hash of
-    everything that decides it; failed cells are recorded, never cached.
+def model_cells(ws: Workspace, ckpt: ModelCheckpoint) -> list:
+    """One EvalResult per :func:`plan_grid` row of ``ckpt``'s model, in order,
+    each cached under a hash of everything that decides it; a failed cell is
+    recorded, never cached. The caller holds :func:`_bench_lock`.
 
     Each cell is a plan, built by the CLI's steps and applied by one
     :func:`quantize` call: the 16-bit plan for the baseline, the grid width
@@ -359,47 +370,46 @@ def stage_eval(ws: Workspace) -> dict:
     needing them misses the cache, so a finished grid re-runs with no model
     forward.
     """
-    cfg = ws.cfg
-    ckpts = {mode: ws.require_checkpoint(mode) for mode in MODELS}
-    keys = {mode: cell_hasher(cfg, mode, ckpts[mode].fingerprint) for mode in MODELS}
-    scored = set()  # modes whose sensitivity report this grid wrote
-
-    def build(mode, method, label):
-        ckpt = ckpts[mode]
-        if method == "hawq":
-            if mode not in scored:
-                stage_sensitivity(ws, ckpt)
-                scored.add(mode)
-            hi, lo = (int(b) for b in label.removeprefix("hawq-").split("/"))
-            plan = QuantPlan.load(stage_assign(ws, ckpt, levels=(hi, lo, lo))["plan"])
-        else:  # the baseline is the 16-bit plan
-            plan = uniform_plan(ckpt, int(label.removesuffix("bit")), cfg.gptq.group_size)
-        quantized = quantize(cfg, ckpt, method, plan)
-        raw_bits, eff_bits = memory_footprint(plan, ckpt)
-        return quantized, raw_bits, eff_bits
-
+    cfg, mode = ws.cfg, ckpt.config.mode
+    key = cell_hasher(cfg, mode, ckpt.fingerprint)
+    scored = False  # whether this call wrote the model's sensitivity report
     results = []
+    for name, method, label in plan_grid(cfg.grid, modes=(mode,)):
+        config_hash = key((name, method, label))
+        result = _cache_load(ws, (name, mode, method, label, cfg.seed), config_hash)
+        if result is None:
+            try:
+                if method == "hawq":
+                    if not scored:
+                        stage_sensitivity(ws, ckpt)
+                        scored = True
+                    hi, lo = (int(b) for b in label.removeprefix("hawq-").split("/"))
+                    plan = QuantPlan.load(stage_assign(ws, ckpt, levels=(hi, lo, lo))["plan"])
+                else:  # the baseline is the 16-bit plan
+                    plan = uniform_plan(ckpt, int(label.removesuffix("bit")), cfg.gptq.group_size)
+                quantized = quantize(cfg, ckpt, method, plan)
+                raw_bits, eff_bits = memory_footprint(plan, ckpt)
+                scores = evaluate_tasks(quantized, cfg.suite)
+                lat_mean_ms, lat_std_ms = measure_latency(quantized, _latency(cfg, mode))
+                result = EvalResult(name, mode, method, label, scores, lat_mean_ms,
+                                    lat_std_ms, raw_bits, eff_bits, cfg.seed, config_hash)
+            except Exception as exc:  # record the failed row, keep the grid going
+                nan = float("nan")
+                result = EvalResult(name, mode, method, label, {}, nan, nan, nan, nan,
+                                    cfg.seed, config_hash, status="failed",
+                                    error=f"{type(exc).__name__}: {exc}\n"
+                                          f"{traceback.format_exc(limit=3)}")
+            else:
+                _cache_store(ws, config_hash, result)
+        results.append(result)
+    return results
+
+
+def stage_eval(ws: Workspace) -> dict:
+    """The :func:`model_cells` of AR and then of diffusion, under one latency lock."""
+    ckpts = [ws.require_checkpoint(mode) for mode in MODELS]
     with _bench_lock(ws):
-        for name, method, label in plan_grid(cfg.grid):
-            mode = name.removeprefix("toy-")
-            config_hash = keys[mode]((name, method, label))
-            result = _cache_load(ws, (name, mode, method, label, cfg.seed), config_hash)
-            if result is None:
-                try:
-                    quantized, raw_bits, eff_bits = build(mode, method, label)
-                    scores = evaluate_tasks(quantized, cfg.suite)
-                    lat_mean_ms, lat_std_ms = measure_latency(quantized, _latency(cfg, mode))
-                    result = EvalResult(name, mode, method, label, scores, lat_mean_ms,
-                                        lat_std_ms, raw_bits, eff_bits, cfg.seed, config_hash)
-                except Exception as exc:  # record the failed row, keep the grid going
-                    nan = float("nan")
-                    result = EvalResult(name, mode, method, label, {}, nan, nan, nan, nan,
-                                        cfg.seed, config_hash, status="failed",
-                                        error=f"{type(exc).__name__}: {exc}\n"
-                                              f"{traceback.format_exc(limit=3)}")
-                else:
-                    _cache_store(ws, config_hash, result)
-            results.append(result)
+        results = [result for ckpt in ckpts for result in model_cells(ws, ckpt)]
     failed = [r for r in results if r.status != "ok"]
     return {"results": results, "n_cells": len(results), "n_failed": len(failed)}
 

@@ -1,7 +1,7 @@
-"""Turn grid results into tables, charts, and frontier classifications.
+"""Turn grid results into tables, a chart, and frontier classifications.
 
 All emission is byte-deterministic: rows are sorted, floats are fixed to
-three decimals, and charts are hand-written SVG (text, diffable, no
+three decimals, and the chart is hand-written SVG (text, diffable, no
 graphics dependency).
 """
 
@@ -25,7 +25,7 @@ FMT = "{:.3f}"
 
 # The report files emit writes, and its bookkeeping file beside them: a
 # dotfile, because it is no report.
-REPORT_FILES = ("results.csv", "report.json", "table.md", "latency.svg", "pareto.svg")
+REPORT_FILES = ("results.csv", "report.json", "table.md", "pareto.svg")
 MANIFEST = ".manifest.json"
 
 _METHOD_ORDER = {"gptq": 0, "rtn": 1, "hawq": 2, "baseline": 3}
@@ -248,16 +248,6 @@ def _svg_chart(series: dict, xlabel: str, ylabel: str, title: str, labeled_point
     return "\n".join(out) + "\n"
 
 
-def latency_chart(results) -> str:
-    series: dict = {}
-    for r in results:
-        if r.status != "ok" or not np.isfinite(r.lat_mean_ms):
-            continue
-        series.setdefault(f"{r.model} {r.method}", []).append((r.raw_bits, r.lat_mean_ms))
-    return _svg_chart(series, "average weight bits", "latency per step (ms)",
-                      "Latency vs precision")
-
-
 def pareto_chart(results, frontier) -> str:
     """Score vs effective bits per model+method, with ``frontier`` (from
     :func:`pareto_frontier`) as its own series."""
@@ -315,7 +305,6 @@ def emit(results, out_dir) -> dict:
     }
     put("report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     put("table.md", degradation_table(results))
-    put("latency.svg", latency_chart(results))
     put("pareto.svg", pareto_chart(results, frontier))
     write_atomic(out_dir / MANIFEST, _manifest(inputs, written))
     return paths

@@ -91,6 +91,19 @@ def path_not_a_string(records: list) -> None:
     records[1]["lambda"] = records[0]["lambda"]
 
 
+def unknown_module(records: list) -> None:
+    """Record 0 named after a block that the one-block MICRO model lacks."""
+    records[0]["path"] = "blocks.9.attn.q.weight"
+
+
+def wrong_n_params(records: list) -> None:
+    records[0]["n_params"] = 1
+
+
+RATIOS = ("--ratios", "0.5,0.5,0")
+BUDGET = ("--budget", "8")
+
+
 def with_params(blob: bytes, edit) -> bytes:
     """The checkpoint ``blob`` with its tensors edited in place by ``edit(params)``."""
     ckpt = ModelCheckpoint.from_bytes(blob)
@@ -647,14 +660,19 @@ class TestPipelineStages:
                      "--plan", str(tmp_path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
-    @pytest.mark.parametrize("spoil, message", [
-        (lambda records: records[0].pop("lambda"), "lambda"),
+    @pytest.mark.parametrize("spoil, message, args", [
+        (lambda records: records[0].pop("lambda"), "lambda", RATIOS),
         # a record listed again: a cut would count it twice
-        (lambda records: records.append(records[len(records) // 2]), "listed twice"),
-        (path_not_a_string, "path"),
-    ], ids=["no-lambda", "module-twice", "path-not-a-string"])
+        (lambda records: records.append(records[len(records) // 2]), "listed twice", RATIOS),
+        (path_not_a_string, "path", RATIOS),
+        # the hash still matches, but the records are not the checkpoint's modules
+        (unknown_module, "ptqlab sensitivity --model ar", RATIOS),
+        (unknown_module, "ptqlab sensitivity --model ar", BUDGET),
+        (wrong_n_params, "ptqlab sensitivity --model ar", BUDGET),
+    ], ids=["no-lambda", "module-twice", "path-not-a-string", "unknown-module-ratios",
+            "unknown-module-budget", "wrong-n-params"])
     def test_malformed_sensitivity_report_is_a_json_error(self, tmp_path, capsys, spoil,
-                                                           message):
+                                                           message, args):
         cfg = write_config(tmp_path)
         assert main(["train", "-c", cfg]) == 0
         assert main(["sensitivity", "-c", cfg, "--model", "ar"]) == 0
@@ -663,7 +681,7 @@ class TestPipelineStages:
         spoil(doc["records"])
         report.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["assign", "-c", cfg, "--model", "ar", "--ratios", "0.5,0.5,0"]) == 1
+        assert main(["assign", "-c", cfg, "--model", "ar", *args]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ContractError" and message in err["message"]
         assert str(report) in err["message"]

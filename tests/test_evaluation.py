@@ -286,6 +286,29 @@ class TestGrid:
         assert again == results
         assert {p: p.stat().st_mtime_ns for p in files} == files
 
+    def test_one_model_grid_runs_alone(self, cold, tmp_path, monkeypatch):
+        # the diffusion cells alone, on a cold copy of the trained pair, are the
+        # full grid's diffusion cells; they score once and write nothing of AR
+        ws = copy_of(cold[0], tmp_path)
+        for name in ("cache", "sensitivity", "plans"):
+            shutil.rmtree(ws.root / name)
+        scored, real = [], pipeline.stage_sensitivity
+        monkeypatch.setattr(pipeline, "stage_sensitivity",
+                            lambda *args: scored.append(1) or real(*args))
+        with pipeline._bench_lock(ws):
+            cells = pipeline.model_cells(ws, ws.require_checkpoint("diffusion"))
+
+        def fields(results):
+            return [(r.model, r.method, r.bits_or_plan, r.status, r.scores, r.raw_bits,
+                     r.eff_bits, r.config_hash) for r in results]
+
+        assert len(cells) == 11 and scored == [1]
+        assert fields(cells) == fields(r for r in cold[1] if r.mode == "diffusion")
+        report = Path("sensitivity", "diffusion.json")
+        assert (ws.root / report).read_bytes() == (cold[0].root / report).read_bytes()
+        assert not (ws.root / "sensitivity" / "ar.json").exists()
+        assert len(cache_listing(ws)) == 11
+
     def test_cache_keys_hash_the_serialized_checkpoint(self, cold):
         ws, results = cold
         fingerprints = {mode: hashlib.sha256(ws.require_checkpoint(mode).to_bytes())

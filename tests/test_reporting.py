@@ -10,9 +10,9 @@ import pytest
 import ptqlab.reporting as reporting
 from ptqlab.evaluation import EvalResult
 from ptqlab.numerics import make_rng
-from ptqlab.reporting import (MANIFEST, ParetoPoint, degradation_table, emit, latency_chart,
-                              pareto_chart, pareto_frontier, points_from_results,
-                              results_to_csv_text, trend_notes)
+from ptqlab.reporting import (MANIFEST, ParetoPoint, degradation_table, emit, pareto_chart,
+                              pareto_frontier, points_from_results, results_to_csv_text,
+                              trend_notes)
 
 GOLDEN = Path(__file__).parent / "golden" / "table.md"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,7 +48,7 @@ def table1_fixture():
     return rows
 
 
-RENDERERS = ("results_to_csv_text", "degradation_table", "latency_chart", "pareto_chart")
+RENDERERS = ("results_to_csv_text", "degradation_table", "pareto_chart")
 
 
 def refuse(*args, **kwargs):
@@ -67,7 +67,7 @@ def delete_a_report_file(results, out, monkeypatch):
 
 
 def edit_one_byte(results, out, monkeypatch):
-    path = out / "latency.svg"
+    path = out / "pareto.svg"
     blob = bytearray(path.read_bytes())
     blob[100] ^= 1
     path.write_bytes(bytes(blob))
@@ -182,7 +182,7 @@ class TestDegradationTable:
         assert baseline_row.endswith("| 0.000 | 0.000 |")
 
     def test_a_failed_cell_keeps_its_level(self):
-        # the other model's scores of that level stay in the table; charts
+        # the other model's scores of that level stay in the table; the chart
         # and frontier leave the failed cell out
         ok = table1_fixture()
         results = [failed(r) if (r.model, r.bits_or_plan) == ("toy-ar", "4bit") else r
@@ -194,7 +194,6 @@ class TestDegradationTable:
         kept = [r for r in results if r.status == "ok"]
         assert points_from_results(results) == points_from_results(kept)
         assert len(points_from_results(kept)) == len(ok) - 1
-        assert latency_chart(results) == latency_chart(kept)
         frontier, _ = pareto_frontier(points_from_results(kept))
         assert pareto_chart(results, frontier) == pareto_chart(kept, frontier)
         both = [failed(r) if r.bits_or_plan == "4bit" else r for r in ok]
@@ -254,8 +253,7 @@ class TestEmission:
         results = table1_fixture()
         first = emit(results, tmp_path / "a")
         second = emit(results, tmp_path / "b")
-        assert set(first) == {"results.csv", "report.json", "table.md", "latency.svg",
-                              "pareto.svg"}
+        assert set(first) == {"results.csv", "report.json", "table.md", "pareto.svg"}
         for name in first:
             assert first[name].read_bytes() == second[name].read_bytes()
 
@@ -315,7 +313,7 @@ class TestEmission:
         rows = (out / "table.md").read_text().splitlines()
         assert rows[-1] == "| 16bit | 0.481 (failed) | 0.439 (failed) | 0.000 | failed |"
         assert rows[4].endswith("| -0.460 |  |")  # 2bit: no ar baseline to compare with
-        assert "toy-ar baseline" not in (out / "latency.svg").read_text()
+        assert "toy-ar baseline" not in (out / "pareto.svg").read_text()
 
     def test_an_all_failed_grid_is_rendered(self, tmp_path):
         results = [failed(r) for r in table1_fixture()]
@@ -327,11 +325,11 @@ class TestEmission:
         assert rows[4:] == [f"| {label} | failed | failed |"
                             for label in ("2bit (gptq)", "3bit (gptq)", "4bit (gptq)",
                                           "8bit (gptq)", "16bit")]
-        for chart in ("latency.svg", "pareto.svg"):
-            assert "<circle" not in (tmp_path / chart).read_text()
+        assert "<circle" not in (tmp_path / "pareto.svg").read_text()
 
     def test_svg_series_per_model_method(self):
-        svg = latency_chart(table1_fixture())
+        results = table1_fixture()
+        svg = pareto_chart(results, pareto_frontier(points_from_results(results))[0])
         for name in ("toy-ar baseline", "toy-ar gptq", "toy-diffusion baseline",
                      "toy-diffusion gptq"):
             assert f'data-series="{name}"' in svg
